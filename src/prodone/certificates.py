@@ -134,6 +134,22 @@ class CheckResult:
     caveats: list[str] = field(default_factory=list)
 
 
+def _check_accounting(counters: dict, record: dict, where: str, fail) -> None:
+    """Counter identities of one scanned range, and its lists against their counters."""
+    if counters["filtered_out"] + counters["checked"] != counters["visited"]:
+        fail(f"{where}filter accounting broken")
+    parts = (
+        counters["atoms"] + counters["non_atoms"]
+        + counters["not_product_one"] + counters["unverified"]
+    )
+    if parts != counters["checked"]:
+        fail(f"{where}verdict accounting broken")
+    if len(record["atoms"]) != counters["atoms"]:
+        fail(f"{where}atom list length != counter")
+    if len(record["unverified"]) != counters["unverified"]:
+        fail(f"{where}unverified list length != counter")
+
+
 def check_certificate(cert: Certificate) -> CheckResult:
     """Re-verify a certificate from its fields alone."""
     result = CheckResult(ok=True, kind=cert.kind)
@@ -192,26 +208,32 @@ def check_certificate(cert: Certificate) -> CheckResult:
                 "exhaustive refutation of longer sequences requires re-running the DFS"
             )
         elif cert.kind == "inverse_report":
-            from .enumeration import digest_add, digest_empty, digest_hex
+            from .enumeration import Stratum, StratumSpace, digest_add, digest_empty, digest_hex
             from .invariants import extremal_atoms_all
 
             forms = {f.sequence.format(ctx) for f in extremal_atoms_all(ctx)}
             if payload["n_f"] != len(forms):
                 fail(f"recomputed extremal count {len(forms)} != recorded {payload['n_f']}")
+            length = payload["length"]
+            if length != 2 * ctx.q:
+                fail(f"length {length} is not 2q = {2 * ctx.q}")
+            scope_ks = {"k_le_2": [0, 1, 2], "full": list(range(length + 1))}
+            if payload["scope"] not in scope_ks:
+                fail(f"unknown scope {payload['scope']!r}")
+            elif sorted(st["k"] for st in payload["strata"]) != scope_ks[payload["scope"]]:
+                fail(f"strata do not cover exactly the k-set of scope {payload['scope']!r}")
+            matched = 0
+            n_atoms = 0
+            k2_atoms = 0
+            unverified = 0
             for stratum in payload["strata"]:
                 counters = stratum["counters"]
-                if counters["visited"] != stratum["total"]:
+                size = StratumSpace(ctx, Stratum(length=length, k=stratum["k"])).total
+                if stratum["total"] != size:
+                    fail(f"stratum k={stratum['k']}: total {stratum['total']} != stratum size {size}")
+                if counters["visited"] != size:
                     fail(f"stratum k={stratum['k']}: visited != stratum size")
-                if counters["filtered_out"] + counters["checked"] != counters["visited"]:
-                    fail(f"stratum k={stratum['k']}: filter accounting broken")
-                parts = (
-                    counters["atoms"] + counters["non_atoms"]
-                    + counters["not_product_one"] + counters["unverified"]
-                )
-                if parts != counters["checked"]:
-                    fail(f"stratum k={stratum['k']}: verdict accounting broken")
-                if len(stratum["atoms"]) != counters["atoms"]:
-                    fail(f"stratum k={stratum['k']}: atom list length != counter")
+                _check_accounting(counters, stratum, f"stratum k={stratum['k']}: ", fail)
                 digest = digest_empty()
                 for text in stratum["atoms"]:
                     seq = Sequence.parse(ctx, text)
@@ -224,6 +246,21 @@ def check_certificate(cert: Certificate) -> CheckResult:
                     digest = digest_add(digest, text)
                 if digest_hex(digest) != stratum["digest"]:
                     fail(f"stratum k={stratum['k']}: digest does not recompute")
+                n_atoms += len(stratum["atoms"])
+                if stratum["k"] == 2:
+                    k2_atoms += len(stratum["atoms"])
+                    matched += sum(text in forms for text in stratum["atoms"])
+                unverified += len(stratum["unverified"])
+            if payload["matched"] != matched:
+                fail(f"recomputed matched count {matched} != recorded {payload['matched']}")
+            if payload["atoms_found"] != n_atoms:
+                fail(f"recomputed atom count {n_atoms} != recorded {payload['atoms_found']}")
+            verified = (
+                not payload["exceptions"] and not unverified
+                and k2_atoms == len(forms) and n_atoms == k2_atoms
+            )
+            if payload["verified"] != verified:
+                fail(f"recomputed verified flag {verified} != recorded {payload['verified']}")
             if payload["exceptions"]:
                 fail(f"report lists {len(payload['exceptions'])} exceptions")
             result.caveats.append(
@@ -257,15 +294,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
         elif cert.kind == "checkpoint":
             from .enumeration import digest_add, digest_empty, digest_hex
 
-            counters = payload["counters"]
-            if counters["filtered_out"] + counters["checked"] != counters["visited"]:
-                fail("filter accounting broken")
-            parts = (
-                counters["atoms"] + counters["non_atoms"]
-                + counters["not_product_one"] + counters["unverified"]
-            )
-            if parts != counters["checked"]:
-                fail("verdict accounting broken")
+            _check_accounting(payload["counters"], payload, "", fail)
             digest = digest_empty()
             for text in payload["atoms"]:
                 seq = Sequence.parse(ctx, text)

@@ -200,6 +200,12 @@ def _cmd_search(args) -> int:
         k=args.k,
         tau_residue=None if args.no_tau_filter else 0,
     )
+    if args.shards < 1:
+        raise ValueError(f"--shards must be at least 1, got {args.shards}")
+    if args.shard_index is not None and not 0 <= args.shard_index < args.shards:
+        raise ValueError(
+            f"--shard-index must be in [0, {args.shards}), got {args.shard_index}"
+        )
     started = time.perf_counter()
     if args.shard_index is not None:
         space = StratumSpace(ctx, stratum)

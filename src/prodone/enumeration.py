@@ -13,12 +13,71 @@ Only provably sound hard filters are applied while hunting atoms:
 * the sum of t-degrees must vanish mod p (every ordered product of a sequence
   lies in the commutator coset fixed by that sum).
 
-Per candidate the checker runs a three-stage pipeline, every stage exact:
-an abelian shortcut when all terms commute, a randomized ordering search
-whose split witnesses are self-certifying, and the engine DP as the decision
-procedure for whatever survives.  Membership-style prunes that depend on
-future extensions are deliberately not used; minimality is not antitone
-under extension.
+Membership-style prunes that depend on future extensions are deliberately
+not used; minimality is not antitone under extension.
+
+Per candidate the checker takes one exact route, chosen by the number k of
+terms outside the commutator subgroup <a>; ``SearchCounters.by_method``
+counts candidates per route:
+
+* ``abelian`` (k = 0): all terms commute, so a candidate is product-one iff
+  its exponent sum vanishes mod q, and an atom iff no proper nonempty
+  sub-multiset sums to zero as well;
+* ``outer_pair`` (k = 2): the closed form below, two bit tests against a
+  profile of the <a>-part;
+* ``ordering`` / ``dp`` (any other k): a seeded random ordering search whose
+  split witnesses are self-certifying, then the engine DP as the decision
+  procedure for whatever survives.  Only this route reads ``master_seed``
+  and ``heuristic_tries``, so verdicts with k = 0 or k = 2 do not depend on
+  them.
+
+Atom verdicts of the abelian and outer-pair routes are confirmed by the
+engine, which attaches the ``AtomVerdict``; an atom of either route that the
+engine rejects raises instead of being returned.
+
+The outer-pair closed form.  Elements are (i, j) = t^i a^j with
+(i1, j1)(i2, j2) = (i1 + i2, j1 s^i2 + j2).  Write a candidate as
+S = Y . x1 . x2, where Y holds the terms (0, y) of <a>, x1 = (d1, j1) and
+x2 = (d2, j2) with d1, d2 nonzero mod p, and let ΣB be the exponent sum mod
+q of a sub-multiset B of Y.
+
+1. Degree.  Every ordered product of a multiset T has first coordinate the
+   sum of the t-degrees of T, mod p.  Since d1 and d2 are nonzero, a
+   product-one T holds both outer terms or neither.  If d1 + d2 is nonzero
+   mod p, S is not product-one (with the t-degree filter on, such candidates
+   never reach the classifier).
+2. Orderings.  Let d1 + d2 = 0 mod p, so s^d1 s^d2 = 1, and let T = Y_T.x1.x2
+   with Y_T a sub-multiset of Y.  A product g.h is the identity iff h.g is,
+   so T has a product-one ordering iff it has one that starts with x1:
+   rotate any product-one ordering until x1 comes first.  Such an ordering
+   is x1 B1 x2 B2 for a partition B1, B2 of Y_T; terms of <a> commute, so
+   only the block sums matter, and multiplying out gives
+
+       x1 B1 x2 B2 = (0, ΣY_T + (s^d2 - 1) ΣB1 + j1 s^d2 + j2).
+
+   s has order p and d2 is nonzero mod p, so s^d2 - 1 is a unit mod q and
+   this ordering is product-one iff ΣB1 = c with
+   c = -(ΣY_T + j1 s^d2 + j2) / (s^d2 - 1).  B1 may be any sub-multiset of
+   Y_T, so T is product-one iff c is a subset sum of Y_T.
+3. Splits.  S is not an atom iff S = T.Z with T and Z nonempty and both
+   product-one (such an S is product-one: concatenate the two orderings).
+   By 1, one part, say T, holds both outer terms, so Z lies in <a> and is
+   product-one iff ΣZ = 0.  Then ΣY_T = ΣY - ΣZ = ΣY: c is the same for
+   every such T as for S itself (T = S, Z empty).  By 2, with B and Z
+   ranging over sub-multisets of Y,
+
+       S is product-one  iff  c lies in P = {ΣB : B in Y},
+       S is a non-atom   iff  c lies in R = {ΣB : B, Z in Y disjoint,
+                                             Z nonempty, ΣZ = 0}.
+
+   R is contained in P, so the verdict is ``not_product_one`` when c is not
+   in P, ``non_atom`` when c is in R, and ``atom`` otherwise.
+4. Cost.  The profile (ΣY mod q, P, R) depends on q and the sorted Y alone.
+   ``_inner_profile`` builds P and R as q-bit masks by sending each term of
+   Y to B, to Z or to neither, in O(q |Y|) rotations, and keeps the last
+   profile: ``iter_range`` varies the outer terms fastest, so one profile
+   serves every outer pair of a Y.  A candidate then costs one modular
+   inverse and two bit tests; neither the ordering search nor the DP runs.
 """
 
 from __future__ import annotations
@@ -27,6 +86,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from random import Random
 from typing import Callable, Iterator
@@ -359,6 +419,42 @@ def _abelian_verdict(ctx: GroupCtx, content: tuple[int, ...]) -> str:
     return "non_atom" if scan(0, 0, 0) else "atom"
 
 
+@lru_cache(maxsize=1)
+def _inner_profile(q: int, inner: tuple[int, ...]) -> tuple[int, int, int]:
+    """(ΣY mod q, subset-sum mask P, split mask R) of the <a>-part Y.
+
+    Bit b of P is set when some sub-multiset B of Y has ΣB = b; bit b of R
+    when some B is disjoint from a nonempty Z of Y with ΣZ = 0.  The profile
+    depends on q and Y alone, so ``(q, sorted Y)`` is the whole key, and one
+    entry serves a run of candidates because ``iter_range`` varies the outer
+    terms fastest.
+    """
+    full = (1 << q) - 1
+    sums = 1  # Z empty so far: the subset sums of the prefix of Y
+    split = [0] * q  # Z nonempty: split[z] is the mask of ΣB with ΣZ = z
+    for v in inner:
+        spun = [((mask << v) | (mask >> (q - v))) & full for mask in split]
+        split = [split[z] | spun[z] | split[z - v] for z in range(q)]  # neither / B / Z
+        split[v] |= sums  # this copy opens Z
+        sums |= ((sums << v) | (sums >> (q - v))) & full
+    return sum(inner) % q, sums, split[0]
+
+
+def _outer_pair_verdict(ctx: GroupCtx, inner: list[int], x1: int, x2: int) -> str:
+    """Exact verdict for a content with exactly two terms outside <a>; see the module docstring."""
+    p, q = ctx.p, ctx.q
+    d1, j1 = divmod(x1, q)
+    d2, j2 = divmod(x2, q)
+    if (d1 + d2) % p:
+        return "not_product_one"
+    total, sums, split = _inner_profile(q, tuple(sorted(inner)))
+    s2 = ctx.spow[d2]
+    target = 1 << (-(total + j1 * s2 + j2) * pow(s2 - 1, -1, q) % q)
+    if not sums & target:
+        return "not_product_one"
+    return "non_atom" if split & target else "atom"
+
+
 def _ordering_witness(ctx: GroupCtx, content: tuple[int, ...], rng: Random, tries: int) -> tuple[bool, bool]:
     """(found_split, saw_product_one) via random product-one orderings.
 
@@ -412,16 +508,33 @@ def classify_candidate(
     """Classify one candidate multiset: (kind, method, verdict-for-atoms).
 
     Kinds: ``atom``, ``non_atom``, ``not_product_one``, ``unverified``.
-    Atom verdicts come from the exact engine; heuristic and abelian results
-    are exact by construction (see :func:`_ordering_witness`).
+    ``method`` names the route that settled the candidate (see the module
+    docstring): ``abelian`` with no term outside <a>, ``outer_pair`` with
+    exactly two, ``ordering`` or ``dp`` otherwise.  Every route is exact;
+    ``master_seed`` and ``heuristic_tries`` only steer the ordering search of
+    the last route.  Atom verdicts are confirmed by the engine, and
+    ``unverified`` means the engine hit ``state_cap``.
     """
-    if all(idx < ctx.q for idx in content):
-        kind = _abelian_verdict(ctx, content)
+    inner = [idx for idx in content if idx < ctx.q]
+    outer = [idx for idx in content if idx >= ctx.q]
+    if len(outer) in (0, 2):
+        if outer:
+            method, kind = "outer_pair", _outer_pair_verdict(ctx, inner, *outer)
+        else:
+            method, kind = "abelian", _abelian_verdict(ctx, content)
         if kind != "atom":
-            return kind, "abelian", None
-        # Confirm the rare abelian atom with the engine to attach a verdict.
-        verdict = is_atom(ctx, Sequence.from_indices(content), state_cap=state_cap)
-        return "atom", "abelian", verdict
+            return kind, method, None
+        # Confirm the closed-form atom with the engine to attach a verdict.
+        try:
+            verdict = is_atom(ctx, Sequence.from_indices(content), state_cap=state_cap)
+        except ResourceCapError:
+            return "unverified", method, None
+        if not verdict.atom:
+            raise RuntimeError(
+                f"{method} verdict 'atom' contradicts the engine for {content} "
+                f"in group {ctx.params.descriptor()}"
+            )
+        return "atom", method, verdict
     counts: dict[int, int] = {}
     for idx in content:
         counts[idx] = counts.get(idx, 0) + 1

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from prodone.certificates import (
     check_certificate,
     certificate_to_json,
@@ -9,8 +11,16 @@ from prodone.certificates import (
     write_certificate,
 )
 from prodone.cli import main
-from prodone.enumeration import Stratum, atom_search, checkpoint_record
-from prodone.invariants import build_rho_witness, small_davenport
+from prodone.enumeration import (
+    Stratum,
+    StratumSpace,
+    atom_search,
+    checkpoint_record,
+    digest_add,
+    digest_empty,
+    digest_hex,
+)
+from prodone.invariants import build_rho_witness, extremal_atoms_all, small_davenport
 from prodone.oracles import run_lemma
 from prodone.sequences import Sequence, is_atom
 
@@ -124,6 +134,103 @@ def test_checkpoint_certificate(ctx372):
     assert check_certificate(cert).ok
 
 
+def _stratum_record(k, total, atoms):
+    digest = digest_empty()
+    for text in atoms:
+        digest = digest_add(digest, text)
+    counters = {
+        "visited": total, "filtered_out": total - len(atoms), "checked": len(atoms),
+        "atoms": len(atoms), "non_atoms": 0, "not_product_one": 0, "unverified": 0,
+        "by_method": {},
+    }
+    return {"k": k, "total": total, "counters": counters, "atoms": list(atoms),
+            "unverified": [], "digest": digest_hex(digest)}
+
+
+def _inverse_payload(ctx):
+    """A k<=2 report at length 2q whose offline-checkable claims all hold, built without a scan."""
+    forms = [form.sequence.format(ctx) for form in extremal_atoms_all(ctx)]
+    length = 2 * ctx.q
+    strata = [
+        _stratum_record(k, StratumSpace(ctx, Stratum(length=length, k=k)).total,
+                        forms if k == 2 else [])
+        for k in (0, 1, 2)
+    ]
+    return {
+        "group": ctx.params.descriptor(), "length": length, "scope": "k_le_2",
+        "n_f": len(forms), "strata": strata, "matched": len(forms), "exceptions": [],
+        "seed": 0, "atoms_found": len(forms), "verified": True,
+    }
+
+
+def _check_inverse(payload):
+    return check_certificate(make_certificate("inverse_report", "3,7,2", payload, seed=0))
+
+
+def test_inverse_report_checker_accepts_consistent_report(ctx372):
+    outcome = _check_inverse(_inverse_payload(ctx372))
+    assert outcome.ok, outcome.messages
+    assert any("exhaustiveness" in c for c in outcome.caveats)
+
+
+def test_inverse_report_forged_stratum_size_is_rejected(ctx372):
+    # A "full" report with one k=2 stratum that claims to be 42 multisets.
+    payload = _inverse_payload(ctx372)
+    payload["scope"] = "full"
+    payload["strata"] = [_stratum_record(2, 42, payload["strata"][2]["atoms"])]
+    outcome = _check_inverse(payload)
+    assert not outcome.ok
+    assert any("stratum size" in m for m in outcome.messages)
+    assert any("k-set" in m for m in outcome.messages)
+
+
+def _grow_k0_stratum(payload):
+    stratum = payload["strata"][0]
+    stratum["total"] += 1
+    stratum["counters"]["visited"] += 1
+    stratum["counters"]["filtered_out"] += 1
+
+
+def _hide_unverified(payload):
+    counters = payload["strata"][1]["counters"]
+    counters["unverified"] += 1
+    counters["checked"] += 1
+    counters["filtered_out"] -= 1
+
+
+@pytest.mark.parametrize("forge", [
+    lambda pl: pl.update(length=pl["length"] + 2),
+    lambda pl: pl.update(scope="k_le_1"),
+    lambda pl: pl["strata"].pop(1),
+    _grow_k0_stratum,
+    lambda pl: pl.update(matched=pl["matched"] - 1),
+    lambda pl: pl.update(atoms_found=pl["atoms_found"] + 1),
+    lambda pl: pl.update(verified=False),
+    _hide_unverified,
+    lambda pl: pl["strata"][0]["unverified"].append("(0,1)^14"),
+], ids=["length", "scope", "missing-stratum", "total", "matched", "atoms_found",
+        "verified", "unverified-counter", "unverified-list"])
+def test_inverse_report_forgeries_are_rejected(ctx372, forge):
+    payload = _inverse_payload(ctx372)
+    forge(payload)
+    assert not _check_inverse(payload).ok
+
+
+def test_checkpoint_unverified_list_must_match_counter(ctx372):
+    stratum = Stratum(length=4, k=2)
+    result = atom_search(ctx372, stratum)
+    counters = result.counters
+    counters.unverified += 1
+    counters.non_atoms -= 1
+    payload = checkpoint_record(
+        ctx372, stratum, None, 0, counters, result.digest,
+        [s.format(ctx372) for s in result.atoms], [], result.last_rank, result.complete,
+    )
+    outcome = check_certificate(make_certificate("checkpoint", "3,7,2", payload, seed=0))
+    assert not outcome.ok
+    assert any("unverified list" in m for m in outcome.messages)
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
@@ -194,6 +301,16 @@ def test_cli_search_small_stratum(capsys, tmp_path):
     assert doc["payload"]["counters"]["atoms"] == 10
     code, out, _ = run_cli(capsys, "check-cert", path)
     assert code == 0
+
+
+def test_cli_search_rejects_bad_shard_plan(capsys):
+    for plan in (("--shards", "2", "--shard-index", "5"),
+                 ("--shards", "2", "--shard-index", "-1"),
+                 ("--shards", "0")):
+        code, out, err = run_cli(capsys, "search", "--group", "3,7,2", "--length", "2", *plan)
+        assert code == 2, plan
+        assert out == ""
+        assert "--shard" in err and "Traceback" not in err
 
 
 def test_cli_lemmas(capsys):

@@ -25,8 +25,11 @@ from prodone.enumeration import (
     run_sharded,
     unrank_multiset,
 )
-from prodone.group import automorphisms
+from prodone.group import automorphisms, make_group
+from prodone.invariants import extremal_atoms_all
 from prodone.sequences import Sequence, is_atom
+
+EXTENDED = bool(os.environ.get("PRODONE_EXTENDED"))
 
 
 # -- ranking ------------------------------------------------------------
@@ -140,6 +143,94 @@ def test_classify_agrees_with_engine_length_14(ctx372):
             else "not_product_one"
         )
         assert kind == expected
+
+
+# -- the outer-pair route -----------------------------------------------------
+
+
+def _engine_kind(ctx, content):
+    verdict = is_atom(ctx, Sequence.from_indices(content))
+    return "atom" if verdict.atom else "non_atom" if verdict.product_one else "not_product_one"
+
+
+def _outer_pair_kind(ctx, content):
+    kind, method, _ = classify_candidate(ctx, content)
+    assert method == "outer_pair"
+    return kind
+
+
+def test_outer_pair_matches_engine_up_to_length_six(ctx372):
+    # Every content of length <= 6 with exactly two terms outside <a>, with
+    # the identity allowed and no t-degree filter.
+    q, n = ctx372.q, ctx372.n
+    compared = 0
+    for length in range(2, 7):
+        for inner in itertools.combinations_with_replacement(range(q), length - 2):
+            for outer in itertools.combinations_with_replacement(range(q, n), 2):
+                content = inner + outer
+                assert _outer_pair_kind(ctx372, content) == _engine_kind(ctx372, content), content
+                compared += 1
+    assert compared == 34_650
+
+
+@pytest.mark.parametrize("descriptor,seed", [("5,11,3", 11), ("3,13,3", 13)])
+def test_outer_pair_matches_engine_on_samples(descriptor, seed):
+    ctx = make_group(descriptor)
+    p, q, n = ctx.p, ctx.q, ctx.n
+    rng = random.Random(seed)
+    samples = []
+    # Short random contents; in half of them the outer degrees cancel.
+    for _ in range(300):
+        x1 = rng.randrange(q, n)
+        x2 = rng.randrange(q, n)
+        if rng.random() < 0.5:
+            x2 = (-(x1 // q)) % p * q + x2 % q
+        inner = rng.choices(range(q), k=rng.randrange(0, 11))
+        samples.append(tuple(sorted(inner + [x1, x2])))
+    # Length-2q extremal atoms, and the same with one <a>-term replaced.
+    for form in rng.sample(extremal_atoms_all(ctx, verify=False), 6):
+        content = list(form.sequence.indices())
+        samples.append(tuple(content))
+        inner_at = [i for i, idx in enumerate(content) if idx < q]
+        for _ in range(3):
+            near = list(content)
+            near[rng.choice(inner_at)] = rng.randrange(1, q)
+            samples.append(tuple(sorted(near)))
+    kinds = set()
+    for content in samples:
+        kind = _outer_pair_kind(ctx, content)
+        assert kind == _engine_kind(ctx, content), content
+        kinds.add(kind)
+    assert kinds == {"atom", "non_atom", "not_product_one"}
+
+
+def test_outer_pair_verdicts_do_not_depend_on_visit_order(ctx372):
+    # The <a>-part profile is memoized; visiting candidates out of lex order
+    # changes which <a>-part is cached when, and must not change a verdict.
+    space = StratumSpace(ctx372, Stratum(length=14, k=2))
+    contents = [c for _, c in space.iter_range(0, 1_050)]
+    contents += [c for _, c in space.iter_range(324_870, 325_920)]
+    lex = [classify_candidate(ctx372, c)[0] for c in contents]
+    assert "atom" in lex and "non_atom" in lex
+    order = list(range(len(contents)))
+    random.Random(3).shuffle(order)
+    shuffled = {i: classify_candidate(ctx372, contents[i])[0] for i in order}
+    assert [shuffled[i] for i in range(len(contents))] == lex
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(not EXTENDED, reason="about ten minutes; set PRODONE_EXTENDED=1")
+def test_outer_pair_matches_engine_on_whole_k2_stratum(ctx372):
+    space = StratumSpace(ctx372, Stratum(length=14, k=2))
+    checked = mismatches = atoms = 0
+    for _, content in space.iter_range(0, space.total):
+        if not space.passes_filters(content):
+            continue
+        checked += 1
+        kind = _outer_pair_kind(ctx372, content)
+        mismatches += kind != _engine_kind(ctx372, content)
+        atoms += kind == "atom"
+    assert (checked, mismatches, atoms) == (303_212, 0, 42)
 
 
 # -- searches -----------------------------------------------------------------
