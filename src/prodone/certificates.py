@@ -204,6 +204,9 @@ def check_certificate(cert: Certificate) -> CheckResult:
                 fail("extremal example is not product-one free")
             if payload.get("refuted_length") != payload["value"] + 1:
                 fail("refuted length is not value + 1")
+            nodes = payload["nodes"]
+            if type(nodes) is not int or nodes < 1:
+                fail(f"DFS node count {nodes!r} is not a positive int")
             result.caveats.append(
                 "exhaustive refutation of longer sequences requires re-running the DFS"
             )

@@ -2,7 +2,8 @@
 
 Exit codes: 0 = claim verified, 1 = claim falsified / counterexample found,
 2 = usage or resource error.  Diagnostics go to stderr; stdout carries one
-JSON document per invocation.  PRODONE_THREADS overrides the worker count.
+JSON document per invocation.  ``--workers``, else PRODONE_THREADS, sets the
+worker count; it must be a positive integer and is capped at the CPU count.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .enumeration import (
     Stratum,
     StratumSpace,
     atom_search,
-    default_workers,
     make_shards,
+    resolve_workers,
     run_sharded,
 )
 from .group import GroupParamError, make_group
@@ -206,6 +207,7 @@ def _cmd_search(args) -> int:
         raise ValueError(
             f"--shard-index must be in [0, {args.shards}), got {args.shard_index}"
         )
+    workers = resolve_workers(args.workers)
     started = time.perf_counter()
     if args.shard_index is not None:
         space = StratumSpace(ctx, stratum)
@@ -218,7 +220,7 @@ def _cmd_search(args) -> int:
     elif args.shards > 1:
         result = run_sharded(
             ctx, stratum, n_shards=args.shards,
-            workers=args.workers or default_workers(), seed=args.seed,
+            workers=workers, seed=args.seed,
             heuristic_tries=args.heuristic_tries, mode=args.mode,
         )
     else:
@@ -244,6 +246,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_davenport(args) -> int:
     ctx = make_group(args.group)
+    workers = resolve_workers(args.workers)
     started = time.perf_counter()
     if args.which == "small":
         result = small_davenport(ctx)
@@ -255,8 +258,7 @@ def _cmd_davenport(args) -> int:
         _emit_certificate(cert, args.emit_cert)
         return 0 if flags.product_one_free else 1
     report = large_davenport(
-        ctx, args.mode, seed=args.seed,
-        workers=args.workers or default_workers(),
+        ctx, args.mode, seed=args.seed, workers=workers,
     )
     if args.mode == "lower_witness":
         seq = Sequence.parse(ctx, report.witness)
@@ -284,7 +286,7 @@ def _cmd_verify_inverse(args) -> int:
     started = time.perf_counter()
     report = verify_inverse_theorem(
         ctx, args.scope, seed=args.seed,
-        workers=args.workers or default_workers(),
+        workers=resolve_workers(args.workers),
         n_shards=args.shards, checkpoint_dir=args.checkpoint_dir,
     )
     cert = make_certificate(

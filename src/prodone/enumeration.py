@@ -748,14 +748,23 @@ def orbit(ctx: GroupCtx, seq: Sequence, auts: list[tuple[int, ...]]) -> set[Sequ
 # -- parallel driver -------------------------------------------------------------
 
 
-def default_workers() -> int:
-    env = os.environ.get("PRODONE_THREADS")
-    if env:
+def resolve_workers(requested: int | None = None) -> int:
+    """Worker count: ``requested``, else ``PRODONE_THREADS``, else 1.
+
+    The count is capped at ``os.cpu_count()``.  A count below 1, or a
+    ``PRODONE_THREADS`` that is not an integer, raises ``ValueError``.
+    """
+    source = "--workers"
+    if requested is None:
+        source = "PRODONE_THREADS"
+        env = os.environ.get(source) or "1"
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError:
-            pass
-    return 1
+            raise ValueError(f"{source} must be a positive integer, got {env!r}") from None
+    if requested < 1:
+        raise ValueError(f"{source} must be at least 1, got {requested}")
+    return min(requested, os.cpu_count() or 1)
 
 
 def _shard_worker(args: tuple) -> dict:
@@ -801,7 +810,7 @@ def run_sharded(
     """
     space = StratumSpace(ctx, stratum)
     shards = make_shards(space.total, n_shards)
-    workers = workers or default_workers()
+    workers = resolve_workers(workers)
     jobs = [
         (
             ctx.params.descriptor(), stratum.describe(),

@@ -2,7 +2,8 @@
 
 ``small_davenport`` pins the longest product-one-free length by exhaustive
 DFS (the prune is sound: supersequences of a non-free sequence stay
-non-free).  ``extremal_atom`` realizes the long-atom shape
+non-free); a child dies on one bit test, g^-1 among the sorted products,
+before any shift is computed.  ``extremal_atom`` realizes the long-atom shape
 
     y^[q-1] . x . y^[q-1] . x^(p-1) y^(s_eff^(p-1)+1)
 
@@ -69,9 +70,16 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
     engine, and nodes that fail are cut (their extensions cannot be free
     either).  The returned value therefore refutes length value+1
     exhaustively.
+
+    A child g of a node with sorted products P dies when bit 0 of
+    ``shift(P | 1, g)`` is set, i.e. when h*g = e for some h in P + {e}.
+    Since g != e, that holds exactly when g^-1 is in P, so the walk tests
+    ``P & (1 << g^-1)`` first and computes the shift only for the children
+    it recurses into.
     """
     ground = list(range(1, ctx.n))
     tables = [ctx.right_shift_table(g) for g in ground]
+    inverse_bits = [1 << ctx.inv_table[g] for g in ground]
     shift = ctx.shift_mask
     best_len = 0
     best: list[int] = []
@@ -87,11 +95,10 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
             best_len = len(chosen)
             best = list(chosen)
         for i in range(start, len(ground)):
-            extended = sorted_products | shift(sorted_products | 1, tables[i])
-            if extended & 1:
+            if sorted_products & inverse_bits[i]:
                 continue
             chosen.append(ground[i])
-            extend(i, extended)
+            extend(i, sorted_products | shift(sorted_products | 1, tables[i]))
             chosen.pop()
 
     extend(0, 0)

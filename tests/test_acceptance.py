@@ -158,6 +158,8 @@ def test_criterion_6_small_davenport(ctx372, ctx3133):
     _report(6, "small constant 8 at (3,7,2) with verified extremal example", started, 60.0)
     result13 = small_davenport(ctx3133)
     assert result13.value == 14
+    assert result13.nodes == 5_498_712
+    assert result13.extremal.format(ctx3133) == "(0,1)^12,(1,0)^2"
     assert classify(ctx3133, result13.extremal).product_one_free
     elapsed = time.perf_counter() - started
     print(f"[criterion 6] PASS: small constant 14 at (3,13,3) ({elapsed:.1f}s)")

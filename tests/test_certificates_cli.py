@@ -107,6 +107,39 @@ def test_davenport_small_certificate(ctx372):
     assert any("re-running" in c for c in outcome.caveats)
 
 
+def _shift_value(payload, delta):
+    payload["value"] += delta
+    payload["refuted_length"] += delta
+
+
+@pytest.mark.parametrize("forge", [
+    lambda pl: _shift_value(pl, 1),
+    lambda pl: _shift_value(pl, -1),
+    lambda pl: pl.update(refuted_length=pl["value"]),
+    lambda pl: pl.update(refuted_length=pl["value"] + 2),
+    lambda pl: pl.update(extremal="(0,1)^5,(0,2),(1,0),(2,0)"),
+    lambda pl: pl.update(extremal="(0,1)^6,(1,0)"),
+    lambda pl: pl.update(nodes=-1),
+    lambda pl: pl.update(nodes=0),
+    lambda pl: pl.update(nodes=str(pl["nodes"])),
+    lambda pl: pl.update(nodes=float(pl["nodes"])),
+    lambda pl: pl.update(nodes=True),
+    lambda pl: pl.pop("nodes"),
+], ids=["value+1", "value-1", "refuted=value", "refuted=value+2", "extremal-product-one",
+        "extremal-length", "nodes-negative", "nodes-zero", "nodes-str", "nodes-float",
+        "nodes-bool", "nodes-missing"])
+def test_davenport_small_forgeries_are_rejected(ctx372, forge):
+    payload = small_davenport(ctx372).to_payload(ctx372)
+    forge(payload)
+    assert not check_certificate(make_certificate("davenport_small", "3,7,2", payload, seed=0)).ok
+
+
+def test_davenport_small_forged_extremal_is_product_one(ctx372):
+    from prodone.sequences import classify
+
+    assert classify(ctx372, Sequence.parse(ctx372, "(0,1)^5,(0,2),(1,0),(2,0)")).product_one
+
+
 def test_elasticity_certificate(ctx372):
     witness = build_rho_witness(ctx372, "rho3")
     cert = make_certificate("elasticity_witness", "3,7,2", witness.to_payload(ctx372), seed=0)
@@ -313,6 +346,20 @@ def test_cli_search_rejects_bad_shard_plan(capsys):
         assert "--shard" in err and "Traceback" not in err
 
 
+def test_cli_rejects_bad_worker_count(capsys, monkeypatch):
+    search = ("search", "--group", "3,7,2", "--length", "2", "--shards", "2")
+    for workers in ("0", "-3"):
+        code, out, err = run_cli(capsys, *search, "--workers", workers)
+        assert code == 2, workers
+        assert out == "" and "--workers" in err
+    monkeypatch.setenv("PRODONE_THREADS", "abc")
+    for argv in (search, ("verify-inverse", "--group", "3,7,2"),
+                 ("davenport", "--group", "3,7,2", "--which", "small")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "PRODONE_THREADS" in err
+
+
 def test_cli_lemmas(capsys):
     code, out, _ = run_cli(
         capsys, "lemmas", "--group", "3,7,2", "--lemma", "cauchy-davenport",
@@ -338,14 +385,19 @@ def test_cli_elasticity(capsys, tmp_path):
 
 
 def test_worker_count_env_override(monkeypatch):
-    from prodone.enumeration import default_workers
+    from prodone.enumeration import resolve_workers
 
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
     monkeypatch.delenv("PRODONE_THREADS", raising=False)
-    assert default_workers() == 1
+    assert resolve_workers() == 1
     monkeypatch.setenv("PRODONE_THREADS", "6")
-    assert default_workers() == 6
-    monkeypatch.setenv("PRODONE_THREADS", "bogus")
-    assert default_workers() == 1
+    assert resolve_workers() == 6
+    monkeypatch.setenv("PRODONE_THREADS", "64")
+    assert resolve_workers() == 8
+    for bogus in ("bogus", "0", "-2", "1.5"):
+        monkeypatch.setenv("PRODONE_THREADS", bogus)
+        with pytest.raises(ValueError, match="PRODONE_THREADS"):
+            resolve_workers()
 
 
 def test_cli_tampered_cert_exits_one(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from prodone.invariants import (
@@ -27,6 +29,26 @@ def test_small_davenport_372(ctx372):
     assert result.value == 8  # p + q - 2
     flags = classify(ctx372, result.extremal)
     assert flags.product_one_free and len(result.extremal) == 8
+    assert result.to_payload(ctx372) == {
+        "value": 8,
+        "nodes": 33_222,
+        "extremal": "(0,1)^6,(1,0)^2",
+        "refuted_length": 9,
+    }
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx372", "ctx3133", "ctx5113"])
+def test_inverse_bit_decides_identity_bit(ctx_name, request):
+    """Bit 0 of M | shift(M | 1, g) is set iff g^-1 is in M (M without e, g != e)."""
+    ctx = request.getfixturevalue(ctx_name)
+    rng = random.Random(ctx.n)
+    masks = [0] + [rng.getrandbits(ctx.n) & ~1 for _ in range(40)]
+    masks += [1 << rng.randrange(1, ctx.n) for _ in range(10)]
+    for g in range(1, ctx.n):
+        table = ctx.right_shift_table(g)
+        for mask in masks:
+            extended = mask | ctx.shift_mask(mask | 1, table)
+            assert (extended & 1) == ((mask >> ctx.inv_table[g]) & 1)
 
 
 def test_alpha_tau_extremal_example(ctx372):
