@@ -150,6 +150,27 @@ def _check_accounting(counters: dict, record: dict, where: str, fail) -> None:
         fail(f"{where}unverified list length != counter")
 
 
+def _check_range(space, lo: int, last_rank: int, record: dict, where: str, fail) -> None:
+    """Scanned ranks [lo, last_rank] of ``space``: visit and filter counts, listed sequences.
+
+    With k <= 2 the t-degree filter reads the outer part alone, so the
+    filtered count of any rank range is recomputed from the outer parts.
+    """
+    ctx, stratum = space.ctx, space.stratum
+    counters = record["counters"]
+    if counters["visited"] != last_rank - lo + 1:
+        fail(f"{where}visited {counters['visited']} != ranks {lo}..{last_rank}")
+    if stratum.k is not None and stratum.k <= 2:
+        filtered = space.filtered_count(lo, last_rank + 1)
+        if counters["filtered_out"] != filtered:
+            fail(f"{where}filtered_out {counters['filtered_out']} != recomputed {filtered}")
+    for text in record["atoms"] + record["unverified"]:
+        seq = Sequence.parse(ctx, text)
+        outside = sum(idx >= ctx.q for idx in seq.indices())
+        if len(seq) != stratum.length or stratum.k not in (None, outside):
+            fail(f"{where}listed sequence {text} is not in the stratum")
+
+
 def check_certificate(cert: Certificate) -> CheckResult:
     """Re-verify a certificate from its fields alone."""
     result = CheckResult(ok=True, kind=cert.kind)
@@ -207,6 +228,16 @@ def check_certificate(cert: Certificate) -> CheckResult:
             nodes = payload["nodes"]
             if type(nodes) is not int or nodes < 1:
                 fail(f"DFS node count {nodes!r} is not a positive int")
+            # a^(q-1) t^(p-1) is product-one free: a product-one part has t-degree
+            # 0 mod p, so it holds no t, and a^i is not e for 0 < i < q.
+            floor = Sequence.from_indices([1] * (ctx.q - 1) + [ctx.q] * (ctx.p - 1))
+            if not classify(ctx, floor).product_one_free:
+                fail("a^(q-1) t^(p-1) does not re-verify as product-one free")
+            elif payload["value"] < len(floor):
+                fail(
+                    f"value {payload['value']} is below {len(floor)}, the length of the "
+                    "product-one-free a^(q-1) t^(p-1)"
+                )
             result.caveats.append(
                 "exhaustive refutation of longer sequences requires re-running the DFS"
             )
@@ -231,12 +262,13 @@ def check_certificate(cert: Certificate) -> CheckResult:
             unverified = 0
             for stratum in payload["strata"]:
                 counters = stratum["counters"]
-                size = StratumSpace(ctx, Stratum(length=length, k=stratum["k"])).total
+                space = StratumSpace(ctx, Stratum(length=length, k=stratum["k"]))
+                size = space.total
                 if stratum["total"] != size:
                     fail(f"stratum k={stratum['k']}: total {stratum['total']} != stratum size {size}")
-                if counters["visited"] != size:
-                    fail(f"stratum k={stratum['k']}: visited != stratum size")
-                _check_accounting(counters, stratum, f"stratum k={stratum['k']}: ", fail)
+                where = f"stratum k={stratum['k']}: "
+                _check_accounting(counters, stratum, where, fail)
+                _check_range(space, 0, size - 1, stratum, where, fail)
                 digest = digest_empty()
                 for text in stratum["atoms"]:
                     seq = Sequence.parse(ctx, text)
@@ -295,9 +327,25 @@ def check_certificate(cert: Certificate) -> CheckResult:
                     "absence of counterexamples re-verifiable only by re-running the trials"
                 )
         elif cert.kind == "checkpoint":
-            from .enumeration import digest_add, digest_empty, digest_hex
+            from .enumeration import (
+                Stratum, StratumSpace, digest_add, digest_empty, digest_hex,
+            )
 
             _check_accounting(payload["counters"], payload, "", fail)
+            space = StratumSpace(ctx, Stratum.from_dict(payload["stratum"]))
+            total = space.total
+            shard = payload["shard"]
+            lo, hi = (shard["start_rank"], shard["end_rank"]) if shard else (0, total)
+            last_rank = payload["last_rank"]
+            complete = payload.get("complete", False)
+            if not 0 <= lo <= hi <= total:
+                fail(f"rank interval [{lo}, {hi}) is not inside the stratum's {total} ranks")
+            elif complete and last_rank != hi - 1:
+                fail(f"complete scan of [{lo}, {hi}) ends at rank {last_rank}")
+            elif not lo - 1 <= last_rank < hi:
+                fail(f"last rank {last_rank} is outside [{lo}, {hi})")
+            else:
+                _check_range(space, lo, last_rank, payload, "", fail)
             digest = digest_empty()
             for text in payload["atoms"]:
                 seq = Sequence.parse(ctx, text)
@@ -306,7 +354,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
                 digest = digest_add(digest, text)
             if digest_hex(digest) != payload["digest"]:
                 fail("findings digest does not recompute")
-            if not payload.get("complete", False):
+            if not complete:
                 result.caveats.append("checkpoint covers a partial scan")
             result.caveats.append(
                 "coverage of the rank interval requires re-running the shard"

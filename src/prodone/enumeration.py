@@ -75,9 +75,46 @@ q of a sub-multiset B of Y.
 4. Cost.  The profile (ΣY mod q, P, R) depends on q and the sorted Y alone.
    ``_inner_profile`` builds P and R as q-bit masks by sending each term of
    Y to B, to Z or to neither, in O(q |Y|) rotations, and keeps the last
-   profile: ``iter_range`` varies the outer terms fastest, so one profile
-   serves every outer pair of a Y.  A candidate then costs one modular
-   inverse and two bit tests; neither the ordering search nor the DP runs.
+   profile, so one profile serves every outer pair of a Y.  A candidate then
+   costs two bit tests; neither the ordering search nor the DP runs.
+
+The block scan.  A rank of a stratum with fixed k is y_rank * x_count +
+x_rank, where y_rank ranks the <a>-part Y and x_rank the outer part X, so the
+outer part varies fastest.  ``StratumSpace.iter_blocks`` cuts a rank range
+into blocks, one Y with a slice [x_lo, x_hi) of outer ranks each, and
+``iter_range`` is a loop over those blocks.  For k <= 2, ``atom_search``
+settles a whole block at once on two facts:
+
+5. The filter reads the outer part alone.  A term (0, y) of <a> has t-degree
+   0, so the t-degree sum of S = Y.X is that of X, and S passes the filter
+   iff X does.  Let F be the sorted list of the outer ranks that pass
+   (``StratumSpace.outer_parts``, x_count entries, which is at most
+   C(n - q + 1, 2) for k <= 2) and f = x_count - |F|.  The ranks below
+   r = y.x_count + x that fail the filter number y.f + x - #{F < x}, so
+   ``filtered_count`` counts the failures of any rank range from F and two
+   bisections, and no filtered candidate is built.  With residue 0 and
+   k = 1 the one outer term has nonzero degree, F is empty, and the whole
+   stratum is counted at once.
+6. For k = 2 the target reads the pair and ΣY alone.  By 2, the verdict of
+   S = Y.x1.x2 compares the bit 1 << c with the profile of Y, and c depends
+   on x1, x2 and ΣY mod q only (``_pair_target``).  When d1 + d2 is
+   nonzero mod p the bit is 0, no mask holds it, and the verdict is
+   ``not_product_one``, as 1 requires.
+   So the block computes the profile of its Y once, takes the target bits of
+   the passing pairs from a table built once per ΣY value, and settles each
+   pair with the same two bit tests as ``classify_candidate``.  Non-atoms
+   and candidates that are not product-one are only counted; an atom is
+   built and confirmed by the engine, in rank order.
+
+Every other passing candidate of a block (k = 0, and k = 1 with a nonzero or
+no residue) is built and goes through ``classify_candidate``; strata with
+k >= 3 or k = None keep the loop that builds, filters and classifies one
+candidate at a time.  Counters are sums over ranks and the atom and
+unverified lists grow in rank order, so the state after a range does not
+depend on how the range was cut into blocks; ``atom_search`` cuts its slices
+where ``max_candidates`` stops and where ``checkpoint_every`` writes a
+checkpoint, and so writes the same records at the same ranks as a loop over
+single candidates.
 """
 
 from __future__ import annotations
@@ -85,8 +122,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 from random import Random
 from typing import Callable, Iterator
@@ -192,68 +231,71 @@ class Stratum:
 
 
 class StratumSpace:
-    """A stratum resolved against a group: ground sets, size, rank access."""
+    """A stratum resolved against a group: ground sets, size, rank access.
+
+    A rank splits as ``y_rank * x_count + x_rank``: ``y_rank`` ranks the
+    <a>-part Y (``y_size`` terms over ``y_ground``) and ``x_rank`` the outer
+    part (``x_size`` terms over ``x_ground``), so the outer part varies
+    fastest.  With ``k=None`` nothing is split off: Y is empty and the outer
+    part is the whole content over the full ground set.
+    """
 
     def __init__(self, ctx: GroupCtx, stratum: Stratum):
         self.ctx = ctx
         self.stratum = stratum
         q, n = ctx.q, ctx.n
-        if stratum.k is None:
-            ground = list(range(0 if not stratum.exclude_identity else 1, n))
-            self.ground = ground
-            self.total = multiset_count(len(ground), stratum.length)
+        start = 1 if stratum.exclude_identity else 0
+        k = stratum.k
+        valid = k is None or 0 <= k <= stratum.length
+        if k is None:
+            self.y_ground, self.y_size = [], 0
+            self.x_ground, self.x_size = list(range(start, n)), stratum.length
+        elif valid:
+            self.y_ground, self.y_size = list(range(start, q)), stratum.length - k
+            self.x_ground, self.x_size = list(range(q, n)), k
         else:
-            if not 0 <= stratum.k <= stratum.length:
-                self.y_ground: list[int] = []
-                self.x_ground: list[int] = []
-                self.total = 0
-                return
-            start = 0 if not stratum.exclude_identity else 1
-            self.y_ground = list(range(start, q))
-            self.x_ground = list(range(q, n))
-            self.y_size = stratum.length - stratum.k
-            self.x_size = stratum.k
-            self.y_count = multiset_count(len(self.y_ground), self.y_size)
-            self.x_count = multiset_count(len(self.x_ground), self.x_size)
-            self.total = self.y_count * self.x_count
+            self.y_ground, self.y_size, self.x_ground, self.x_size = [], 0, [], 0
+        self.y_count = multiset_count(len(self.y_ground), self.y_size) if valid else 0
+        self.x_count = multiset_count(len(self.x_ground), self.x_size)
+        self.total = self.y_count * self.x_count
 
     def candidate_at(self, rank: int) -> tuple[int, ...]:
-        st = self.stratum
-        if st.k is None:
-            pos = unrank_multiset(rank, len(self.ground), st.length)
-            return tuple(self.ground[i] for i in pos)
         y_rank, x_rank = divmod(rank, self.x_count)
         ypos = unrank_multiset(y_rank, len(self.y_ground), self.y_size)
         xpos = unrank_multiset(x_rank, len(self.x_ground), self.x_size)
         return tuple(self.y_ground[i] for i in ypos) + tuple(self.x_ground[i] for i in xpos)
 
-    def iter_range(self, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Yield (rank, content) for ranks in [lo, hi) in lex order."""
-        st = self.stratum
+    def iter_blocks(self, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...], int, int]]:
+        """Split ranks [lo, hi) into blocks with one <a>-part each, in rank order.
+
+        Yields ``(rank, inner, x_lo, x_hi)``: the ranks ``rank .. rank +
+        x_hi - x_lo - 1`` are the contents ``inner + outer`` with ``inner``
+        the sorted <a>-part and ``outer`` running over the outer parts of
+        ranks ``[x_lo, x_hi)``.
+        """
         if lo >= hi:
             return
-        if st.k is None:
-            ground = self.ground
-            pos = list(unrank_multiset(lo, len(ground), st.length))
-            for rank in range(lo, hi):
-                yield rank, tuple(ground[i] for i in pos)
-                if not next_multiset(pos, len(ground)):
-                    break
-            return
-        y_ground, x_ground = self.y_ground, self.x_ground
-        y_rank, x_rank = divmod(lo, self.x_count)
+        y_ground, x_count = self.y_ground, self.x_count
+        y_rank, x_lo = divmod(lo, x_count)
         ypos = list(unrank_multiset(y_rank, len(y_ground), self.y_size))
-        xpos = list(unrank_multiset(x_rank, len(x_ground), self.x_size))
-        y_content = tuple(y_ground[i] for i in ypos)
-        for rank in range(lo, hi):
-            yield rank, y_content + tuple(x_ground[i] for i in xpos)
-            if self.x_size and next_multiset(xpos, len(x_ground)):
-                continue
-            for j in range(self.x_size):
-                xpos[j] = 0
-            if not next_multiset(ypos, len(y_ground)):
-                break
-            y_content = tuple(y_ground[i] for i in ypos)
+        rank = lo
+        while True:
+            x_hi = min(x_count, x_lo + hi - rank)
+            yield rank, tuple(y_ground[i] for i in ypos), x_lo, x_hi
+            rank += x_hi - x_lo
+            if rank >= hi:
+                return
+            next_multiset(ypos, len(y_ground))
+            x_lo = 0
+
+    def iter_range(self, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Yield (rank, content) for ranks in [lo, hi) in lex order."""
+        x_ground, x_size = self.x_ground, self.x_size
+        for first, inner, x_lo, x_hi in self.iter_blocks(lo, hi):
+            xpos = list(unrank_multiset(x_lo, len(x_ground), x_size))
+            for rank in range(first, first + x_hi - x_lo):
+                yield rank, inner + tuple(x_ground[i] for i in xpos)
+                next_multiset(xpos, len(x_ground))
 
     def passes_filters(self, content: tuple[int, ...]) -> bool:
         residue = self.stratum.tau_residue
@@ -264,6 +306,28 @@ class StratumSpace:
         for idx in content:
             degree += idx // q
         return degree % self.ctx.p == residue
+
+    @cached_property
+    def outer_parts(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """(every outer part in rank order, the ranks of those that pass the filter).
+
+        Terms of <a> have t-degree 0, so with a fixed k the t-degree filter
+        reads the outer part alone (fact 5 of the module docstring).  The
+        table has ``x_count`` entries; the scan builds it for k <= 2 only.
+        """
+        outer = list(combinations_with_replacement(self.x_ground, self.x_size))
+        return outer, [x for x, part in enumerate(outer) if self.passes_filters(part)]
+
+    def filtered_count(self, lo: int, hi: int) -> int:
+        """Ranks in [lo, hi) whose content fails the t-degree filter, from ``outer_parts``."""
+        passing = self.outer_parts[1]
+        failing_per_block = self.x_count - len(passing)
+
+        def failing_below(rank: int) -> int:
+            y_rank, x_rank = divmod(rank, self.x_count)
+            return y_rank * failing_per_block + x_rank - bisect_left(passing, x_rank)
+
+        return failing_below(hi) - failing_below(lo)
 
 
 def enumerate_stratum(
@@ -354,8 +418,8 @@ class SearchCounters:
     unverified: int = 0
     by_method: dict[str, int] = field(default_factory=dict)
 
-    def note_method(self, method: str) -> None:
-        self.by_method[method] = self.by_method.get(method, 0) + 1
+    def note_method(self, method: str, count: int = 1) -> None:
+        self.by_method[method] = self.by_method.get(method, 0) + count
 
     def merge(self, other: "SearchCounters") -> None:
         self.visited += other.visited
@@ -440,19 +504,48 @@ def _inner_profile(q: int, inner: tuple[int, ...]) -> tuple[int, int, int]:
     return sum(inner) % q, sums, split[0]
 
 
-def _outer_pair_verdict(ctx: GroupCtx, inner: list[int], x1: int, x2: int) -> str:
-    """Exact verdict for a content with exactly two terms outside <a>; see the module docstring."""
+def _pair_target(ctx: GroupCtx, x1: int, x2: int, total: int) -> int:
+    """The bit 1 << c of the closed form for outer terms x1, x2 over an <a>-part with ΣY = total.
+
+    0 when the t-degrees of x1 and x2 do not cancel: no content holding
+    both is then product-one, and no bit of a mask matches.
+    """
     p, q = ctx.p, ctx.q
     d1, j1 = divmod(x1, q)
     d2, j2 = divmod(x2, q)
     if (d1 + d2) % p:
-        return "not_product_one"
-    total, sums, split = _inner_profile(q, tuple(sorted(inner)))
+        return 0
     s2 = ctx.spow[d2]
-    target = 1 << (-(total + j1 * s2 + j2) * pow(s2 - 1, -1, q) % q)
+    return 1 << (-(total + j1 * s2 + j2) * pow(s2 - 1, -1, q) % q)
+
+
+def _outer_pair_verdict(ctx: GroupCtx, inner: list[int], x1: int, x2: int) -> str:
+    """Exact verdict for a content with exactly two terms outside <a>; see the module docstring."""
+    total, sums, split = _inner_profile(ctx.q, tuple(sorted(inner)))
+    target = _pair_target(ctx, x1, x2, total)
     if not sums & target:
         return "not_product_one"
     return "non_atom" if split & target else "atom"
+
+
+def _confirm_atom(
+    ctx: GroupCtx, content: tuple[int, ...], method: str, state_cap: int,
+) -> tuple[str, AtomVerdict | None]:
+    """Confirm a closed-form atom with the engine.
+
+    Returns ("atom", verdict), or ("unverified", None) when the engine hits
+    ``state_cap``; raises when the engine finds no atom.
+    """
+    try:
+        verdict = is_atom(ctx, Sequence.from_indices(content), state_cap=state_cap)
+    except ResourceCapError:
+        return "unverified", None
+    if not verdict.atom:
+        raise RuntimeError(
+            f"{method} verdict 'atom' contradicts the engine for {content} "
+            f"in group {ctx.params.descriptor()}"
+        )
+    return "atom", verdict
 
 
 def _ordering_witness(ctx: GroupCtx, content: tuple[int, ...], rng: Random, tries: int) -> tuple[bool, bool]:
@@ -524,17 +617,8 @@ def classify_candidate(
             method, kind = "abelian", _abelian_verdict(ctx, content)
         if kind != "atom":
             return kind, method, None
-        # Confirm the closed-form atom with the engine to attach a verdict.
-        try:
-            verdict = is_atom(ctx, Sequence.from_indices(content), state_cap=state_cap)
-        except ResourceCapError:
-            return "unverified", method, None
-        if not verdict.atom:
-            raise RuntimeError(
-                f"{method} verdict 'atom' contradicts the engine for {content} "
-                f"in group {ctx.params.descriptor()}"
-            )
-        return "atom", method, verdict
+        kind, verdict = _confirm_atom(ctx, content, method, state_cap)
+        return kind, method, verdict
     counts: dict[int, int] = {}
     for idx in content:
         counts[idx] = counts.get(idx, 0) + 1
@@ -622,6 +706,105 @@ def load_checkpoint(path: str) -> dict:
     return record
 
 
+@dataclass
+class _Scan:
+    """What one ``atom_search`` call has found, and the two loops that extend it.
+
+    ``ranks`` builds, filters and classifies one candidate at a time.
+    ``blocks`` takes a stratum with k <= 2 one <a>-part block at a time and
+    builds only the candidates it must hand on (see the module docstring).
+    Over the same ranks both leave the counters, digest and lists that the
+    per-candidate loop leaves.
+    """
+
+    space: StratumSpace
+    seed: int
+    heuristic_tries: int
+    state_cap: int
+    counters: SearchCounters = field(default_factory=SearchCounters)
+    digest: int = field(default_factory=digest_empty)
+    atoms: list[str] = field(default_factory=list)
+    unverified: list[str] = field(default_factory=list)
+
+    def classify(self, content: tuple[int, ...]) -> None:
+        kind, method, _ = classify_candidate(
+            self.space.ctx, content,
+            master_seed=self.seed,
+            heuristic_tries=self.heuristic_tries,
+            state_cap=self.state_cap,
+        )
+        self.add(content, kind, method)
+
+    def add(self, content: tuple[int, ...], kind: str, method: str) -> None:
+        counters = self.counters
+        counters.note_method(method)
+        if kind == "atom":
+            counters.atoms += 1
+            text = Sequence.from_indices(content).format(self.space.ctx)
+            self.atoms.append(text)
+            self.digest = digest_add(self.digest, text)
+        elif kind == "non_atom":
+            counters.non_atoms += 1
+        elif kind == "not_product_one":
+            counters.not_product_one += 1
+        else:
+            counters.unverified += 1
+            self.unverified.append(Sequence.from_indices(content).format(self.space.ctx))
+
+    def ranks(self, lo: int, hi: int) -> None:
+        space, counters = self.space, self.counters
+        for _, content in space.iter_range(lo, hi):
+            counters.visited += 1
+            if not space.passes_filters(content):
+                counters.filtered_out += 1
+                continue
+            counters.checked += 1
+            self.classify(content)
+
+    def blocks(self, lo: int, hi: int) -> None:
+        space, counters, ctx = self.space, self.counters, self.space.ctx
+        outer, passing = space.outer_parts
+        filtered = space.filtered_count(lo, hi)
+        counters.visited += hi - lo
+        counters.filtered_out += filtered
+        counters.checked += hi - lo - filtered
+        if not passing:
+            return
+        n_pass = len(passing)
+        pair_route = space.stratum.k == 2
+        # ΣY mod q -> (outer rank, target bit) of each passing pair, in rank order
+        targets: dict[int, list[tuple[int, int]]] = {}
+        not_product_one = non_atoms = 0
+        for _, inner, x_lo, x_hi in space.iter_blocks(lo, hi):
+            if x_hi - x_lo == space.x_count:
+                i, j = 0, n_pass
+            else:
+                i, j = bisect_left(passing, x_lo), bisect_left(passing, x_hi)
+            if i == j:
+                continue
+            if not pair_route:
+                for x in passing[i:j]:
+                    self.classify(inner + outer[x])
+                continue
+            total, sums, split = _inner_profile(ctx.q, inner)
+            row = targets.get(total)
+            if row is None:
+                row = targets[total] = [(x, _pair_target(ctx, *outer[x], total)) for x in passing]
+            for x, target in row if j - i == n_pass else row[i:j]:
+                if not sums & target:
+                    not_product_one += 1
+                elif split & target:
+                    non_atoms += 1
+                else:
+                    content = inner + outer[x]
+                    kind, _ = _confirm_atom(ctx, content, "outer_pair", self.state_cap)
+                    self.add(content, kind, "outer_pair")
+        counters.not_product_one += not_product_one
+        counters.non_atoms += non_atoms
+        if not_product_one + non_atoms:
+            counters.note_method("outer_pair", not_product_one + non_atoms)
+
+
 def atom_search(
     ctx: GroupCtx,
     stratum: Stratum,
@@ -645,13 +828,12 @@ def atom_search(
     """
     if mode not in ("raw", "up_to_aut"):
         raise ValueError(f"unknown search mode {mode!r}")
+    if checkpoint_path and checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be at least 1, got {checkpoint_every}")
     space = StratumSpace(ctx, stratum)
     lo = shard.start_rank if shard else 0
     hi = shard.end_rank if shard else space.total
-    counters = SearchCounters()
-    digest = digest_empty()
-    atom_texts: list[str] = []
-    unverified_texts: list[str] = []
+    scan = _Scan(space, seed, heuristic_tries, state_cap)
     start = lo
     if checkpoint_path and os.path.exists(checkpoint_path):
         record = load_checkpoint(checkpoint_path)
@@ -661,73 +843,49 @@ def atom_search(
             raise ValueError("checkpoint belongs to a different shard plan")
         if record["seed"] != seed:
             raise ValueError("checkpoint was produced with a different seed")
-        counters = SearchCounters.from_dict(record["counters"])
-        digest = int(record["digest"], 16)
-        atom_texts = list(record["atoms"])
-        unverified_texts = list(record["unverified"])
+        scan.counters = SearchCounters.from_dict(record["counters"])
+        scan.digest = int(record["digest"], 16)
+        scan.atoms = list(record["atoms"])
+        scan.unverified = list(record["unverified"])
         start = record["last_rank"] + 1
-    processed = 0
+    stop = hi if max_candidates is None else max(start, min(hi, start + max_candidates))
     last_rank = start - 1
-    truncated = False
 
     def persist(complete: bool) -> None:
         if checkpoint_path:
             save_checkpoint(
                 checkpoint_path,
                 checkpoint_record(
-                    ctx, stratum, shard, seed, counters, digest,
-                    atom_texts, unverified_texts, last_rank, complete,
+                    ctx, stratum, shard, seed, scan.counters, scan.digest,
+                    scan.atoms, scan.unverified, last_rank, complete,
                 ),
             )
 
-    for rank, content in space.iter_range(start, hi):
-        if max_candidates is not None and processed >= max_candidates:
-            truncated = True
-            break
-        counters.visited += 1
-        if not space.passes_filters(content):
-            counters.filtered_out += 1
-        else:
-            counters.checked += 1
-            kind, method, _verdict = classify_candidate(
-                ctx, content,
-                master_seed=seed,
-                heuristic_tries=heuristic_tries,
-                state_cap=state_cap,
-            )
-            counters.note_method(method)
-            if kind == "atom":
-                counters.atoms += 1
-                text = Sequence.from_indices(content).format(ctx)
-                atom_texts.append(text)
-                digest = digest_add(digest, text)
-            elif kind == "non_atom":
-                counters.non_atoms += 1
-            elif kind == "not_product_one":
-                counters.not_product_one += 1
-            else:
-                counters.unverified += 1
-                unverified_texts.append(Sequence.from_indices(content).format(ctx))
-        last_rank = rank
-        processed += 1
-        if checkpoint_path and processed % checkpoint_every == 0:
+    # Slices end where the per-candidate loop would write a checkpoint.
+    run = scan.blocks if stratum.k is not None and stratum.k <= 2 else scan.ranks
+    every = checkpoint_every if checkpoint_path else max(1, stop - start)
+    for first in range(start, stop, every):
+        end = min(first + every, stop)
+        run(first, end)
+        last_rank = end - 1
+        if checkpoint_path and end - first == every:
             persist(False)
-    complete = not truncated
+    complete = stop >= hi
     persist(complete)
-    atoms = [Sequence.parse(ctx, text) for text in atom_texts]
+    atoms = [Sequence.parse(ctx, text) for text in scan.atoms]
     if mode == "up_to_aut" and atoms:
         from .group import automorphisms
 
         auts = automorphisms(ctx)
         atoms = sorted({canonical_form(ctx, seq, auts) for seq in atoms})
-    unverified = [Sequence.parse(ctx, text) for text in unverified_texts]
+    unverified = [Sequence.parse(ctx, text) for text in scan.unverified]
     return SearchResult(
         stratum=stratum,
         shard=shard,
-        counters=counters,
+        counters=scan.counters,
         atoms=atoms,
         unverified=unverified,
-        digest=digest,
+        digest=scan.digest,
         complete=complete,
         last_rank=last_rank,
     )

@@ -12,6 +12,7 @@ from prodone.certificates import (
 )
 from prodone.cli import main
 from prodone.enumeration import (
+    Shard,
     Stratum,
     StratumSpace,
     atom_search,
@@ -125,13 +126,31 @@ def _shift_value(payload, delta):
     lambda pl: pl.update(nodes=float(pl["nodes"])),
     lambda pl: pl.update(nodes=True),
     lambda pl: pl.pop("nodes"),
+    lambda pl: pl.update(value=7, extremal="(0,1)^6,(1,0)", nodes=33222, refuted_length=8),
 ], ids=["value+1", "value-1", "refuted=value", "refuted=value+2", "extremal-product-one",
         "extremal-length", "nodes-negative", "nodes-zero", "nodes-str", "nodes-float",
-        "nodes-bool", "nodes-missing"])
+        "nodes-bool", "nodes-missing", "understated-value"])
 def test_davenport_small_forgeries_are_rejected(ctx372, forge):
     payload = small_davenport(ctx372).to_payload(ctx372)
     forge(payload)
     assert not check_certificate(make_certificate("davenport_small", "3,7,2", payload, seed=0)).ok
+
+
+def test_davenport_small_understated_value_is_rejected(ctx372):
+    # Consistent in itself: a product-one-free sequence of the claimed length,
+    # refuted length value + 1; but a^6 t is shorter than a^6 t^2.
+    payload = {"value": 7, "extremal": "(0,1)^6,(1,0)", "nodes": 33222, "refuted_length": 8}
+    outcome = check_certificate(make_certificate("davenport_small", "3,7,2", payload, seed=0))
+    assert not outcome.ok
+    assert any("below 8" in m for m in outcome.messages)
+
+
+def test_davenport_small_genuine_values_pass_the_lower_bound():
+    # The 3,13,3 payload as small_davenport emits it (5,498,712 DFS nodes).
+    payload = {"value": 14, "extremal": "(0,1)^12,(1,0)^2", "nodes": 5_498_712,
+               "refuted_length": 15}
+    outcome = check_certificate(make_certificate("davenport_small", "3,13,3", payload, seed=0))
+    assert outcome.ok, outcome.messages
 
 
 def test_davenport_small_forged_extremal_is_product_one(ctx372):
@@ -167,14 +186,15 @@ def test_checkpoint_certificate(ctx372):
     assert check_certificate(cert).ok
 
 
-def _stratum_record(k, total, atoms):
+def _stratum_record(k, total, atoms, filtered_out):
     digest = digest_empty()
     for text in atoms:
         digest = digest_add(digest, text)
+    checked = total - filtered_out
     counters = {
-        "visited": total, "filtered_out": total - len(atoms), "checked": len(atoms),
-        "atoms": len(atoms), "non_atoms": 0, "not_product_one": 0, "unverified": 0,
-        "by_method": {},
+        "visited": total, "filtered_out": filtered_out, "checked": checked,
+        "atoms": len(atoms), "non_atoms": checked - len(atoms), "not_product_one": 0,
+        "unverified": 0, "by_method": {},
     }
     return {"k": k, "total": total, "counters": counters, "atoms": list(atoms),
             "unverified": [], "digest": digest_hex(digest)}
@@ -184,10 +204,11 @@ def _inverse_payload(ctx):
     """A k<=2 report at length 2q whose offline-checkable claims all hold, built without a scan."""
     forms = [form.sequence.format(ctx) for form in extremal_atoms_all(ctx)]
     length = 2 * ctx.q
+    spaces = {k: StratumSpace(ctx, Stratum(length=length, k=k)) for k in (0, 1, 2)}
     strata = [
-        _stratum_record(k, StratumSpace(ctx, Stratum(length=length, k=k)).total,
-                        forms if k == 2 else [])
-        for k in (0, 1, 2)
+        _stratum_record(k, space.total, forms if k == 2 else [],
+                        space.filtered_count(0, space.total))
+        for k, space in spaces.items()
     ]
     return {
         "group": ctx.params.descriptor(), "length": length, "scope": "k_le_2",
@@ -210,7 +231,7 @@ def test_inverse_report_forged_stratum_size_is_rejected(ctx372):
     # A "full" report with one k=2 stratum that claims to be 42 multisets.
     payload = _inverse_payload(ctx372)
     payload["scope"] = "full"
-    payload["strata"] = [_stratum_record(2, 42, payload["strata"][2]["atoms"])]
+    payload["strata"] = [_stratum_record(2, 42, payload["strata"][2]["atoms"], 0)]
     outcome = _check_inverse(payload)
     assert not outcome.ok
     assert any("stratum size" in m for m in outcome.messages)
@@ -247,6 +268,98 @@ def test_inverse_report_forgeries_are_rejected(ctx372, forge):
     payload = _inverse_payload(ctx372)
     forge(payload)
     assert not _check_inverse(payload).ok
+
+
+def _shift_filtered(payload, delta):
+    counters = payload["strata"][2]["counters"]
+    counters["filtered_out"] += delta
+    counters["checked"] -= delta
+    counters["non_atoms"] -= delta
+
+
+def test_inverse_report_forged_filter_count_is_rejected(ctx372):
+    for delta in (1, -1):
+        payload = _inverse_payload(ctx372)
+        _shift_filtered(payload, delta)
+        outcome = _check_inverse(payload)
+        assert not outcome.ok
+        assert any("filtered_out" in m for m in outcome.messages)
+
+
+def _checkpoint_payload(ctx, max_candidates=None):
+    """A scan of ranks [1000, 4000) of the k=2 stratum at length 2q, as atom_search records it."""
+    stratum = Stratum(length=2 * ctx.q, k=2)
+    shard = Shard(index=1, n_shards=3, start_rank=1_000, end_rank=4_000)
+    result = atom_search(ctx, stratum, shard=shard, max_candidates=max_candidates)
+    return checkpoint_record(
+        ctx, stratum, shard, 0, result.counters, result.digest,
+        [s.format(ctx) for s in result.atoms], [s.format(ctx) for s in result.unverified],
+        result.last_rank, result.complete,
+    )
+
+
+def _check_checkpoint(payload):
+    return check_certificate(make_certificate("checkpoint", "3,7,2", payload, seed=0))
+
+
+def test_checkpoint_checker_accepts_genuine_records(ctx372):
+    complete = _check_checkpoint(_checkpoint_payload(ctx372))
+    assert complete.ok, complete.messages
+    partial = _check_checkpoint(_checkpoint_payload(ctx372, max_candidates=1_234))
+    assert partial.ok, partial.messages
+    assert any("partial" in c for c in partial.caveats)
+
+
+def _raise_visits(payload, delta):
+    payload["counters"]["visited"] += delta
+    payload["counters"]["filtered_out"] += delta
+
+
+def _shift_checkpoint_filter(payload, delta):
+    counters = payload["counters"]
+    counters["filtered_out"] += delta
+    counters["checked"] -= delta
+    counters["non_atoms"] -= delta
+
+
+def _list_unverified(payload, text):
+    payload["unverified"].append(text)
+    payload["counters"]["unverified"] += 1
+    payload["counters"]["non_atoms"] -= 1
+
+
+def _shard_past_end(payload):
+    total = 649_740
+    payload["shard"].update(start_rank=total - 3_000, end_rank=total + 10)
+    payload["last_rank"] = total + 9
+
+
+@pytest.mark.parametrize("forge", [
+    lambda pl: _raise_visits(pl, 500),
+    lambda pl: _raise_visits(pl, -1),
+    lambda pl: pl.update(last_rank=10**9),
+    lambda pl: pl.update(last_rank=pl["last_rank"] - 1),
+    lambda pl: pl.update(complete=False, last_rank=pl["last_rank"] - 7),
+    lambda pl: _shift_checkpoint_filter(pl, 1),
+    lambda pl: _shift_checkpoint_filter(pl, -1),
+    lambda pl: _list_unverified(pl, "(0,1)^13"),
+    lambda pl: _list_unverified(pl, "(0,1)^14"),
+    lambda pl: _list_unverified(pl, "(0,1)^11,(1,0),(1,1),(2,0)"),
+    _shard_past_end,
+    lambda pl: pl["shard"].update(start_rank=5_000),
+], ids=["visited+500", "visited-1", "last-rank-huge", "last-rank-short", "partial-visited",
+        "filtered+1", "filtered-1", "unverified-length", "unverified-k0", "unverified-k3",
+        "shard-past-end", "shard-reversed"])
+def test_checkpoint_forgeries_are_rejected(ctx372, forge):
+    payload = _checkpoint_payload(ctx372)
+    forge(payload)
+    assert not _check_checkpoint(payload).ok
+
+
+def test_checkpoint_forged_partial_record_is_rejected(ctx372):
+    payload = _checkpoint_payload(ctx372, max_candidates=1_234)
+    payload["complete"] = True
+    assert not _check_checkpoint(payload).ok
 
 
 def test_checkpoint_unverified_list_must_match_counter(ctx372):

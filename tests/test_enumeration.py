@@ -1,15 +1,20 @@
 import itertools
+import json
 import math
 import os
 import random
 
 import pytest
 
+from prodone import enumeration
 from prodone.enumeration import (
+    SearchCounters,
+    Shard,
     Stratum,
     StratumSpace,
     atom_search,
     canonical_form,
+    checkpoint_record,
     classify_candidate,
     digest_add,
     digest_empty,
@@ -352,6 +357,194 @@ def test_checkpoint_rejects_mismatched_search(ctx372, tmp_path):
         atom_search(ctx372, Stratum(length=5, k=1), checkpoint_path=path)
     with pytest.raises(ValueError):
         atom_search(ctx372, stratum, checkpoint_path=path, seed=99)
+
+
+# -- the block scan against the per-candidate loop ---------------------------------
+
+
+def _reference_run(ctx, stratum, shard=None, state=None, *, max_candidates=None, every=None):
+    """One atom_search call as a loop over single candidates, returning its checkpoint records.
+
+    The loop builds each content with ``iter_range``, filters it with
+    ``passes_filters`` and classifies it with ``classify_candidate``.  It
+    resumes from the checkpoint record ``state``, stops after
+    ``max_candidates`` candidates, records a checkpoint after every
+    ``every``-th candidate of the call, and ends with the final record.
+    """
+    space = StratumSpace(ctx, stratum)
+    lo, hi = (shard.start_rank, shard.end_rank) if shard else (0, space.total)
+    counters = SearchCounters.from_dict(state["counters"]) if state else SearchCounters()
+    digest = int(state["digest"], 16) if state else digest_empty()
+    atoms = list(state["atoms"]) if state else []
+    unverified = list(state["unverified"]) if state else []
+    start = state["last_rank"] + 1 if state else lo
+    last_rank = start - 1
+    records = []
+
+    def record(complete):
+        records.append(json.loads(json.dumps(checkpoint_record(
+            ctx, stratum, shard, 0, counters, digest, atoms, unverified, last_rank, complete))))
+
+    processed = 0
+    complete = True
+    for rank, content in space.iter_range(start, hi):
+        if max_candidates is not None and processed >= max_candidates:
+            complete = False
+            break
+        counters.visited += 1
+        if not space.passes_filters(content):
+            counters.filtered_out += 1
+        else:
+            counters.checked += 1
+            kind, method, _ = classify_candidate(ctx, content)
+            counters.note_method(method)
+            if kind == "atom":
+                counters.atoms += 1
+                text = Sequence.from_indices(content).format(ctx)
+                atoms.append(text)
+                digest = digest_add(digest, text)
+            elif kind == "non_atom":
+                counters.non_atoms += 1
+            elif kind == "not_product_one":
+                counters.not_product_one += 1
+            else:
+                counters.unverified += 1
+                unverified.append(Sequence.from_indices(content).format(ctx))
+        last_rank = rank
+        processed += 1
+        if every and processed % every == 0:
+            record(False)
+    record(complete)
+    return records
+
+
+def _block_record(ctx, stratum, shard=None):
+    result = atom_search(ctx, stratum, shard=shard)
+    return json.loads(json.dumps(checkpoint_record(
+        ctx, stratum, shard, 0, result.counters, result.digest,
+        [seq.format(ctx) for seq in result.atoms],
+        [seq.format(ctx) for seq in result.unverified],
+        result.last_rank, result.complete)))
+
+
+WHOLE_STRATA = (
+    [(14, k, 0) for k in (0, 1, 2)]
+    + [(14, 0, residue) for residue in (1, None)]
+    + [(length, k, residue)
+       for length in (2, 5, 7) for k in (0, 1, 2) for residue in (0, 1, None)]
+)
+
+
+@pytest.mark.parametrize("length,k,residue", WHOLE_STRATA)
+def test_block_scan_matches_reference_on_whole_strata(ctx372, length, k, residue):
+    stratum = Stratum(length=length, k=k, tau_residue=residue)
+    assert _block_record(ctx372, stratum) == _reference_run(ctx372, stratum)[-1]
+
+
+def test_block_scan_matches_reference_with_identity(ctx372):
+    for k in (0, 1, 2):
+        stratum = Stratum(length=6, k=k, exclude_identity=False, tau_residue=None)
+        assert _block_record(ctx372, stratum) == _reference_run(ctx372, stratum)[-1]
+
+
+@pytest.mark.parametrize("descriptor,seed", [("5,11,3", 21), ("3,13,3", 31)])
+def test_block_scan_matches_reference_on_windows(descriptor, seed):
+    ctx = make_group(descriptor)
+    rng = random.Random(seed)
+    cases = [(2, 0), (2, None), (0, 0)]
+    for k, residue in cases:
+        stratum = Stratum(length=2 * ctx.q, k=k, tau_residue=residue)
+        space = StratumSpace(ctx, stratum)
+        for index in range(3):
+            start = rng.randrange(space.total - 3_000)
+            shard = Shard(index, 3, start, start + rng.randrange(1_000, 3_000))
+            # Both ends inside a block of one <a>-part, unless blocks are single ranks.
+            assert k == 0 or shard.start_rank % space.x_count and shard.end_rank % space.x_count
+            assert [c for _, c in space.iter_range(shard.start_rank, shard.start_rank + 200)] == [
+                space.candidate_at(r) for r in range(shard.start_rank, shard.start_rank + 200)]
+            block = _block_record(ctx, stratum, shard)
+            assert block == _reference_run(ctx, stratum, shard)[-1], (k, residue, shard)
+            if k == 2 and residue == 0:
+                assert block["counters"]["by_method"] == {"outer_pair": block["counters"]["checked"]}
+
+
+@pytest.mark.parametrize("length,k,residue,window,max_candidates,every", [
+    (14, 2, 0, (1_000, 4_000), 400, 97),
+    (14, 2, None, (50_013, 51_500), 350, 61),
+    (14, 1, 0, (3, 5_000), 1_200, 250),
+    (10, 0, 0, None, 700, 97),
+    (6, 1, None, None, 300, 41),
+])
+def test_block_scan_checkpoints_match_reference(
+        ctx372, tmp_path, monkeypatch, length, k, residue, window, max_candidates, every):
+    stratum = Stratum(length=length, k=k, tau_residue=residue)
+    shard = Shard(0, 1, *window) if window else None
+    written = []
+    save = enumeration.save_checkpoint
+
+    def capture(path, record):
+        written.append(json.loads(json.dumps(record)))
+        save(path, record)
+
+    monkeypatch.setattr(enumeration, "save_checkpoint", capture)
+    path = str(tmp_path / "ckpt.json")
+    calls = 0
+    while True:
+        result = atom_search(ctx372, stratum, shard=shard, checkpoint_path=path,
+                             checkpoint_every=every, max_candidates=max_candidates)
+        calls += 1
+        if result.complete:
+            break
+    expected = []
+    state = None
+    while state is None or not state["complete"]:
+        expected += _reference_run(ctx372, stratum, shard, state,
+                                   max_candidates=max_candidates, every=every)
+        state = expected[-1]
+    assert calls > 2
+    assert written == expected
+    assert result.last_rank == expected[-1]["last_rank"]
+    assert result.digest_hex == expected[-1]["digest"]
+
+
+def test_sharded_k2_stratum_matches_single_run(ctx372):
+    stratum = Stratum(length=14, k=2)
+    single = atom_search(ctx372, stratum)
+    merged = run_sharded(ctx372, stratum, n_shards=7, workers=1)
+    assert merged.digest_hex == single.digest_hex
+    assert merged.counters.to_dict() == single.counters.to_dict()
+    assert merged.atoms == sorted(single.atoms)
+    assert len(merged.atoms) == 42
+
+
+def test_block_scan_builds_only_what_it_must(ctx372, monkeypatch):
+    # The filter runs once per outer part, and k=2 pairs never reach classify_candidate.
+    tested = []
+    passes = StratumSpace.passes_filters
+    monkeypatch.setattr(StratumSpace, "passes_filters",
+                        lambda self, content: tested.append(content) or passes(self, content))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_candidate called by the k=2 block scan")
+
+    monkeypatch.setattr(enumeration, "classify_candidate", refuse)
+    k1 = atom_search(ctx372, Stratum(length=14, k=1))
+    assert k1.counters.filtered_out == k1.counters.visited == 119_952
+    assert tested == [(x,) for x in range(7, 21)]
+    tested.clear()
+    k2 = atom_search(ctx372, Stratum(length=14, k=2), shard=Shard(0, 1, 0, 20_000))
+    assert len(tested) == 105 and k2.counters.checked > 0
+
+
+def test_filtered_count_matches_the_filter(ctx372):
+    for k, residue in [(0, 0), (1, 0), (1, 2), (2, 0), (2, 1), (2, None)]:
+        space = StratumSpace(ctx372, Stratum(length=5, k=k, tau_residue=residue))
+        fails = [not space.passes_filters(c) for _, c in space.iter_range(0, space.total)]
+        rng = random.Random(k)
+        for _ in range(30):
+            lo = rng.randrange(space.total + 1)
+            hi = rng.randrange(lo, space.total + 1)
+            assert space.filtered_count(lo, hi) == sum(fails[lo:hi])
 
 
 def test_digest_is_order_independent():
