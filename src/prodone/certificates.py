@@ -197,6 +197,8 @@ def check_certificate(cert: Certificate) -> CheckResult:
     try:
         if cert.kind in ("atom", "non_atom"):
             seq = Sequence.parse(ctx, payload["sequence"])
+            if payload["length"] != len(seq):
+                fail(f"length {payload['length']!r} is not the sequence's length {len(seq)}")
             verdict = is_atom(ctx, seq)
             claimed = payload["verdict"]
             if verdict.product_one != claimed["product_one"]:
@@ -209,8 +211,9 @@ def check_certificate(cert: Certificate) -> CheckResult:
                 fail("non-atom certificate claims an atom")
             witness = payload.get("witness")
             if witness is not None:
-                part1 = Sequence.parse(ctx, witness[0])
-                part2 = Sequence.parse(ctx, witness[1])
+                if type(witness) is not list or len(witness) != 2:
+                    raise ValueError("witness is not a list of two parts")
+                part1, part2 = (Sequence.parse(ctx, text) for text in witness)
                 if part1.cat(part2) != seq:
                     fail("witness parts do not multiply to the sequence")
                 for part in (part1, part2):
@@ -359,6 +362,6 @@ def check_certificate(cert: Certificate) -> CheckResult:
             result.caveats.append(
                 "coverage of the rank interval requires re-running the shard"
             )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         fail(f"malformed payload: {exc}")
     return result

@@ -99,8 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dav = sub.add_parser("davenport", help="small/large Davenport constant runs")
     _add_group_arg(p_dav)
     p_dav.add_argument("--which", choices=("small", "large"), required=True)
-    p_dav.add_argument("--mode", choices=("lower_witness", "exhaustive_at_2q", "exhaustive_full"),
-                       default="lower_witness")
+    p_dav.add_argument("--mode", choices=("lower_witness",), default="lower_witness")
     p_dav.add_argument("--seed", type=int, default=0)
     p_dav.add_argument("--workers", type=int, default=None)
     p_dav.add_argument("--emit-cert", metavar="FILE")
@@ -246,7 +245,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_davenport(args) -> int:
     ctx = make_group(args.group)
-    workers = resolve_workers(args.workers)
+    resolve_workers(args.workers)  # runs no pool, but a bad count still exits 2
     started = time.perf_counter()
     if args.which == "small":
         result = small_davenport(ctx)
@@ -257,28 +256,19 @@ def _cmd_davenport(args) -> int:
         )
         _emit_certificate(cert, args.emit_cert)
         return 0 if flags.product_one_free else 1
-    report = large_davenport(
-        ctx, args.mode, seed=args.seed, workers=workers,
-    )
-    if args.mode == "lower_witness":
-        seq = Sequence.parse(ctx, report.witness)
-        verdict = is_atom(ctx, seq)
-        payload = {
-            "sequence": report.witness,
-            "length": len(seq),
-            "verdict": {"product_one": verdict.product_one, "atom": verdict.atom},
-            "witness": None,
-        }
-        cert = make_certificate("atom", ctx.params.descriptor(), payload,
-                                seed=args.seed, wall_s=time.perf_counter() - started)
-        _emit_certificate(cert, args.emit_cert)
-        return 0 if verdict.atom else 1
-    doc = report.to_payload()
-    _emit(doc)
-    if args.emit_cert:
-        sys.stderr.write("note: exhaustive runs are certified via verify-inverse\n")
-    bad = any(rep["unverified"] for rep in doc["strata"] + doc["extra_length_strata"])
-    return 1 if bad else 0
+    report = large_davenport(ctx, args.mode)
+    seq = Sequence.parse(ctx, report.witness)
+    verdict = is_atom(ctx, seq)
+    payload = {
+        "sequence": report.witness,
+        "length": len(seq),
+        "verdict": {"product_one": verdict.product_one, "atom": verdict.atom},
+        "witness": None,
+    }
+    cert = make_certificate("atom", ctx.params.descriptor(), payload,
+                            seed=args.seed, wall_s=time.perf_counter() - started)
+    _emit_certificate(cert, args.emit_cert)
+    return 0 if verdict.atom else 1
 
 
 def _cmd_verify_inverse(args) -> int:

@@ -224,6 +224,32 @@ class GroupCtx:
             base += 256
         return out
 
+    def left_shift_plan(self, h_idx: int) -> tuple[tuple[int, int, int], ...]:
+        """Row moves turning a bitset M into {h*x : x in M}; no table needed.
+
+        Left multiplication by h = (a, b) sends x = (r, c) to
+        (a + r, b*s^r + c): row r of the bitset (bits r*q .. r*q + q-1) moves
+        to row a + r mod p and rotates by b*s^r mod q.  Each move is
+        (r*q, (a + r mod p)*q, q - (b*s^r mod q)); the last entry rotates a
+        row R because the doubled row R | R << q, shifted right by it and cut
+        to q bits, is R rotated by b*s^r.
+        """
+        q = self.q
+        a, b = divmod(h_idx, q)
+        return tuple(
+            (r * q, (a + r) % self.p * q, q - b * self.spow[r] % q)
+            for r in range(self.p)
+        )
+
+    def left_shift(self, mask: int, plan: tuple[tuple[int, int, int], ...]) -> int:
+        """Apply a left-multiplication plan to a bitset: p row rotations."""
+        row = (1 << self.q) - 1
+        double = 1 | 1 << self.q
+        out = 0
+        for src, dst, back in plan:
+            out |= ((mask >> src & row) * double >> back & row) << dst
+        return out
+
     # -- structure -----------------------------------------------------
 
     def subgroup_generated_idx(self, gens: set[int] | frozenset[int]) -> frozenset[int]:

@@ -2,8 +2,12 @@
 
 ``small_davenport`` pins the longest product-one-free length by exhaustive
 DFS (the prune is sound: supersequences of a non-free sequence stay
-non-free); a child dies on one bit test, g^-1 among the sorted products,
-before any shift is computed.  ``extremal_atom`` realizes the long-atom shape
+non-free).  The walk carries the forbidden set D, the inverses of the sorted
+products: a child g is live iff g is not in D, a child g extends D by
+g^-1 * (D + {e}) (p row rotations, ``GroupCtx.left_shift_plan``), and a
+child is a leaf iff g*h lands in D + {e} for every live h >= g, which is
+settled by one bit per term before D' is computed.  ``extremal_atom``
+realizes the long-atom shape
 
     y^[q-1] . x . y^[q-1] . x^(p-1) y^(s_eff^(p-1)+1)
 
@@ -20,7 +24,7 @@ closed-form calculator for the k-th elasticities and the lambda table.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .enumeration import (
     Stratum,
@@ -71,37 +75,74 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
     either).  The returned value therefore refutes length value+1
     exhaustively.
 
-    A child g of a node with sorted products P dies when bit 0 of
-    ``shift(P | 1, g)`` is set, i.e. when h*g = e for some h in P + {e}.
-    Since g != e, that holds exactly when g^-1 is in P, so the walk tests
-    ``P & (1 << g^-1)`` first and computes the shift only for the children
-    it recurses into.
+    The walk keeps the forbidden set D = {x : x^-1 in P} of a node, where P
+    is the set of its sorted products.  P never holds e (e would enter with a
+    child that the first rule below kills), so neither does D:
+
+    * a child g != e dies iff some h in P + {e} has h*g = e, i.e. iff
+      g^-1 is in P, i.e. iff g is in D;
+    * the child's products are P' = P + (P + {e})*g, so x^-1 is in P' iff x
+      is in D or x = g^-1 * y for some y in D + {e}:
+      D' = D + g^-1 * (D + {e});
+    * the live children of a node whose last term is g0 are the bits of
+      suffix(g0) & ~D (the terms >= g0 outside D), walked lowest bit first,
+      which is the order of an index loop over the children;
+    * so the live children of its child g are the live h >= g of the node
+      with h not in g^-1 * (D + {e}), i.e. with g*h not in D + {e}.  A child
+      at depth <= the record needs no record check, and it is a leaf iff
+      g*h is in D + {e} for every live h >= g: one bit test per term
+      against the row of bits 1 << g*h, stopping at the first h that fails.
+      Leaves are counted without a call and without computing D'.
+
+    D' is computed only for interior children and record candidates, by the
+    left multiplication of ``GroupCtx.left_shift_plan`` (p row rotations,
+    inlined here).  Walk order, node count, value and extremal are those of
+    the walk over P with one right shift of P + {e} per child.
     """
-    ground = list(range(1, ctx.n))
-    tables = [ctx.right_shift_table(g) for g in ground]
-    inverse_bits = [1 << ctx.inv_table[g] for g in ground]
-    shift = ctx.shift_mask
+    n, q = ctx.n, ctx.q
+    product_bits = [[1 << ctx.mul_idx(g, h) for h in range(n)] for g in range(n)]
+    plans = [ctx.left_shift_plan(ctx.inv_table[g]) for g in range(n)]
+    row = (1 << q) - 1
+    double = 1 | 1 << q
     best_len = 0
     best: list[int] = []
     nodes = 0
     chosen: list[int] = []
 
-    def extend(start: int, sorted_products: int) -> None:
+    def extend(live: int, forbidden: int) -> None:
         nonlocal best_len, best, nodes
         nodes += 1
-        if len(chosen) > best_len:
+        depth = len(chosen)
+        if depth > best_len:
             if not classify(ctx, Sequence.from_indices(chosen)).product_one_free:
                 return
-            best_len = len(chosen)
+            best_len = depth
             best = list(chosen)
-        for i in range(start, len(ground)):
-            if sorted_products & inverse_bits[i]:
-                continue
-            chosen.append(ground[i])
-            extend(i, sorted_products | shift(sorted_products | 1, tables[i]))
+        closed = forbidden | 1
+        while live:
+            low = live & -live
+            g = low.bit_length() - 1
+            if depth < best_len:
+                row_g = product_bits[g]
+                rest = live
+                while rest:
+                    h_bit = rest & -rest
+                    if not closed & row_g[h_bit.bit_length() - 1]:
+                        break
+                    rest ^= h_bit
+                else:
+                    nodes += 1
+                    live ^= low
+                    continue
+            image = 0
+            for src, dst, back in plans[g]:
+                image |= ((closed >> src & row) * double >> back & row) << dst
+            chosen.append(g)
+            extend(live & ~image, forbidden | image)
             chosen.pop()
+            live ^= low
 
-    extend(0, 0)
+    extend((1 << n) - 2, 0)
     return SmallDavenportResult(
         value=best_len,
         extremal=Sequence.from_indices(best),
@@ -341,70 +382,25 @@ def verify_inverse_theorem(
 @dataclass
 class LargeDavenportReport:
     group: str
-    mode: str
     value: int
-    witness: str | None
-    strata: list[StratumReport] = field(default_factory=list)
-    extra_length_strata: list[StratumReport] = field(default_factory=list)
-
-    def to_payload(self) -> dict:
-        return {
-            "group": self.group,
-            "mode": self.mode,
-            "value": self.value,
-            "witness": self.witness,
-            "strata": [rep.to_payload() for rep in self.strata],
-            "extra_length_strata": [rep.to_payload() for rep in self.extra_length_strata],
-        }
+    witness: str
 
 
-def large_davenport(
-    ctx: GroupCtx,
-    mode: str = "lower_witness",
-    *,
-    seed: int = 0,
-    workers: int = 1,
-    n_shards: int | None = None,
-    heuristic_tries: int = 64,
-    checkpoint_dir: str | None = None,
-) -> LargeDavenportReport:
-    """Maximal atom length evidence at the requested verification depth.
+def large_davenport(ctx: GroupCtx, mode: str = "lower_witness") -> LargeDavenportReport:
+    """Maximal atom length evidence: one engine-checked atom of length 2q.
 
-    ``lower_witness`` exhibits one atom of length 2q; ``exhaustive_at_2q``
-    enumerates all length-2q atoms stratified by the number of terms outside
-    the commutator subgroup; ``exhaustive_full`` additionally confirms that
-    no atom of length 2q+1 exists (extended runtime, sharded).
+    ``lower_witness`` is the only mode.  The exhaustive statement, that every
+    length-2q atom is extremal, is certified by ``verify_inverse_theorem``.
     """
-    length = 2 * ctx.q
-    if mode == "lower_witness":
-        form = extremal_atom(ctx, (1, 0), (0, 1))
-        verdict = is_atom(ctx, form.sequence)
-        if not verdict.atom:
-            raise AssertionError("extremal witness failed the atom check")
-        return LargeDavenportReport(
-            group=ctx.params.descriptor(),
-            mode=mode,
-            value=length,
-            witness=form.sequence.format(ctx),
-        )
-    if mode not in ("exhaustive_at_2q", "exhaustive_full"):
+    if mode != "lower_witness":
         raise ValueError(f"unknown mode {mode!r}")
-    kw = dict(
-        seed=seed, workers=workers, n_shards=n_shards,
-        heuristic_tries=heuristic_tries, checkpoint_dir=checkpoint_dir,
-    )
-    strata = scan_strata(ctx, length, list(range(length + 1)), **kw)
-    extra: list[StratumReport] = []
-    if mode == "exhaustive_full":
-        extra = scan_strata(ctx, length + 1, list(range(length + 2)), **kw)
     form = extremal_atom(ctx, (1, 0), (0, 1))
+    if not is_atom(ctx, form.sequence).atom:
+        raise AssertionError("extremal witness failed the atom check")
     return LargeDavenportReport(
         group=ctx.params.descriptor(),
-        mode=mode,
-        value=length,
+        value=2 * ctx.q,
         witness=form.sequence.format(ctx),
-        strata=strata,
-        extra_length_strata=extra,
     )
 
 

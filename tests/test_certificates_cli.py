@@ -100,6 +100,78 @@ def test_non_atom_certificate_with_witness(ctx372):
     assert check_certificate(cert).ok
 
 
+def _atom_payload(ctx, text):
+    seq = Sequence.parse(ctx, text)
+    verdict = is_atom(ctx, seq)
+    witness = None if verdict.witness is None else [p.format(ctx) for p in verdict.witness]
+    return {
+        "sequence": seq.format(ctx),
+        "length": len(seq),
+        "verdict": {"product_one": verdict.product_one, "atom": verdict.atom},
+        "witness": witness,
+    }
+
+
+ATOM_TEXT = "(0,1)^12,(1,0),(2,5)"
+NON_ATOM_TEXT = "(1,0),(2,0),(0,1),(0,6)"
+
+
+@pytest.mark.parametrize("kind, text, forge", [
+    ("atom", ATOM_TEXT, lambda pl: pl["verdict"].update(product_one=False)),
+    ("atom", ATOM_TEXT, lambda pl: pl["verdict"].update(atom=False)),
+    ("atom", ATOM_TEXT, lambda pl: pl.update(length=13)),
+    ("atom", NON_ATOM_TEXT, lambda pl: None),
+    ("atom", ATOM_TEXT, lambda pl: pl.update(witness=[ATOM_TEXT, ATOM_TEXT])),
+    ("non_atom", NON_ATOM_TEXT, lambda pl: pl["verdict"].update(product_one=False)),
+    ("non_atom", NON_ATOM_TEXT, lambda pl: pl["verdict"].update(atom=True)),
+    ("non_atom", ATOM_TEXT, lambda pl: None),
+    ("non_atom", NON_ATOM_TEXT, lambda pl: pl.update(witness=["(0,1),(0,6)", "(0,2),(0,5)"])),
+    ("non_atom", NON_ATOM_TEXT, lambda pl: pl.update(witness=["(0,1),(1,0)", "(0,6),(2,0)"])),
+    ("non_atom", NON_ATOM_TEXT, lambda pl: pl.update(witness=["(0,1),(0,6)"])),
+    ("non_atom", NON_ATOM_TEXT, lambda pl: pl["witness"].append("(0,1),(0,6)")),
+    ("non_atom", NON_ATOM_TEXT, lambda pl: pl.update(witness=["", pl["sequence"]])),
+    ("non_atom", NON_ATOM_TEXT, lambda pl: pl.update(witness=[1, 2])),
+], ids=["atom-product-one-flip", "atom-atom-flip", "atom-length", "atom-kind-on-non-atom",
+        "atom-witness-not-concatenating", "non-atom-product-one-flip", "non-atom-atom-flip",
+        "non-atom-kind-on-atom", "witness-not-concatenating", "witness-part-not-product-one",
+        "witness-one-part", "witness-three-parts", "witness-empty-part", "witness-not-text"])
+def test_atom_certificate_forgeries_are_rejected(ctx372, kind, text, forge):
+    payload = _atom_payload(ctx372, text)
+    forge(payload)
+    assert not check_certificate(make_certificate(kind, "3,7,2", payload, seed=0)).ok
+
+
+def test_atom_certificate_matrix_baselines_pass(ctx372):
+    for kind, text in (("atom", ATOM_TEXT), ("non_atom", NON_ATOM_TEXT)):
+        payload = _atom_payload(ctx372, text)
+        outcome = check_certificate(make_certificate(kind, "3,7,2", payload, seed=0))
+        assert outcome.ok, outcome.messages
+
+
+def _merge_first_long_factors(pl):
+    first, second = pl["factors_long"][:2]
+    pl["factors_long"][:2] = [f"{first},{second}"]
+    pl["lengths"][1] -= 1
+
+
+def _drop_long_factor(pl):
+    pl["factors_long"].pop()
+    pl["lengths"][1] -= 1
+
+
+@pytest.mark.parametrize("forge", [
+    lambda pl: pl.update(lengths=[pl["lengths"][0], pl["lengths"][1] + 1]),
+    lambda pl: pl.update(lengths=pl["lengths"][::-1]),
+    _drop_long_factor,
+    _merge_first_long_factors,
+    lambda pl: pl.update(product=pl["product"].replace("(0,1)^12", "(0,1)^11,(0,2)")),
+], ids=["lengths", "lengths-swapped", "factor-dropped", "non-atom-factor", "product-changed"])
+def test_elasticity_witness_forgeries_are_rejected(ctx372, forge):
+    payload = build_rho_witness(ctx372, "rho3").to_payload(ctx372)
+    forge(payload)
+    assert not check_certificate(make_certificate("elasticity_witness", "3,7,2", payload, seed=0)).ok
+
+
 def test_davenport_small_certificate(ctx372):
     result = small_davenport(ctx372)
     cert = make_certificate("davenport_small", "3,7,2", result.to_payload(ctx372), seed=0)
@@ -433,6 +505,15 @@ def test_cli_davenport_large_witness(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["kind"] == "atom" and doc["payload"]["length"] == 14
+
+
+@pytest.mark.parametrize("mode", ["exhaustive_at_2q", "exhaustive_full"])
+def test_cli_davenport_large_rejects_removed_modes(capsys, mode):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["davenport", "--group", "3,7,2", "--which", "large", "--mode", mode])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == "" and "--mode" in captured.err
 
 
 def test_cli_search_small_stratum(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -123,6 +124,24 @@ def test_associativity_exhaustive(desc):
     idxs = range(ctx.n)
     for i, j, k in itertools.product(idxs, idxs, idxs):
         assert ctx.mul_idx(ctx.mul_idx(i, j), k) == ctx.mul_idx(i, ctx.mul_idx(j, k))
+
+
+@pytest.mark.parametrize("desc", ["3,7,2", "3,13,3", "5,11,3"])
+def test_left_shift_plan_multiplies_on_the_left(desc):
+    """p row rotations turn M into {h*x : x in M}, for every h."""
+    ctx = make_group(desc)
+    rng = random.Random(ctx.n)
+    masks = [0, 1, (1 << ctx.n) - 1] + [rng.getrandbits(ctx.n) for _ in range(20)]
+    masks += [1 << rng.randrange(ctx.n) for _ in range(10)]
+    for h in range(ctx.n):
+        plan = ctx.left_shift_plan(h)
+        assert len(plan) == ctx.p
+        for mask in masks:
+            expected = 0
+            for x in range(ctx.n):
+                if mask >> x & 1:
+                    expected |= 1 << ctx.mul_idx(h, x)
+            assert ctx.left_shift(mask, plan) == expected
 
 
 def test_structure_census(ctx372):

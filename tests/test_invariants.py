@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from prodone.group import make_group
+
 from prodone.invariants import (
     atoms_ladder,
     build_rho_witness,
@@ -49,6 +51,76 @@ def test_inverse_bit_decides_identity_bit(ctx_name, request):
         for mask in masks:
             extended = mask | ctx.shift_mask(mask | 1, table)
             assert (extended & 1) == ((mask >> ctx.inv_table[g]) & 1)
+
+
+def reference_small_davenport(ctx):
+    """The walk over the sorted products P: one right shift of P + {e} per child.
+
+    Returns (value, extremal, nodes); small_davenport must reproduce all three.
+    """
+    ground = list(range(1, ctx.n))
+    tables = [ctx.right_shift_table(g) for g in ground]
+    inverse_bits = [1 << ctx.inv_table[g] for g in ground]
+    best_len, best, nodes = 0, [], 0
+    chosen = []
+
+    def extend(start, sorted_products):
+        nonlocal best_len, best, nodes
+        nodes += 1
+        if len(chosen) > best_len:
+            if not classify(ctx, Sequence.from_indices(chosen)).product_one_free:
+                return
+            best_len = len(chosen)
+            best = list(chosen)
+        for i in range(start, len(ground)):
+            if sorted_products & inverse_bits[i]:
+                continue
+            chosen.append(ground[i])
+            extend(i, sorted_products | ctx.shift_mask(sorted_products | 1, tables[i]))
+            chosen.pop()
+
+    extend(0, 0)
+    return best_len, Sequence.from_indices(best), nodes
+
+
+@pytest.mark.parametrize("desc", ["3,7,2", "3,7,4"])
+def test_small_davenport_matches_the_product_walk(desc):
+    ctx = make_group(desc)
+    result = small_davenport(ctx)
+    assert (result.value, result.extremal, result.nodes) == reference_small_davenport(ctx)
+    assert result.value == ctx.p + ctx.q - 2
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx372", "ctx3133", "ctx5113"])
+def test_leaf_rule_matches_the_forbidden_update(ctx_name, request):
+    """Child g of a node with forbidden set D is a leaf iff g*h is in D + {e} for
+    every live h >= g, tested one h at a time with an early exit; this must agree
+    with suffix(g) & ~D' == 0 for D' = D + g^-1 * (D + {e})."""
+    ctx = request.getfixturevalue(ctx_name)
+    n = ctx.n
+    rng = random.Random(n)
+    rows = [[1 << ctx.mul_idx(g, h) for h in range(n)] for g in range(n)]
+    outcomes = set()
+    for density in (0.3, 0.6, 0.85, 0.95):
+        for _ in range(30):
+            forbidden = sum(1 << x for x in range(1, n) if rng.random() < density)
+            closed = forbidden | 1
+            for g in range(1, n):
+                if forbidden >> g & 1:
+                    continue
+                suffix = ((1 << n) - 1) >> g << g
+                live = suffix & ~forbidden
+                rest = live
+                while rest:
+                    h = rest & -rest
+                    if not closed & rows[g][h.bit_length() - 1]:
+                        break
+                    rest ^= h
+                leaf = not rest
+                image = ctx.left_shift(closed, ctx.left_shift_plan(ctx.inv_table[g]))
+                assert leaf == (suffix & ~(forbidden | image) == 0)
+                outcomes.add(leaf)
+    assert outcomes == {True, False}
 
 
 def test_alpha_tau_extremal_example(ctx372):
@@ -107,6 +179,12 @@ def test_large_davenport_lower_witness(ctx372, ctx3133):
     report13 = large_davenport(ctx3133, "lower_witness")
     seq13 = Sequence.parse(ctx3133, report13.witness)
     assert len(seq13) == 26 and is_atom(ctx3133, seq13).atom
+
+
+@pytest.mark.parametrize("mode", ["exhaustive_at_2q", "exhaustive_full", "bogus"])
+def test_large_davenport_has_only_the_witness_mode(ctx372, mode):
+    with pytest.raises(ValueError, match="unknown mode"):
+        large_davenport(ctx372, mode)
 
 
 def test_order_p_subgroups(ctx372):
