@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -317,18 +318,43 @@ def check_certificate(cert: Certificate) -> CheckResult:
             for problem in verify_elasticity_witness(ctx, witness):
                 fail(problem)
         elif cert.kind == "lemma_report":
-            from .oracles import recheck_counterexample
+            from .oracles import LEMMA_IDS, check_cyclic_extremal, recheck_counterexample
 
+            lemma = payload["lemma"]
+            if lemma not in LEMMA_IDS:
+                raise ValueError(f"unknown lemma {lemma!r}")
+            counts = {key: payload[key] for key in
+                      ("trials", "trials_run", "generation_failures", "failures")}
+            bad = [key for key, value in counts.items() if type(value) is not int or value < 0]
+            if bad:
+                raise ValueError(f"{', '.join(bad)} not a non-negative int")
+            if counts["trials_run"] + counts["generation_failures"] > counts["trials"]:
+                fail(f"{counts['trials_run']} trials run and {counts['generation_failures']} "
+                     f"generation failures exceed the {counts['trials']} trials")
             record = payload.get("counterexample")
-            if payload["failures"] and record is None:
-                fail("failures reported without a counterexample")
-            if record is not None:
-                if not recheck_counterexample(ctx, payload["lemma"], record):
-                    fail("counterexample does not re-verify")
+            # Every suite stops at its first counterexample.
+            if counts["failures"] != (record is not None):
+                fail(f"{counts['failures']} failures reported with "
+                     f"{'a' if record is not None else 'no'} counterexample")
+            if lemma == "cyclic-extremal":
+                # An exhaustive scan over C_n, named in the payload's group as
+                # C_n:mode, so the whole report is re-derived.
+                match = re.fullmatch(r"C_(\d+):(multiplicity|extremal)", str(payload["group"]))
+                if match is None:
+                    fail(f"payload group {payload['group']!r} is not C_n:mode")
+                elif check_cyclic_extremal(int(match[1]), match[2]).to_payload() != payload:
+                    fail("cyclic-extremal report does not re-derive")
             else:
-                result.caveats.append(
-                    "absence of counterexamples re-verifiable only by re-running the trials"
-                )
+                if payload["group"] != cert.group:
+                    fail(f"payload group {payload['group']!r} is not the certificate's "
+                         f"{cert.group!r}")
+                if record is not None:
+                    if not recheck_counterexample(ctx, lemma, record):
+                        fail("counterexample does not re-verify")
+                else:
+                    result.caveats.append(
+                        "absence of counterexamples re-verifiable only by re-running the trials"
+                    )
         elif cert.kind == "checkpoint":
             from .enumeration import (
                 Stratum, StratumSpace, digest_add, digest_empty, digest_hex,

@@ -4,6 +4,9 @@ Exit codes: 0 = claim verified, 1 = claim falsified / counterexample found,
 2 = usage or resource error.  Diagnostics go to stderr; stdout carries one
 JSON document per invocation.  ``--workers``, else PRODONE_THREADS, sets the
 worker count; it must be a positive integer and is capped at the CPU count.
+``search``, ``verify-inverse`` and ``davenport`` take no seed: their verdicts,
+counters and digests are the same on every run and for every shard plan.
+Only ``elasticity --seed`` and ``lemmas --seed`` seed randomized trials.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .enumeration import (
     Stratum,
     StratumSpace,
     atom_search,
+    checkpoint_record,
     make_shards,
     resolve_workers,
     run_sharded,
@@ -88,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--shards", type=int, default=1)
     p_search.add_argument("--shard-index", type=int, default=None)
     p_search.add_argument("--checkpoint", metavar="FILE")
-    p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--heuristic-tries", type=int, default=64)
     p_search.add_argument("--max-candidates", type=int, default=None)
     p_search.add_argument("--no-tau-filter", action="store_true",
                           help="disable the t-degree residue filter")
@@ -100,14 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_arg(p_dav)
     p_dav.add_argument("--which", choices=("small", "large"), required=True)
     p_dav.add_argument("--mode", choices=("lower_witness",), default="lower_witness")
-    p_dav.add_argument("--seed", type=int, default=0)
     p_dav.add_argument("--workers", type=int, default=None)
     p_dav.add_argument("--emit-cert", metavar="FILE")
 
     p_inv = sub.add_parser("verify-inverse", help="match all maximal atoms against the extremal set")
     _add_group_arg(p_inv)
     p_inv.add_argument("--scope", choices=("k_le_2", "full"), default="k_le_2")
-    p_inv.add_argument("--seed", type=int, default=0)
     p_inv.add_argument("--workers", type=int, default=None)
     p_inv.add_argument("--shards", type=int, default=None)
     p_inv.add_argument("--checkpoint-dir", metavar="DIR")
@@ -212,33 +212,27 @@ def _cmd_search(args) -> int:
         space = StratumSpace(ctx, stratum)
         shard = make_shards(space.total, args.shards)[args.shard_index]
         result = atom_search(
-            ctx, stratum, shard=shard, mode=args.mode, seed=args.seed,
-            heuristic_tries=args.heuristic_tries,
+            ctx, stratum, shard=shard, mode=args.mode,
             checkpoint_path=args.checkpoint, max_candidates=args.max_candidates,
         )
     elif args.shards > 1:
         result = run_sharded(
-            ctx, stratum, n_shards=args.shards,
-            workers=workers, seed=args.seed,
-            heuristic_tries=args.heuristic_tries, mode=args.mode,
+            ctx, stratum, n_shards=args.shards, workers=workers, mode=args.mode,
         )
     else:
         result = atom_search(
-            ctx, stratum, mode=args.mode, seed=args.seed,
-            heuristic_tries=args.heuristic_tries,
+            ctx, stratum, mode=args.mode,
             checkpoint_path=args.checkpoint, max_candidates=args.max_candidates,
         )
-    from .enumeration import checkpoint_record
-
     payload = checkpoint_record(
         ctx, stratum, result.shard,
-        args.seed, result.counters, result.digest,
+        0, result.counters, result.digest,
         [seq.format(ctx) for seq in result.atoms],
         [seq.format(ctx) for seq in result.unverified],
         result.last_rank, result.complete,
     )
     cert = make_certificate("checkpoint", ctx.params.descriptor(), payload,
-                            seed=args.seed, wall_s=time.perf_counter() - started)
+                            seed=payload["seed"], wall_s=time.perf_counter() - started)
     _emit_certificate(cert, args.emit_cert)
     return 0 if result.complete and not result.unverified else 1
 
@@ -252,7 +246,7 @@ def _cmd_davenport(args) -> int:
         flags = classify(ctx, result.extremal)
         cert = make_certificate(
             "davenport_small", ctx.params.descriptor(), result.to_payload(ctx),
-            seed=args.seed, wall_s=time.perf_counter() - started,
+            wall_s=time.perf_counter() - started,
         )
         _emit_certificate(cert, args.emit_cert)
         return 0 if flags.product_one_free else 1
@@ -266,7 +260,7 @@ def _cmd_davenport(args) -> int:
         "witness": None,
     }
     cert = make_certificate("atom", ctx.params.descriptor(), payload,
-                            seed=args.seed, wall_s=time.perf_counter() - started)
+                            wall_s=time.perf_counter() - started)
     _emit_certificate(cert, args.emit_cert)
     return 0 if verdict.atom else 1
 
@@ -275,13 +269,13 @@ def _cmd_verify_inverse(args) -> int:
     ctx = make_group(args.group)
     started = time.perf_counter()
     report = verify_inverse_theorem(
-        ctx, args.scope, seed=args.seed,
+        ctx, args.scope,
         workers=resolve_workers(args.workers),
         n_shards=args.shards, checkpoint_dir=args.checkpoint_dir,
     )
     cert = make_certificate(
         "inverse_report", ctx.params.descriptor(), report.to_payload(),
-        seed=args.seed, wall_s=time.perf_counter() - started,
+        seed=report.seed, wall_s=time.perf_counter() - started,
     )
     _emit_certificate(cert, args.emit_cert)
     return 0 if report.verified else 1

@@ -25,11 +25,12 @@ counts candidates per route:
   sub-multiset sums to zero as well;
 * ``outer_pair`` (k = 2): the closed form below, two bit tests against a
   profile of the <a>-part;
-* ``ordering`` / ``dp`` (any other k): a seeded random ordering search whose
-  split witnesses are self-certifying, then the engine DP as the decision
-  procedure for whatever survives.  Only this route reads ``master_seed``
-  and ``heuristic_tries``, so verdicts with k = 0 or k = 2 do not depend on
-  them.
+* ``ordering`` / ``dp`` (any other k): 64 random orderings whose split
+  witnesses are self-certifying, then the engine DP as the decision
+  procedure for whatever survives.  The orderings are drawn from a
+  stream keyed by the group and the content alone, so a candidate takes the
+  same route in every scan, whatever the shard plan; the verdict never
+  depends on the route.
 
 Atom verdicts of the abelian and outer-pair routes are confirmed by the
 engine, which attaches the ``AtomVerdict``; an atom of either route that the
@@ -128,9 +129,9 @@ from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from random import Random
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .group import GroupCtx, GroupParamError, GroupParams, make_group
+from .group import GroupCtx, GroupParamError
 from .sequences import (
     DEFAULT_STATE_CAP,
     AtomVerdict,
@@ -330,27 +331,6 @@ class StratumSpace:
         return failing_below(hi) - failing_below(lo)
 
 
-def enumerate_stratum(
-    ctx: GroupCtx,
-    stratum: Stratum,
-    visit: Callable[[tuple[int, ...], bool], None],
-    *,
-    start: int = 0,
-    stop: int | None = None,
-) -> int:
-    """Visit every multiset of the stratum exactly once in lex order.
-
-    Calls ``visit(content, passed_filters)``; returns the number visited.
-    """
-    space = StratumSpace(ctx, stratum)
-    hi = space.total if stop is None else min(stop, space.total)
-    count = 0
-    for _, content in space.iter_range(start, hi):
-        visit(content, space.passes_filters(content))
-        count += 1
-    return count
-
-
 # -- shards ----------------------------------------------------------------
 
 
@@ -453,12 +433,6 @@ class SearchCounters:
         return out
 
 
-def _candidate_rng(master_seed: int, group: str, content: tuple[int, ...]) -> Random:
-    payload = f"{master_seed}:{group}:{','.join(map(str, content))}"
-    digest = hashlib.sha256(payload.encode()).digest()
-    return Random(int.from_bytes(digest[:8], "big"))
-
-
 def _abelian_verdict(ctx: GroupCtx, content: tuple[int, ...]) -> str:
     """Exact verdict for candidates supported inside the commutator subgroup."""
     q = ctx.q
@@ -548,13 +522,22 @@ def _confirm_atom(
     return "atom", verdict
 
 
-def _ordering_witness(ctx: GroupCtx, content: tuple[int, ...], rng: Random, tries: int) -> tuple[bool, bool]:
-    """(found_split, saw_product_one) via random product-one orderings.
+# Random orderings tried per candidate before the DP; see the module docstring.
+_ORDERING_TRIES = 64
+
+
+def _ordering_witness(ctx: GroupCtx, content: tuple[int, ...]) -> bool:
+    """Whether one of ``_ORDERING_TRIES`` random orderings certifies a split.
 
     A repeated prefix product inside a product-one ordering certifies a
     consecutive product-one block whose complement is also product-one, i.e.
-    a non-atom witness; the arithmetic of the prefix list is the proof.
+    a non-atom witness; the arithmetic of the prefix list is the proof.  The
+    orderings come from a stream keyed by the group and the content; the
+    leading "0:" of the key keeps the streams, and so the ``by_method``
+    counts, that scans with the former default seed 0 drew.
     """
+    key = f"0:{ctx.params.descriptor()}:{','.join(map(str, content))}"
+    rng = Random(int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big"))
     try:
         mt = ctx.cayley()
     except GroupParamError:
@@ -564,8 +547,7 @@ def _ordering_witness(ctx: GroupCtx, content: tuple[int, ...], rng: Random, trie
     order = list(content)
     size = len(order)
     shuffle = rng.shuffle
-    saw_product_one = False
-    for _ in range(tries):
+    for _ in range(_ORDERING_TRIES):
         shuffle(order)
         acc = 0
         prefixes = [0] * (size + 1)
@@ -579,23 +561,20 @@ def _ordering_witness(ctx: GroupCtx, content: tuple[int, ...], rng: Random, trie
                 prefixes[i + 1] = acc
         if acc != 0:
             continue
-        saw_product_one = True
         seen: dict[int, int] = {}
         for i, value in enumerate(prefixes):
             j = seen.get(value)
             if j is not None and not (j == 0 and i == size):
-                return True, True
+                return True
             if j is None:
                 seen[value] = i
-    return False, saw_product_one
+    return False
 
 
 def classify_candidate(
     ctx: GroupCtx,
     content: tuple[int, ...],
     *,
-    master_seed: int = 0,
-    heuristic_tries: int = 64,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[str, str, AtomVerdict | None]:
     """Classify one candidate multiset: (kind, method, verdict-for-atoms).
@@ -603,10 +582,9 @@ def classify_candidate(
     Kinds: ``atom``, ``non_atom``, ``not_product_one``, ``unverified``.
     ``method`` names the route that settled the candidate (see the module
     docstring): ``abelian`` with no term outside <a>, ``outer_pair`` with
-    exactly two, ``ordering`` or ``dp`` otherwise.  Every route is exact;
-    ``master_seed`` and ``heuristic_tries`` only steer the ordering search of
-    the last route.  Atom verdicts are confirmed by the engine, and
-    ``unverified`` means the engine hit ``state_cap``.
+    exactly two, ``ordering`` or ``dp`` otherwise.  Every route is exact.
+    Atom verdicts are confirmed by the engine, and ``unverified`` means the
+    engine hit ``state_cap``.
     """
     inner = [idx for idx in content if idx < ctx.q]
     outer = [idx for idx in content if idx >= ctx.q]
@@ -626,11 +604,8 @@ def classify_candidate(
     for mult in counts.values():
         lattice_states *= mult + 1
     # For tiny lattices the exact DP beats any amount of ordering search.
-    if heuristic_tries > 0 and lattice_states > 256:
-        rng = _candidate_rng(master_seed, ctx.params.descriptor(), content)
-        found, _ = _ordering_witness(ctx, content, rng, heuristic_tries)
-        if found:
-            return "non_atom", "ordering", None
+    if lattice_states > 256 and _ordering_witness(ctx, content):
+        return "non_atom", "ordering", None
     try:
         verdict = is_atom(ctx, Sequence.from_indices(content), state_cap=state_cap)
     except ResourceCapError:
@@ -676,6 +651,7 @@ def checkpoint_record(
     last_rank: int,
     complete: bool,
 ) -> dict:
+    """The checkpoint of a scan; no scan reads a seed, so the program records ``seed`` 0."""
     return {
         "schema": CHECKPOINT_SCHEMA,
         "group": ctx.params.descriptor(),
@@ -718,8 +694,6 @@ class _Scan:
     """
 
     space: StratumSpace
-    seed: int
-    heuristic_tries: int
     state_cap: int
     counters: SearchCounters = field(default_factory=SearchCounters)
     digest: int = field(default_factory=digest_empty)
@@ -727,12 +701,7 @@ class _Scan:
     unverified: list[str] = field(default_factory=list)
 
     def classify(self, content: tuple[int, ...]) -> None:
-        kind, method, _ = classify_candidate(
-            self.space.ctx, content,
-            master_seed=self.seed,
-            heuristic_tries=self.heuristic_tries,
-            state_cap=self.state_cap,
-        )
+        kind, method, _ = classify_candidate(self.space.ctx, content, state_cap=self.state_cap)
         self.add(content, kind, method)
 
     def add(self, content: tuple[int, ...], kind: str, method: str) -> None:
@@ -811,8 +780,6 @@ def atom_search(
     *,
     mode: str = "raw",
     shard: Shard | None = None,
-    seed: int = 0,
-    heuristic_tries: int = 64,
     state_cap: int = DEFAULT_STATE_CAP,
     checkpoint_path: str | None = None,
     checkpoint_every: int = 25_000,
@@ -833,7 +800,7 @@ def atom_search(
     space = StratumSpace(ctx, stratum)
     lo = shard.start_rank if shard else 0
     hi = shard.end_rank if shard else space.total
-    scan = _Scan(space, seed, heuristic_tries, state_cap)
+    scan = _Scan(space, state_cap)
     start = lo
     if checkpoint_path and os.path.exists(checkpoint_path):
         record = load_checkpoint(checkpoint_path)
@@ -841,8 +808,6 @@ def atom_search(
             raise ValueError("checkpoint does not match this search")
         if record["shard"] != (shard.describe() if shard else None):
             raise ValueError("checkpoint belongs to a different shard plan")
-        if record["seed"] != seed:
-            raise ValueError("checkpoint was produced with a different seed")
         scan.counters = SearchCounters.from_dict(record["counters"])
         scan.digest = int(record["digest"], 16)
         scan.atoms = list(record["atoms"])
@@ -856,7 +821,7 @@ def atom_search(
             save_checkpoint(
                 checkpoint_path,
                 checkpoint_record(
-                    ctx, stratum, shard, seed, scan.counters, scan.digest,
+                    ctx, stratum, shard, 0, scan.counters, scan.digest,
                     scan.atoms, scan.unverified, last_rank, complete,
                 ),
             )
@@ -872,23 +837,16 @@ def atom_search(
             persist(False)
     complete = stop >= hi
     persist(complete)
-    atoms = [Sequence.parse(ctx, text) for text in scan.atoms]
-    if mode == "up_to_aut" and atoms:
-        from .group import automorphisms
-
-        auts = automorphisms(ctx)
-        atoms = sorted({canonical_form(ctx, seq, auts) for seq in atoms})
-    unverified = [Sequence.parse(ctx, text) for text in scan.unverified]
-    return SearchResult(
+    return _apply_mode(ctx, mode, SearchResult(
         stratum=stratum,
         shard=shard,
         counters=scan.counters,
-        atoms=atoms,
-        unverified=unverified,
+        atoms=[Sequence.parse(ctx, text) for text in scan.atoms],
+        unverified=[Sequence.parse(ctx, text) for text in scan.unverified],
         digest=scan.digest,
         complete=complete,
         last_rank=last_rank,
-    )
+    ))
 
 
 # -- canonicalization -----------------------------------------------------------
@@ -899,8 +857,14 @@ def canonical_form(ctx: GroupCtx, seq: Sequence, auts: list[tuple[int, ...]]) ->
     return min(seq.map_indices(table) for table in auts)
 
 
-def orbit(ctx: GroupCtx, seq: Sequence, auts: list[tuple[int, ...]]) -> set[Sequence]:
-    return {seq.map_indices(table) for table in auts}
+def _apply_mode(ctx: GroupCtx, mode: str, result: SearchResult) -> SearchResult:
+    """``result`` with its atoms replaced by their sorted Aut-orbit representatives under ``up_to_aut``."""
+    if mode == "up_to_aut" and result.atoms:
+        from .group import automorphisms
+
+        auts = automorphisms(ctx)
+        result.atoms = sorted({canonical_form(ctx, seq, auts) for seq in result.atoms})
+    return result
 
 
 # -- parallel driver -------------------------------------------------------------
@@ -925,28 +889,9 @@ def resolve_workers(requested: int | None = None) -> int:
     return min(requested, os.cpu_count() or 1)
 
 
-def _shard_worker(args: tuple) -> dict:
-    descriptor, stratum_dict, shard_dict, seed, heuristic_tries, state_cap, ckpt_dir = args
-    ctx = make_group(GroupParams.from_descriptor(descriptor))
-    stratum = Stratum.from_dict(stratum_dict)
-    shard = Shard(**shard_dict)
-    path = None
-    if ckpt_dir:
-        path = os.path.join(ckpt_dir, f"shard-{shard.index:04d}-of-{shard.n_shards:04d}.json")
-    result = atom_search(
-        ctx, stratum,
-        shard=shard, seed=seed,
-        heuristic_tries=heuristic_tries, state_cap=state_cap,
-        checkpoint_path=path,
-    )
-    return {
-        "counters": result.counters.to_dict(),
-        "digest": digest_hex(result.digest),
-        "atoms": [seq.format(ctx) for seq in result.atoms],
-        "unverified": [seq.format(ctx) for seq in result.unverified],
-        "complete": result.complete,
-        "last_rank": result.last_rank,
-    }
+def _shard_worker(args: tuple) -> SearchResult:
+    ctx, stratum, shard, state_cap, path = args
+    return atom_search(ctx, stratum, shard=shard, state_cap=state_cap, checkpoint_path=path)
 
 
 def run_sharded(
@@ -955,58 +900,49 @@ def run_sharded(
     *,
     n_shards: int = 1,
     workers: int | None = None,
-    seed: int = 0,
-    heuristic_tries: int = 64,
     state_cap: int = DEFAULT_STATE_CAP,
     checkpoint_dir: str | None = None,
     mode: str = "raw",
 ) -> SearchResult:
     """Process a stratum as disjoint shards, merging digests and counters.
 
-    Aggregation is associative and commutative, so the merged result is
-    independent of the shard plan and worker schedule.
+    Aggregation is associative and commutative, and the shards are merged in
+    rank order, so the merged result equals one ``atom_search`` over the
+    whole stratum, whatever the shard plan and worker schedule.
     """
+    if mode not in ("raw", "up_to_aut"):
+        raise ValueError(f"unknown search mode {mode!r}")
     space = StratumSpace(ctx, stratum)
     shards = make_shards(space.total, n_shards)
     workers = resolve_workers(workers)
-    jobs = [
-        (
-            ctx.params.descriptor(), stratum.describe(),
-            shard.describe(), seed, heuristic_tries, state_cap, checkpoint_dir,
-        )
-        for shard in shards
-    ]
+    jobs = []
+    for shard in shards:
+        path = None
+        if checkpoint_dir:
+            path = os.path.join(
+                checkpoint_dir, f"shard-{shard.index:04d}-of-{shard.n_shards:04d}.json")
+        jobs.append((ctx, stratum, shard, state_cap, path))
     if workers == 1 or len(jobs) == 1:
-        outputs = [_shard_worker(job) for job in jobs]
+        results = [_shard_worker(job) for job in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            outputs = list(pool.map(_shard_worker, jobs))
-    counters = SearchCounters()
-    digest = digest_empty()
-    atoms: list[Sequence] = []
-    unverified: list[Sequence] = []
-    complete = True
-    for out in outputs:
-        counters.merge(SearchCounters.from_dict(out["counters"]))
-        digest = digest_merge(digest, int(out["digest"], 16))
-        atoms.extend(Sequence.parse(ctx, text) for text in out["atoms"])
-        unverified.extend(Sequence.parse(ctx, text) for text in out["unverified"])
-        complete = complete and out["complete"]
-    atoms.sort()
-    if mode == "up_to_aut" and atoms:
-        from .group import automorphisms
-
-        auts = automorphisms(ctx)
-        atoms = sorted({canonical_form(ctx, seq, auts) for seq in atoms})
-    return SearchResult(
+            results = list(pool.map(_shard_worker, jobs))
+    merged = SearchResult(
         stratum=stratum,
         shard=None,
-        counters=counters,
-        atoms=atoms,
-        unverified=unverified,
-        digest=digest,
-        complete=complete,
+        counters=SearchCounters(),
+        atoms=[],
+        unverified=[],
+        digest=digest_empty(),
+        complete=True,
         last_rank=space.total - 1,
     )
+    for result in results:
+        merged.counters.merge(result.counters)
+        merged.digest = digest_merge(merged.digest, result.digest)
+        merged.atoms.extend(result.atoms)
+        merged.unverified.extend(result.unverified)
+        merged.complete = merged.complete and result.complete
+    return _apply_mode(ctx, mode, merged)

@@ -325,12 +325,6 @@ def make_group(params: GroupParams | tuple[int, int, int] | str) -> GroupCtx:
     return GroupCtx(params)
 
 
-def subgroup_generated(ctx: GroupCtx, gens: set[Element]) -> set[Element]:
-    """Closure of ``gens`` under multiplication and inversion."""
-    closure = ctx.subgroup_generated_idx({ctx.idx(g) for g in gens})
-    return {ctx.coords(i) for i in closure}
-
-
 def automorphisms(ctx: GroupCtx) -> list[tuple[int, ...]]:
     """The full automorphism group as index permutations.
 

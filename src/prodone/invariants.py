@@ -26,12 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .enumeration import (
-    Stratum,
-    StratumSpace,
-    atom_search,
-    run_sharded,
-)
+from .enumeration import Stratum, StratumSpace, run_sharded
 from .group import Element, GroupCtx, generator_pairs
 from .sequences import (
     Sequence,
@@ -237,47 +232,6 @@ class StratumReport:
         }
 
 
-def scan_strata(
-    ctx: GroupCtx,
-    length: int,
-    ks: list[int],
-    *,
-    seed: int = 0,
-    workers: int = 1,
-    n_shards: int | None = None,
-    heuristic_tries: int = 64,
-    checkpoint_dir: str | None = None,
-) -> list[StratumReport]:
-    reports = []
-    for k in ks:
-        stratum = Stratum(length=length, k=k)
-        space = StratumSpace(ctx, stratum)
-        shards = n_shards if n_shards is not None else max(1, workers)
-        if shards == 1 and checkpoint_dir is None:
-            result = atom_search(ctx, stratum, seed=seed, heuristic_tries=heuristic_tries)
-        else:
-            stratum_dir = None
-            if checkpoint_dir is not None:
-                stratum_dir = os.path.join(checkpoint_dir, f"len{length}-k{k}")
-                os.makedirs(stratum_dir, exist_ok=True)
-            result = run_sharded(
-                ctx, stratum,
-                n_shards=shards, workers=workers, seed=seed,
-                heuristic_tries=heuristic_tries, checkpoint_dir=stratum_dir,
-            )
-        reports.append(
-            StratumReport(
-                k=k,
-                total=space.total,
-                counters=result.counters.to_dict(),
-                atoms=[seq.format(ctx) for seq in result.atoms],
-                unverified=[seq.format(ctx) for seq in result.unverified],
-                digest=result.digest_hex,
-            )
-        )
-    return reports
-
-
 @dataclass
 class InverseReport:
     """Outcome of the stratified scan for atoms of the maximal length 2q.
@@ -294,7 +248,7 @@ class InverseReport:
     strata: list[StratumReport]
     matched: int
     exceptions: list[str]
-    seed: int
+    seed: int = 0  # no scan reads a seed; the field keeps the payload's shape
 
     @property
     def atoms_found(self) -> int:
@@ -335,10 +289,8 @@ def verify_inverse_theorem(
     ctx: GroupCtx,
     scope: str = "k_le_2",
     *,
-    seed: int = 0,
     workers: int = 1,
     n_shards: int | None = None,
-    heuristic_tries: int = 64,
     checkpoint_dir: str | None = None,
 ) -> InverseReport:
     """Exhaustively match all length-2q atoms against the realized extremal set.
@@ -346,36 +298,54 @@ def verify_inverse_theorem(
     ``k_le_2`` covers the strata with at most two terms outside the
     commutator subgroup; ``full`` covers every stratum (extended runtime).
     The extremal multiset count is computed and recorded before the search.
+    Each stratum is scanned by ``run_sharded`` in ``n_shards`` shards
+    (default: one per worker), with one checkpoint directory per stratum
+    under ``checkpoint_dir``.
     """
     if scope not in ("k_le_2", "full"):
         raise ValueError(f"unknown scope {scope!r}")
     length = 2 * ctx.q
     forms = extremal_atoms_all(ctx)
-    n_f = len(forms)
     form_set = {form.sequence.format(ctx) for form in forms}
     ks = [0, 1, 2] if scope == "k_le_2" else list(range(length + 1))
-    strata = scan_strata(
-        ctx, length, ks,
-        seed=seed, workers=workers, n_shards=n_shards,
-        heuristic_tries=heuristic_tries, checkpoint_dir=checkpoint_dir,
-    )
+    strata: list[StratumReport] = []
     matched = 0
     exceptions: list[str] = []
-    for rep in strata:
-        for text in rep.atoms:
-            if text in form_set and rep.k == 2:
+    for k in ks:
+        stratum = Stratum(length=length, k=k)
+        stratum_dir = None
+        if checkpoint_dir is not None:
+            stratum_dir = os.path.join(checkpoint_dir, f"len{length}-k{k}")
+            os.makedirs(stratum_dir, exist_ok=True)
+        result = run_sharded(
+            ctx, stratum,
+            n_shards=n_shards if n_shards is not None else max(1, workers),
+            workers=workers, checkpoint_dir=stratum_dir,
+        )
+        atoms = [seq.format(ctx) for seq in result.atoms]
+        for text in atoms:
+            if text in form_set and k == 2:
                 matched += 1
             else:
                 exceptions.append(text)
+        strata.append(
+            StratumReport(
+                k=k,
+                total=StratumSpace(ctx, stratum).total,
+                counters=result.counters.to_dict(),
+                atoms=atoms,
+                unverified=[seq.format(ctx) for seq in result.unverified],
+                digest=result.digest_hex,
+            )
+        )
     return InverseReport(
         group=ctx.params.descriptor(),
         length=length,
         scope=scope,
-        n_f=n_f,
+        n_f=len(forms),
         strata=strata,
         matched=matched,
         exceptions=exceptions,
-        seed=seed,
     )
 
 

@@ -512,7 +512,8 @@ def recheck_counterexample(ctx: GroupCtx | None, lemma: str, record: dict) -> bo
         n_val = record["n"]
         seq = record.get("sequence")
         if seq is None:
-            return True  # structural claim; re-run required
+            # A claim on the longest zero-sum-free length: re-run the scan.
+            return check_cyclic_extremal(n_val, "extremal").counterexample == record
         mask = 0
         ok_zsf = True
         for v in seq:

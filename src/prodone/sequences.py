@@ -222,9 +222,6 @@ class ProductSet:
     def contains_identity(self) -> bool:
         return bool(self.mask & 1)
 
-    def is_subset_of(self, other: "ProductSet") -> bool:
-        return self.mask & ~other.mask == 0
-
 
 @dataclass(frozen=True)
 class SequenceClass:
@@ -308,9 +305,6 @@ class _Lattice:
     def seq_of(self, t: int) -> Sequence:
         return Sequence(zip(self.support, self.digits_of(t)))
 
-    def product_one_states(self) -> list[int]:
-        return [t for t in range(1, self.nstates) if self.reach[t] & 1]
-
     def sub_states(self, t: int) -> Iterator[int]:
         """All u with u | t componentwise, as linear state indices."""
         digits = self.digits_of(t)
@@ -384,11 +378,6 @@ def is_atom(ctx: GroupCtx, seq: Sequence, *, state_cap: int | None = None) -> At
         return AtomVerdict(product_one=True, atom=True)
     part = lattice.seq_of(best_state)
     return AtomVerdict(product_one=True, atom=False, witness=(part, seq.remove(part)))
-
-
-def stat_counts(ctx: GroupCtx, seq: Sequence, members: Iterable[Element]) -> int:
-    """Number of terms of ``seq`` lying in the element set ``members``."""
-    return seq.count_in(ctx.idx(g) for g in members)
 
 
 @dataclass

@@ -45,7 +45,7 @@ def _report(number: int, label: str, started: float, budget: float) -> None:
 @pytest.fixture(scope="module")
 def inverse_report_372(ctx372):
     started = time.perf_counter()
-    report = verify_inverse_theorem(ctx372, "k_le_2", seed=0)
+    report = verify_inverse_theorem(ctx372, "k_le_2")
     return report, time.perf_counter() - started
 
 
@@ -125,7 +125,7 @@ def test_criterion_5_inverse_theorem_full_scope(ctx372):
     started = time.perf_counter()
     workers = int(os.environ.get("PRODONE_THREADS", "8"))
     report = verify_inverse_theorem(
-        ctx372, "full", seed=0, workers=workers, n_shards=4 * workers,
+        ctx372, "full", workers=workers, n_shards=4 * workers,
     )
     assert report.verified, report.to_payload()
     for rep in report.strata:
@@ -133,8 +133,8 @@ def test_criterion_5_inverse_theorem_full_scope(ctx372):
             assert not rep.atoms
     # Differently-sharded rerun of one stratum reproduces the digest.
     stratum = Stratum(length=14, k=3)
-    first = run_sharded(ctx372, stratum, n_shards=5, workers=workers, seed=0)
-    second = run_sharded(ctx372, stratum, n_shards=11, workers=workers, seed=0)
+    first = run_sharded(ctx372, stratum, n_shards=5, workers=workers)
+    second = run_sharded(ctx372, stratum, n_shards=11, workers=workers)
     assert first.digest == second.digest
     assert first.counters.to_dict() == second.counters.to_dict()
     elapsed = time.perf_counter() - started
@@ -211,18 +211,18 @@ def test_criterion_9_infrastructure(ctx372, inverse_report_372, tmp_path):
     started = time.perf_counter()
     # Sharded vs single-run digest equality.
     stratum = Stratum(length=6, k=2)
-    single = atom_search(ctx372, stratum, seed=0)
-    merged = run_sharded(ctx372, stratum, n_shards=7, workers=1, seed=0)
+    single = atom_search(ctx372, stratum)
+    merged = run_sharded(ctx372, stratum, n_shards=7, workers=1)
     assert merged.digest == single.digest
     assert merged.counters.to_dict() == single.counters.to_dict()
 
     # Checkpoint kill/resume digest equality.
     resume_stratum = Stratum(length=5, k=1)
-    baseline = atom_search(ctx372, resume_stratum, seed=0)
+    baseline = atom_search(ctx372, resume_stratum)
     path = str(tmp_path / "resume.json")
     while True:
         partial = atom_search(
-            ctx372, resume_stratum, seed=0,
+            ctx372, resume_stratum,
             checkpoint_path=path, checkpoint_every=83, max_candidates=500,
         )
         if partial.complete:
@@ -263,7 +263,7 @@ def test_criterion_9_infrastructure(ctx372, inverse_report_372, tmp_path):
         "lemma_report", "3,7,2",
         run_lemma(ctx372, "cauchy-davenport", trials=200, seed=9).to_payload(), seed=9,
     )
-    search_result = atom_search(ctx372, Stratum(length=4, k=2), seed=0)
+    search_result = atom_search(ctx372, Stratum(length=4, k=2))
     certs["checkpoint"] = make_certificate(
         "checkpoint", "3,7,2",
         checkpoint_record(

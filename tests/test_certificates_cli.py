@@ -245,6 +245,53 @@ def test_lemma_certificate(ctx372):
     assert outcome.caveats  # absence of counterexamples needs a re-run
 
 
+def _cauchy_davenport_payload(ctx372):
+    return run_lemma(ctx372, "cauchy-davenport", trials=50, seed=1).to_payload()
+
+
+def _cyclic_extremal_payload(ctx372):
+    return run_lemma(ctx372, "cyclic-extremal", trials=0).to_payload()
+
+
+@pytest.mark.parametrize("make_payload,forge", [
+    (_cauchy_davenport_payload, lambda pl: pl.update(trials_run=pl["trials"] + 1)),
+    (_cauchy_davenport_payload, lambda pl: pl.update(generation_failures=1)),
+    (_cauchy_davenport_payload, lambda pl: pl.update(lemma="no-such-lemma")),
+    (_cauchy_davenport_payload, lambda pl: pl.update(group="3,13,3")),
+    (_cauchy_davenport_payload, lambda pl: pl.update(trials=float(pl["trials"]))),
+    (_cauchy_davenport_payload, lambda pl: pl.update(trials="50")),
+    (_cauchy_davenport_payload, lambda pl: pl.update(trials_run=True)),
+    (_cauchy_davenport_payload, lambda pl: pl.update(failures=-1)),
+    (_cauchy_davenport_payload, lambda pl: pl.pop("trials")),
+    (_cauchy_davenport_payload, lambda pl: pl.update(failures=1)),
+    (_cauchy_davenport_payload, lambda pl: pl.update(
+        failures=0, counterexample={"q": 7, "A": [0], "B": [0], "sumset_size": 1, "bound": 1})),
+    (_cauchy_davenport_payload, lambda pl: pl.update(
+        failures=1, counterexample={"q": 7, "A": [0, 1], "B": [0, 1], "sumset_size": 2,
+                                    "bound": 3})),
+    (_cyclic_extremal_payload, lambda pl: pl.update(
+        failures=1, counterexample={"n": 7, "max_zero_sum_free_length": 5, "expected": 6})),
+    (_cyclic_extremal_payload, lambda pl: pl.update(trials=pl["trials"] + 1)),
+    (_cyclic_extremal_payload, lambda pl: pl.update(group="C_5:extremal")),
+    (_cyclic_extremal_payload, lambda pl: pl.update(group="3,7,2")),
+    (_cyclic_extremal_payload, lambda pl: pl.update(notes=[])),
+], ids=["trials-run-above-trials", "run-plus-generation-above-trials", "unknown-lemma",
+        "group", "trials-float", "trials-str", "trials-run-bool", "failures-negative",
+        "trials-missing", "failures-without-counterexample", "counterexample-without-failures",
+        "fabricated-counterexample", "cyclic-structural-counterexample", "cyclic-trials",
+        "cyclic-other-n", "cyclic-group-not-cyclic", "cyclic-notes-dropped"])
+def test_lemma_report_forgeries_are_rejected(ctx372, make_payload, forge):
+    payload = make_payload(ctx372)
+    forge(payload)
+    assert not check_certificate(make_certificate("lemma_report", "3,7,2", payload, seed=1)).ok
+
+
+@pytest.mark.parametrize("make_payload", [_cauchy_davenport_payload, _cyclic_extremal_payload])
+def test_lemma_report_matrix_baselines_pass(ctx372, make_payload):
+    outcome = check_certificate(make_certificate("lemma_report", "3,7,2", make_payload(ctx372)))
+    assert outcome.ok, outcome.messages
+
+
 def test_checkpoint_certificate(ctx372):
     stratum = Stratum(length=4, k=2)
     result = atom_search(ctx372, stratum)
@@ -514,6 +561,21 @@ def test_cli_davenport_large_rejects_removed_modes(capsys, mode):
     captured = capsys.readouterr()
     assert exit_info.value.code == 2
     assert captured.out == "" and "--mode" in captured.err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["search", "--group", "3,7,2", "--length", "2", "--seed", "1"], "--seed"),
+    (["search", "--group", "3,7,2", "--length", "2", "--heuristic-tries", "0"],
+     "--heuristic-tries"),
+    (["verify-inverse", "--group", "3,7,2", "--seed", "1"], "--seed"),
+    (["davenport", "--group", "3,7,2", "--which", "small", "--seed", "1"], "--seed"),
+], ids=["search-seed", "search-heuristic-tries", "verify-inverse-seed", "davenport-seed"])
+def test_cli_rejects_removed_scan_flags(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == "" and flag in captured.err
 
 
 def test_cli_search_small_stratum(capsys, tmp_path):

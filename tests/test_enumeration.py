@@ -7,6 +7,7 @@ import random
 import pytest
 
 from prodone import enumeration
+from prodone.certificates import check_certificate, make_certificate
 from prodone.enumeration import (
     SearchCounters,
     Shard,
@@ -20,12 +21,10 @@ from prodone.enumeration import (
     digest_empty,
     digest_hex,
     digest_merge,
-    enumerate_stratum,
     load_checkpoint,
     make_shards,
     multiset_count,
     next_multiset,
-    orbit,
     rank_multiset,
     run_sharded,
     unrank_multiset,
@@ -65,8 +64,8 @@ def test_stratum_sizes(ctx372):
 
 
 def test_enumerate_visits_each_multiset_once(ctx372):
-    seen = []
-    enumerate_stratum(ctx372, Stratum(length=2, k=None), lambda c, ok: seen.append(c))
+    space = StratumSpace(ctx372, Stratum(length=2, k=None))
+    seen = [c for _, c in space.iter_range(0, space.total)]
     assert len(seen) == 210
     assert len(set(seen)) == 210
     assert seen == sorted(seen)
@@ -78,9 +77,9 @@ def test_enumerate_visits_each_multiset_once(ctx372):
 
 
 def test_enumerate_fixed_k_contents(ctx372):
-    seen = []
-    enumerate_stratum(ctx372, Stratum(length=3, k=1), lambda c, ok: seen.append(c))
-    assert len(seen) == StratumSpace(ctx372, Stratum(length=3, k=1)).total
+    space = StratumSpace(ctx372, Stratum(length=3, k=1))
+    seen = [c for _, c in space.iter_range(0, space.total)]
+    assert len(seen) == space.total
     for content in seen:
         assert sum(1 for i in content if i >= 7) == 1
         assert all(i != 0 for i in content)
@@ -320,9 +319,14 @@ def test_sharded_run_matches_single_run(ctx372):
     merged = run_sharded(ctx372, stratum, n_shards=5, workers=1)
     assert merged.digest == single.digest
     assert merged.counters.to_dict() == single.counters.to_dict()
-    assert [s.entries for s in merged.atoms] == sorted(s.entries for s in single.atoms)
+    # Shards merge in rank order, so the atom list is the single run's.
+    assert merged.atoms == single.atoms
     two_workers = run_sharded(ctx372, stratum, n_shards=4, workers=2)
     assert two_workers.digest == single.digest
+    assert two_workers.atoms == single.atoms
+    reps = run_sharded(ctx372, stratum, n_shards=3, workers=1, mode="up_to_aut")
+    assert reps.atoms == atom_search(ctx372, stratum, mode="up_to_aut").atoms
+    assert 0 < len(reps.atoms) < len(single.atoms)
 
 
 def test_checkpoint_resume_equals_uninterrupted(ctx372, tmp_path):
@@ -355,8 +359,44 @@ def test_checkpoint_rejects_mismatched_search(ctx372, tmp_path):
     atom_search(ctx372, stratum, checkpoint_path=path, max_candidates=50)
     with pytest.raises(ValueError):
         atom_search(ctx372, Stratum(length=5, k=1), checkpoint_path=path)
-    with pytest.raises(ValueError):
-        atom_search(ctx372, stratum, checkpoint_path=path, seed=99)
+
+
+@pytest.mark.parametrize("k,state_cap,workers,expected", [
+    (3, 16, 2, {"checked": 9408, "unverified": 9324, "atoms": 84}),
+    (2, 2, 1, {"checked": 6174, "unverified": 3738, "atoms": 0}),
+], ids=["k3-dp", "k2-block"])
+def test_state_cap_sends_candidates_to_unverified(ctx372, tmp_path, k, state_cap, workers, expected):
+    stratum = Stratum(length=6, k=k)
+    result = atom_search(ctx372, stratum, state_cap=state_cap)
+    counters = result.counters.to_dict()
+    assert {key: counters[key] for key in expected} == expected
+    assert len(result.atoms) == counters["atoms"]
+    assert len(result.unverified) == counters["unverified"]
+    sharded = run_sharded(ctx372, stratum, n_shards=3, workers=workers, state_cap=state_cap)
+    assert sharded.counters.to_dict() == counters
+    assert sharded.unverified == result.unverified
+    assert sharded.digest == result.digest
+    path = str(tmp_path / "ckpt.json")
+    atom_search(ctx372, stratum, state_cap=state_cap, checkpoint_path=path, checkpoint_every=1000)
+    record = load_checkpoint(path)
+    assert record["complete"] and record["counters"] == counters
+    outcome = check_certificate(make_certificate("checkpoint", "3,7,2", record, seed=0))
+    assert outcome.ok, outcome.messages
+
+
+@pytest.mark.parametrize("k,lo,expected", [
+    (13, 0, {"non_atoms": 749, "not_product_one": 7, "by_method": {"dp": 441, "ordering": 315}}),
+    (6, 1_000_000, {"non_atoms": 343, "not_product_one": 0,
+                    "by_method": {"dp": 1, "ordering": 342}}),
+])
+def test_k_ge_3_windows_keep_verdicts_and_routes(ctx372, k, lo, expected):
+    # The ordering stage draws from a stream keyed by group and content, so
+    # these route counts are fixed for every run.
+    shard = Shard(index=0, n_shards=1, start_rank=lo, end_rank=lo + 2000)
+    counters = atom_search(ctx372, Stratum(length=14, k=k), shard=shard).counters.to_dict()
+    assert {key: counters[key] for key in expected} == expected
+    assert counters["visited"] == 2000
+    assert counters["atoms"] == counters["unverified"] == 0
 
 
 # -- the block scan against the per-candidate loop ---------------------------------
@@ -573,5 +613,5 @@ def test_canonical_form_orbit_constancy(ctx372):
 def test_extremal_orbit_size_divides_aut_order(ctx372):
     auts = automorphisms(ctx372)
     seq = Sequence.parse(ctx372, "(0,1)^12,(1,0),(2,5)")
-    size = len(orbit(ctx372, seq, auts))
+    size = len({seq.map_indices(table) for table in auts})
     assert len(auts) % size == 0

@@ -8,10 +8,11 @@ from prodone.oracles import (
     check_cyclic_extremal,
     naive_is_atom,
     naive_pi_set,
+    naive_subproducts_set,
     recheck_counterexample,
     run_lemma,
 )
-from prodone.sequences import Sequence, is_atom, pi_set
+from prodone.sequences import Sequence, is_atom, pi_set, subproducts_set
 
 
 def test_naive_pi_matches_engine_on_randoms(ctx372):
@@ -21,6 +22,15 @@ def test_naive_pi_matches_engine_on_randoms(ctx372):
             rng.choices(range(21), k=rng.randrange(1, 6))
         )
         assert naive_pi_set(ctx372, seq).mask == pi_set(ctx372, seq).mask
+
+
+def test_naive_subproducts_match_engine_on_randoms(ctx372):
+    rng = random.Random(8)
+    for _ in range(200):
+        seq = Sequence.from_indices(
+            rng.choices(range(21), k=rng.randrange(1, 6))
+        )
+        assert naive_subproducts_set(ctx372, seq).mask == subproducts_set(ctx372, seq).mask
 
 
 def test_naive_pi_abelian_example(ctx372):
@@ -114,6 +124,9 @@ def test_counterexample_recheck_rejects_fabrications(ctx372):
     assert not recheck_counterexample(ctx372, "cauchy-davenport", fake)
     fake_spread = {"sequence": "(1,0),(0,1)", "pi_size": 1, "bound": 2}
     assert not recheck_counterexample(ctx372, "outer-term-spread", fake_spread)
+    # A structural claim on C_7 is re-derived by the exhaustive scan, which finds 6.
+    fake_length = {"n": 7, "max_zero_sum_free_length": 5, "expected": 6}
+    assert not recheck_counterexample(ctx372, "cyclic-extremal", fake_length)
 
 
 def test_run_lemma_rejects_unknown_id(ctx372):

@@ -12,7 +12,6 @@ from prodone.sequences import (
     is_atom,
     length_set_bounded,
     pi_set,
-    stat_counts,
     subproducts_set,
 )
 
@@ -190,13 +189,11 @@ def test_complement_of_product_one_part_stays_in_commutator(ctx372, seq, data):
         assert ctx372.is_commutator_idx(idx)
 
 
-def test_stat_counts(ctx372):
+def test_count_in(ctx372):
     seq = Sequence.parse(ctx372, FORMA_372)
-    outside = [ctx372.coords(i) for i in ctx372.outside_commutator_indices]
-    inside = [ctx372.coords(i) for i in ctx372.commutator_indices]
-    assert stat_counts(ctx372, seq, outside) == 2
-    assert stat_counts(ctx372, seq, inside) == 12
-    assert stat_counts(ctx372, seq, []) == 0
+    assert seq.count_in(ctx372.outside_commutator_indices) == 2
+    assert seq.count_in(ctx372.commutator_indices) == 12
+    assert seq.count_in([]) == 0
 
 
 # -- length sets ----------------------------------------------------------------
