@@ -135,8 +135,20 @@ class CheckResult:
     caveats: list[str] = field(default_factory=list)
 
 
+_COUNTER_NAMES = (
+    "visited", "filtered_out", "checked", "atoms", "non_atoms", "not_product_one", "unverified",
+)
+
+
 def _check_accounting(counters: dict, record: dict, where: str, fail) -> None:
     """Counter identities of one scanned range, and its lists against their counters."""
+    methods = counters["by_method"]
+    values = [counters[name] for name in _COUNTER_NAMES] + list(methods.values())
+    if any(type(value) is not int or value < 0 for value in values):
+        fail(f"{where}counters are not all non-negative ints")
+        return
+    if sum(methods.values()) != counters["checked"]:
+        fail(f"{where}by_method sums to {sum(methods.values())}, not checked {counters['checked']}")
     if counters["filtered_out"] + counters["checked"] != counters["visited"]:
         fail(f"{where}filter accounting broken")
     parts = (
@@ -152,19 +164,14 @@ def _check_accounting(counters: dict, record: dict, where: str, fail) -> None:
 
 
 def _check_range(space, lo: int, last_rank: int, record: dict, where: str, fail) -> None:
-    """Scanned ranks [lo, last_rank] of ``space``: visit and filter counts, listed sequences.
-
-    With k <= 2 the t-degree filter reads the outer part alone, so the
-    filtered count of any rank range is recomputed from the outer parts.
-    """
+    """Scanned ranks [lo, last_rank] of ``space``: visit and filter counts, listed sequences."""
     ctx, stratum = space.ctx, space.stratum
     counters = record["counters"]
     if counters["visited"] != last_rank - lo + 1:
         fail(f"{where}visited {counters['visited']} != ranks {lo}..{last_rank}")
-    if stratum.k is not None and stratum.k <= 2:
-        filtered = space.filtered_count(lo, last_rank + 1)
-        if counters["filtered_out"] != filtered:
-            fail(f"{where}filtered_out {counters['filtered_out']} != recomputed {filtered}")
+    filtered = space.filtered_count(lo, last_rank + 1)
+    if counters["filtered_out"] != filtered:
+        fail(f"{where}filtered_out {counters['filtered_out']} != recomputed {filtered}")
     for text in record["atoms"] + record["unverified"]:
         seq = Sequence.parse(ctx, text)
         outside = sum(idx >= ctx.q for idx in seq.indices())

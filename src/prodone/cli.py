@@ -4,9 +4,9 @@ Exit codes: 0 = claim verified, 1 = claim falsified / counterexample found,
 2 = usage or resource error.  Diagnostics go to stderr; stdout carries one
 JSON document per invocation.  ``--workers``, else PRODONE_THREADS, sets the
 worker count; it must be a positive integer and is capped at the CPU count.
-``search``, ``verify-inverse`` and ``davenport`` take no seed: their verdicts,
-counters and digests are the same on every run and for every shard plan.
-Only ``elasticity --seed`` and ``lemmas --seed`` seed randomized trials.
+``search``, ``verify-inverse``, ``davenport`` and ``elasticity`` take no seed:
+their verdicts, counters and digests are the same on every run and for every
+shard plan.  Only ``lemmas --seed`` seeds randomized trials.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .group import GroupParamError, make_group
 from .invariants import (
     build_rho_witness,
     elasticity_calculator,
-    large_davenport,
+    extremal_atom,
     small_davenport,
     uk_bounded,
     verify_inverse_theorem,
@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dav = sub.add_parser("davenport", help="small/large Davenport constant runs")
     _add_group_arg(p_dav)
     p_dav.add_argument("--which", choices=("small", "large"), required=True)
-    p_dav.add_argument("--mode", choices=("lower_witness",), default="lower_witness")
     p_dav.add_argument("--workers", type=int, default=None)
     p_dav.add_argument("--emit-cert", metavar="FILE")
 
@@ -118,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ela.add_argument("--k", type=int, required=True)
     p_ela.add_argument("--uk", action="store_true", help="also run the bounded union-of-lengths search")
     p_ela.add_argument("--uk-max-products", type=int, default=64)
-    p_ela.add_argument("--seed", type=int, default=0)
     p_ela.add_argument("--emit-cert", metavar="FILE")
 
     p_lem = sub.add_parser("lemmas", help="randomized/exhaustive trial suites")
@@ -157,9 +155,8 @@ def _cmd_group(args) -> int:
     return 0
 
 
-def _cmd_seq_check(args) -> int:
-    ctx = make_group(args.group)
-    seq = Sequence.parse(ctx, args.seq)
+def _emit_atom_certificate(ctx, seq: Sequence, path: str | None) -> bool:
+    """Classify ``seq``, emit its atom or non-atom certificate, and return whether it is an atom."""
     started = time.perf_counter()
     verdict = is_atom(ctx, seq)
     payload = {
@@ -171,7 +168,13 @@ def _cmd_seq_check(args) -> int:
     kind = "atom" if verdict.atom else "non_atom"
     cert = make_certificate(kind, ctx.params.descriptor(), payload,
                             wall_s=time.perf_counter() - started)
-    _emit_certificate(cert, args.emit_cert)
+    _emit_certificate(cert, path)
+    return verdict.atom
+
+
+def _cmd_seq_check(args) -> int:
+    ctx = make_group(args.group)
+    _emit_atom_certificate(ctx, Sequence.parse(ctx, args.seq), args.emit_cert)
     return 0
 
 
@@ -206,6 +209,11 @@ def _cmd_search(args) -> int:
         raise ValueError(
             f"--shard-index must be in [0, {args.shards}), got {args.shard_index}"
         )
+    if args.shards > 1 and args.shard_index is None:
+        for flag, value in (("--checkpoint", args.checkpoint),
+                            ("--max-candidates", args.max_candidates)):
+            if value is not None:
+                raise ValueError(f"{flag} needs --shard-index when --shards is above 1")
     workers = resolve_workers(args.workers)
     started = time.perf_counter()
     if args.shard_index is not None:
@@ -250,19 +258,10 @@ def _cmd_davenport(args) -> int:
         )
         _emit_certificate(cert, args.emit_cert)
         return 0 if flags.product_one_free else 1
-    report = large_davenport(ctx, args.mode)
-    seq = Sequence.parse(ctx, report.witness)
-    verdict = is_atom(ctx, seq)
-    payload = {
-        "sequence": report.witness,
-        "length": len(seq),
-        "verdict": {"product_one": verdict.product_one, "atom": verdict.atom},
-        "witness": None,
-    }
-    cert = make_certificate("atom", ctx.params.descriptor(), payload,
-                            wall_s=time.perf_counter() - started)
-    _emit_certificate(cert, args.emit_cert)
-    return 0 if verdict.atom else 1
+    # One engine-checked atom of length 2q; that every length-2q atom is
+    # extremal is certified by ``verify-inverse``.
+    witness = extremal_atom(ctx, (1, 0), (0, 1)).sequence
+    return 0 if _emit_atom_certificate(ctx, witness, args.emit_cert) else 1
 
 
 def _cmd_verify_inverse(args) -> int:
@@ -295,13 +294,13 @@ def _cmd_elasticity(args) -> int:
         payload = witness.to_payload(ctx)
         cert = make_certificate(
             "elasticity_witness", ctx.params.descriptor(), payload,
-            seed=args.seed, wall_s=time.perf_counter() - started,
+            wall_s=time.perf_counter() - started,
         )
         doc["witness_certificate"] = json.loads(certificate_to_json(cert))
         if args.emit_cert:
             write_certificate(cert, args.emit_cert)
     if args.uk:
-        result = uk_bounded(ctx, args.k, max_products=args.uk_max_products, seed=args.seed)
+        result = uk_bounded(ctx, args.k, max_products=args.uk_max_products)
         doc["uk"] = {
             "k": result.k,
             "values": sorted(result.values),

@@ -21,8 +21,9 @@ terms outside the commutator subgroup <a>; ``SearchCounters.by_method``
 counts candidates per route:
 
 * ``abelian`` (k = 0): all terms commute, so a candidate is product-one iff
-  its exponent sum vanishes mod q, and an atom iff no proper nonempty
-  sub-multiset sums to zero as well;
+  its exponent sum vanishes mod q, and then an atom iff the terms after the
+  first have no nonempty sub-multiset summing to zero (one q-bit mask of
+  subset sums; the proof is in ``_abelian_verdict``);
 * ``outer_pair`` (k = 2): the closed form below, two bit tests against a
   profile of the <a>-part;
 * ``ordering`` / ``dp`` (any other k): 64 random orderings whose split
@@ -88,14 +89,17 @@ settles a whole block at once on two facts:
 
 5. The filter reads the outer part alone.  A term (0, y) of <a> has t-degree
    0, so the t-degree sum of S = Y.X is that of X, and S passes the filter
-   iff X does.  Let F be the sorted list of the outer ranks that pass
-   (``StratumSpace.outer_parts``, x_count entries, which is at most
-   C(n - q + 1, 2) for k <= 2) and f = x_count - |F|.  The ranks below
-   r = y.x_count + x that fail the filter number y.f + x - #{F < x}, so
-   ``filtered_count`` counts the failures of any rank range from F and two
-   bisections, and no filtered candidate is built.  With residue 0 and
-   k = 1 the one outer term has nonzero degree, F is empty, and the whole
-   stratum is counted at once.
+   iff X does.  Let F be the set of the outer ranks that pass and
+   f = x_count - |F|.  The ranks below r = y.x_count + x that fail the
+   filter number y.f + x - #{F < x}.  ``filtered_count`` reads |F| and
+   #{F < x} off a table of the outer parts counted by length, first ground
+   position and t-degree residue (``_degree_counts``), walking the unranked
+   outer part of x as ``rank_multiset`` does, so it counts the failures of
+   any rank range at every k, and no filtered candidate is built.  The
+   block scan lists F (``StratumSpace.outer_parts``, x_count entries, which
+   is at most C(n - q + 1, 2) for k <= 2).  With residue 0 and k = 1 the one
+   outer term has nonzero degree, F is empty, and the whole stratum is
+   counted at once.
 6. For k = 2 the target reads the pair and ΣY alone.  By 2, the verdict of
    S = Y.x1.x2 compares the bit 1 << c with the profile of Y, and c depends
    on x1, x2 and ΣY mod q only (``_pair_target``).  When d1 + d2 is
@@ -320,15 +324,45 @@ class StratumSpace:
         return outer, [x for x, part in enumerate(outer) if self.passes_filters(part)]
 
     def filtered_count(self, lo: int, hi: int) -> int:
-        """Ranks in [lo, hi) whose content fails the t-degree filter, from ``outer_parts``."""
-        passing = self.outer_parts[1]
-        failing_per_block = self.x_count - len(passing)
+        """Ranks in [lo, hi) whose content fails the t-degree filter (fact 5 of the module docstring)."""
+        residue = self.stratum.tau_residue
+        if residue is None:
+            return 0
+        p, q, size = self.ctx.p, self.ctx.q, self.x_size
+        degrees = tuple(idx // q for idx in self.x_ground)
+        counts = _degree_counts(degrees, size, p)
+        failing_per_block = self.x_count - counts[size][0][residue]
 
         def failing_below(rank: int) -> int:
             y_rank, x_rank = divmod(rank, self.x_count)
-            return y_rank * failing_per_block + x_rank - bisect_left(passing, x_rank)
+            passing, need, first = 0, residue, 0
+            for i, v in enumerate(unrank_multiset(x_rank, len(degrees), size)):
+                # outer parts that agree before position i and hold a smaller term there
+                passing += counts[size - i][first][need] - counts[size - i][v][need]
+                need, first = (need - degrees[v]) % p, v
+            return y_rank * failing_per_block + x_rank - passing
 
         return failing_below(hi) - failing_below(lo)
+
+
+@lru_cache(maxsize=16)
+def _degree_counts(degrees: tuple[int, ...], size: int, p: int) -> list[list[list[int]]]:
+    """counts[r][i][d]: the nondecreasing r-tuples over ground positions [i, m) with t-degree sum d mod p.
+
+    ``degrees`` lists the t-degree of each of the m ground positions.  A tuple
+    either starts at position i or lies in [i + 1, m), which gives the
+    recurrence; unrolled, counts[r + 1][i][d] sums counts[r][u][d - degrees[u]]
+    over u >= i, the tuples whose first term is u.
+    """
+    m = len(degrees)
+    counts = [[[int(d == 0) for d in range(p)] for _ in range(m + 1)]]
+    for r in range(1, size + 1):
+        row = [[0] * p for _ in range(m + 1)]
+        for i in range(m - 1, -1, -1):
+            below, here, deg = row[i + 1], counts[r - 1][i], degrees[i]
+            row[i] = [below[d] + here[(d - deg) % p] for d in range(p)]
+        counts.append(row)
+    return counts
 
 
 # -- shards ----------------------------------------------------------------
@@ -434,27 +468,25 @@ class SearchCounters:
 
 
 def _abelian_verdict(ctx: GroupCtx, content: tuple[int, ...]) -> str:
-    """Exact verdict for candidates supported inside the commutator subgroup."""
+    """Exact verdict for candidates supported inside the commutator subgroup.
+
+    All terms commute, so S is product-one iff ΣS = 0 mod q.  Let ΣS = 0.  S
+    is a non-atom iff some nonempty proper Z has ΣZ = 0; the complement of Z
+    then sums to 0 as well, and one of the two misses the first term of S.
+    So S is a non-atom iff S without its first term has a nonempty
+    sub-multiset summing to 0, which a q-bit mask of its nonempty subset
+    sums shows.
+    """
     q = ctx.q
-    total = sum(content) % q
-    if total != 0:
+    if sum(content) % q:
         return "not_product_one"
-    counts: dict[int, int] = {}
-    for idx in content:
-        counts[idx] = counts.get(idx, 0) + 1
-    values = list(counts.items())
-    width = len(values)
-
-    def scan(pos: int, acc: int, taken: int) -> bool:
-        if pos == width:
-            return taken not in (0, len(content)) and acc % q == 0
-        value, mult = values[pos]
-        for d in range(mult + 1):
-            if scan(pos + 1, acc + d * value, taken + d):
-                return True
-        return False
-
-    return "non_atom" if scan(0, 0, 0) else "atom"
+    full = (1 << q) - 1
+    sums = 0
+    for v in content[1:]:
+        sums |= ((sums << v) | (sums >> (q - v))) & full | 1 << v
+        if sums & 1:
+            return "non_atom"
+    return "atom"
 
 
 @lru_cache(maxsize=1)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from .enumeration import Stratum, StratumSpace, run_sharded
 from .group import Element, GroupCtx, generator_pairs
 from .sequences import (
+    ResourceCapError,
     Sequence,
     cat_all,
     classify,
@@ -349,31 +350,6 @@ def verify_inverse_theorem(
     )
 
 
-@dataclass
-class LargeDavenportReport:
-    group: str
-    value: int
-    witness: str
-
-
-def large_davenport(ctx: GroupCtx, mode: str = "lower_witness") -> LargeDavenportReport:
-    """Maximal atom length evidence: one engine-checked atom of length 2q.
-
-    ``lower_witness`` is the only mode.  The exhaustive statement, that every
-    length-2q atom is extremal, is certified by ``verify_inverse_theorem``.
-    """
-    if mode != "lower_witness":
-        raise ValueError(f"unknown mode {mode!r}")
-    form = extremal_atom(ctx, (1, 0), (0, 1))
-    if not is_atom(ctx, form.sequence).atom:
-        raise AssertionError("extremal witness failed the atom check")
-    return LargeDavenportReport(
-        group=ctx.params.descriptor(),
-        value=2 * ctx.q,
-        witness=form.sequence.format(ctx),
-    )
-
-
 # -- elasticity witnesses ---------------------------------------------------------
 
 
@@ -610,29 +586,22 @@ class UkResult:
     budget_exhausted: bool
 
 
-def uk_bounded(
-    ctx: GroupCtx,
-    k: int,
-    *,
-    pool: list[Sequence] | None = None,
-    max_products: int = 64,
-    state_cap: int = 1 << 20,
-    seed: int = 0,
-) -> UkResult:
+def uk_bounded(ctx: GroupCtx, k: int, *, max_products: int = 64) -> UkResult:
     """Witnessed lengths realizable alongside a factorization into k atoms.
 
     Products of k pool atoms are expanded through the exact length-set DP
     while the budget lasts; mirrored products A . A^(-1) (padded with inverse
     pairs) are tried first since they realize the extreme refactorizations.
+    A product whose lattice exceeds the DP's state cap is skipped and sets
+    ``budget_exhausted``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
-        base = pool[0] if pool else extremal_atom(ctx, (1, 0), (0, 1)).sequence
+        base = extremal_atom(ctx, (1, 0), (0, 1)).sequence
         witness = ElasticityWitness(base, (base,), (base,))
         return UkResult(1, frozenset({1}), {1: witness}, complete=False, budget_exhausted=False)
-    if pool is None:
-        pool = default_atom_pool(ctx)
+    pool = default_atom_pool(ctx)
     pair = Sequence([(ctx.idx((1, 0)), 1), (ctx.inv_table[ctx.idx((1, 0))], 1)])
     products: list[tuple[Sequence, ...]] = []
     for atom in pool:
@@ -654,17 +623,15 @@ def uk_bounded(
             break
         used += 1
         product = cat_all(factors)
-        result = length_set_bounded(ctx, product, max_states=state_cap, seed=seed)
-        if not result.exact and not result.lengths:
+        try:
+            result = length_set_bounded(ctx, product)
+        except ResourceCapError:
             budget_exhausted = True
             continue
         for ell in result.lengths:
             if ell in witnesses:
                 continue
-            long_side = result.factorization(ell)
-            if long_side is None:
-                continue
-            witnesses[ell] = ElasticityWitness(product, tuple(factors), long_side)
+            witnesses[ell] = ElasticityWitness(product, tuple(factors), result.factorization(ell))
             values.add(ell)
     return UkResult(
         k=k,

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 
 from .group import GroupCtx
-from .sequences import AtomVerdict, ProductSet, Sequence, classify, pi_set
+from .sequences import AtomVerdict, ProductSet, Sequence, _Lattice, classify, pi_set
 
 NAIVE_MAX_LEN = 8
 
@@ -412,22 +412,22 @@ def check_product_set_lemmas(ctx: GroupCtx, lemma_id: str, trials: int, seed: in
     return _run_trials(ctx, lemma_id, trials, seed, one_trial)
 
 
+def shortest_product_one(ctx: GroupCtx, seq: Sequence) -> Sequence | None:
+    """A shortest nonempty product-one subsequence of ``seq``, or None if it is product-one free."""
+    lattice = _Lattice(ctx, seq, 1 << 22)
+    best_state, best_len = -1, None
+    for t in range(1, lattice.nstates):
+        if lattice.reach[t] & 1:
+            if best_len is None or lattice.lengths[t] < best_len:
+                best_state, best_len = t, lattice.lengths[t]
+    if best_state < 0:
+        return None
+    return lattice.seq_of(best_state)
+
+
 def check_subsequence_lemmas(ctx: GroupCtx, lemma_id: str, trials: int, seed: int = 0) -> LemmaReport:
     q, p, n = ctx.q, ctx.p, ctx.n
     non_identity = list(range(1, n))
-
-    def shortest_product_one(seq: Sequence) -> Sequence | None:
-        from .sequences import _Lattice
-
-        lattice = _Lattice(ctx, seq, 1 << 22)
-        best_state, best_len = -1, None
-        for t in range(1, lattice.nstates):
-            if lattice.reach[t] & 1:
-                if best_len is None or lattice.lengths[t] < best_len:
-                    best_state, best_len = t, lattice.lengths[t]
-        if best_state < 0:
-            return None
-        return lattice.seq_of(best_state)
 
     if lemma_id == "short-window":
         base_len = q + 2 * p - 3
@@ -435,7 +435,7 @@ def check_subsequence_lemmas(ctx: GroupCtx, lemma_id: str, trials: int, seed: in
         def one_trial(rng: random.Random):
             length = base_len + rng.randrange(0, 3)
             s_seq = _random_multiset(rng, non_identity, length)
-            found = shortest_product_one(s_seq)
+            found = shortest_product_one(ctx, s_seq)
             if found is not None and len(found) <= q and classify(ctx, found).product_one:
                 return None
             return {
@@ -455,7 +455,7 @@ def check_subsequence_lemmas(ctx: GroupCtx, lemma_id: str, trials: int, seed: in
                     break
             else:
                 return "generation-failed"
-            found = shortest_product_one(s_seq)
+            found = shortest_product_one(ctx, s_seq)
             if found is not None and classify(ctx, found).product_one:
                 return None
             return {"sequence": s_seq.format(ctx), "found": None}
@@ -534,17 +534,8 @@ def recheck_counterexample(ctx: GroupCtx | None, lemma: str, record: dict) -> bo
         return len(chained) == record["chain_size"]
     if lemma in ("short-window", "coset-window"):
         # Claimed failure means no qualifying subsequence exists; recompute.
-        from .sequences import _Lattice
-
-        seq = Sequence.parse(ctx, record["sequence"])
-        lattice = _Lattice(ctx, seq, 1 << 22)
-        shortest = None
-        for t in range(1, lattice.nstates):
-            if lattice.reach[t] & 1:
-                length = lattice.lengths[t]
-                if shortest is None or length < shortest:
-                    shortest = length
+        shortest = shortest_product_one(ctx, Sequence.parse(ctx, record["sequence"]))
         if lemma == "coset-window":
             return shortest is None
-        return shortest is None or shortest > record["bound"]
+        return shortest is None or len(shortest) > record["bound"]
     return False

@@ -382,14 +382,9 @@ def is_atom(ctx: GroupCtx, seq: Sequence, *, state_cap: int | None = None) -> At
 
 @dataclass
 class LengthSetResult:
-    """Factorization lengths of a product-one sequence into atoms.
-
-    ``exact`` is true when the full divisor-lattice DP ran; otherwise the
-    lengths are a witnessed lower approximation found by bounded peeling.
-    """
+    """Factorization lengths of a product-one sequence into atoms, each with a witness."""
 
     lengths: frozenset[int]
-    exact: bool
     _witnesses: dict[int, tuple[Sequence, ...]] = field(default_factory=dict, repr=False)
 
     def factorization(self, length: int) -> tuple[Sequence, ...] | None:
@@ -401,22 +396,15 @@ def length_set_bounded(
     seq: Sequence,
     *,
     max_states: int = 1 << 20,
-    peel_tries: int = 200,
-    seed: int = 0,
 ) -> LengthSetResult:
-    """The set of factorization lengths of ``seq`` into atoms.
+    """The exact set of factorization lengths of ``seq`` into atoms.
 
-    Exact when the sub-multiset lattice fits in ``max_states``; otherwise a
-    flagged lower approximation is produced by random peeling (every reported
-    length still carries an explicit factorization).
+    Raises ``ResourceCapError`` when the sub-multiset lattice exceeds
+    ``max_states``; every reported length carries an explicit factorization.
     """
     if seq.is_empty:
         raise ValueError("the empty sequence has no factorization lengths")
-    try:
-        lattice = _Lattice(ctx, seq, max_states)
-    except ResourceCapError:
-        return _length_set_by_peeling(ctx, seq, peel_tries, seed)
-
+    lattice = _Lattice(ctx, seq, max_states)
     reach = lattice.reach
     po_states = [t for t in range(1, lattice.nstates) if reach[t] & 1]
     if lattice.full not in po_states:
@@ -478,7 +466,7 @@ def length_set_bounded(
             t -= a
             val -= 1
         witnesses[ell] = tuple(factors)
-    return LengthSetResult(frozenset(full_lengths), exact=True, _witnesses=witnesses)
+    return LengthSetResult(frozenset(full_lengths), _witnesses=witnesses)
 
 
 def _reachable_states(lattice: _Lattice, atoms: list[int], atom_digits: list[list[int]]) -> set[int]:
@@ -506,54 +494,3 @@ def _reachable_states(lattice: _Lattice, atoms: list[int], atom_digits: list[lis
                 frontier.append(nt)
     return reached
 
-
-def _length_set_by_peeling(ctx: GroupCtx, seq: Sequence, tries: int, seed: int) -> LengthSetResult:
-    """Budget fallback: random product-one orderings cut at returns to the identity."""
-    import hashlib
-    import random
-
-    lengths: set[int] = set()
-    witnesses: dict[int, tuple[Sequence, ...]] = {}
-    terms = list(seq.indices())
-    mul_idx = ctx.mul_idx
-    digest = hashlib.sha256(f"peel:{seed}:{terms}".encode()).digest()
-    rng = random.Random(int.from_bytes(digest[:8], "big"))
-    for _ in range(tries):
-        rng.shuffle(terms)
-        acc = 0
-        blocks: list[list[int]] = []
-        current: list[int] = []
-        for g in terms:
-            acc = mul_idx(acc, g)
-            current.append(g)
-            if acc == 0:
-                blocks.append(current)
-                current = []
-        if current or not blocks:
-            continue
-        factors: list[Sequence] = []
-        ok = True
-        try:
-            for block in blocks:
-                # Split blocks recursively until atomic.
-                stack = [Sequence.from_indices(block)]
-                while stack:
-                    part = stack.pop()
-                    verdict = is_atom(ctx, part, state_cap=1 << 18)
-                    if verdict.atom:
-                        factors.append(part)
-                    elif verdict.witness is not None:
-                        stack.extend(verdict.witness)
-                    else:
-                        ok = False
-                        stack.clear()
-                if not ok:
-                    break
-        except ResourceCapError:
-            ok = False
-        if ok and factors:
-            ell = len(factors)
-            if ell not in lengths:
-                lengths.add(ell)
-                witnesses[ell] = tuple(factors)
-    return LengthSetResult(frozenset(lengths), exact=False, _witnesses=witnesses)

@@ -313,7 +313,7 @@ def _stratum_record(k, total, atoms, filtered_out):
     counters = {
         "visited": total, "filtered_out": filtered_out, "checked": checked,
         "atoms": len(atoms), "non_atoms": checked - len(atoms), "not_product_one": 0,
-        "unverified": 0, "by_method": {},
+        "unverified": 0, "by_method": {"abelian" if k == 0 else "outer_pair": checked},
     }
     return {"k": k, "total": total, "counters": counters, "atoms": list(atoms),
             "unverified": [], "digest": digest_hex(digest)}
@@ -475,6 +475,58 @@ def test_checkpoint_forgeries_are_rejected(ctx372, forge):
     assert not _check_checkpoint(payload).ok
 
 
+def _window_payload(ctx, k):
+    """Ranks [100, 2100) of the length-5 stratum with ``k`` outer terms, as atom_search records it."""
+    stratum = Stratum(length=5, k=k)
+    shard = Shard(index=0, n_shards=1, start_rank=100, end_rank=2_100)
+    result = atom_search(ctx, stratum, shard=shard)
+    return checkpoint_record(
+        ctx, stratum, shard, 0, result.counters, result.digest,
+        [s.format(ctx) for s in result.atoms], [s.format(ctx) for s in result.unverified],
+        result.last_rank, result.complete,
+    )
+
+
+def _filter_five_checked(payload):
+    # by_method keeps summing to checked, so only the recomputed filter count catches it.
+    counters = payload["counters"]
+    counters["filtered_out"] += 5
+    counters["checked"] -= 5
+    counters["non_atoms"] -= 5
+    counters["by_method"]["dp"] -= 5
+
+
+def _shift_by_method(payload):
+    payload["counters"]["by_method"]["dp"] += 1
+
+
+def _negative_counter(payload):
+    counters = payload["counters"]
+    counters["non_atoms"] += counters["not_product_one"] + 1
+    counters["not_product_one"] = -1
+
+
+@pytest.mark.parametrize("k", [3, None], ids=["k3", "kNone"])
+def test_checkpoint_window_baselines_pass(ctx372, k):
+    outcome = _check_checkpoint(_window_payload(ctx372, k))
+    assert outcome.ok, outcome.messages
+
+
+@pytest.mark.parametrize("forge,message", [
+    (_filter_five_checked, "filtered_out"),
+    (_shift_by_method, "by_method"),
+    (_negative_counter, "non-negative"),
+    (lambda pl: pl["counters"].update(atoms=float(pl["counters"]["atoms"])), "non-negative"),
+], ids=["filtered+5", "by-method-sum", "negative", "non-int"])
+@pytest.mark.parametrize("k", [3, None], ids=["k3", "kNone"])
+def test_checkpoint_window_forgeries_are_rejected(ctx372, k, forge, message):
+    payload = _window_payload(ctx372, k)
+    forge(payload)
+    outcome = _check_checkpoint(payload)
+    assert not outcome.ok
+    assert any(message in m for m in outcome.messages), outcome.messages
+
+
 def test_checkpoint_forged_partial_record_is_rejected(ctx372):
     payload = _checkpoint_payload(ctx372, max_candidates=1_234)
     payload["complete"] = True
@@ -544,14 +596,22 @@ def test_cli_davenport_small(capsys):
     assert doc["payload"]["value"] == 8
 
 
-def test_cli_davenport_large_witness(capsys):
-    code, out, _ = run_cli(
-        capsys, "davenport", "--group", "3,7,2", "--which", "large",
-        "--mode", "lower_witness",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["kind"] == "atom" and doc["payload"]["length"] == 14
+def test_cli_davenport_large_witness(capsys, tmp_path):
+    for group, length in (("3,7,2", 14), ("3,13,3", 26)):
+        path = str(tmp_path / f"large-{group}.json")
+        code, out, _ = run_cli(
+            capsys, "davenport", "--group", group, "--which", "large", "--emit-cert", path,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kind"] == "atom" and doc["seed"] is None
+        assert doc["payload"]["length"] == length and doc["payload"]["verdict"]["atom"]
+        # The same certificate as seq check builds for the witness.
+        _, again, _ = run_cli(capsys, "seq", "check", "--group", group,
+                              "--seq", doc["payload"]["sequence"])
+        assert json.loads(again)["digest"] == doc["digest"]
+        code, out, _ = run_cli(capsys, "check-cert", path)
+        assert code == 0 and json.loads(out)["ok"]
 
 
 @pytest.mark.parametrize("mode", ["exhaustive_at_2q", "exhaustive_full"])
@@ -569,7 +629,11 @@ def test_cli_davenport_large_rejects_removed_modes(capsys, mode):
      "--heuristic-tries"),
     (["verify-inverse", "--group", "3,7,2", "--seed", "1"], "--seed"),
     (["davenport", "--group", "3,7,2", "--which", "small", "--seed", "1"], "--seed"),
-], ids=["search-seed", "search-heuristic-tries", "verify-inverse-seed", "davenport-seed"])
+    (["davenport", "--group", "3,7,2", "--which", "large", "--mode", "lower_witness"],
+     "--mode"),
+    (["elasticity", "--group", "3,7,2", "--k", "2", "--seed", "1"], "--seed"),
+], ids=["search-seed", "search-heuristic-tries", "verify-inverse-seed", "davenport-seed",
+        "davenport-mode", "elasticity-seed"])
 def test_cli_rejects_removed_scan_flags(capsys, argv, flag):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
@@ -600,6 +664,18 @@ def test_cli_search_rejects_bad_shard_plan(capsys):
         assert code == 2, plan
         assert out == ""
         assert "--shard" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("limit", [("--checkpoint", "ck.json"), ("--max-candidates", "10")],
+                         ids=["checkpoint", "max-candidates"])
+def test_cli_search_sharded_run_rejects_limits(capsys, tmp_path, monkeypatch, limit):
+    # run_sharded takes neither limit, so without --shard-index it would scan everything.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "search", "--group", "3,7,2", "--length", "5", "--k", "1",
+                             "--shards", "2", *limit)
+    assert code == 2
+    assert out == "" and limit[0] in err and "Traceback" not in err
+    assert not (tmp_path / "ck.json").exists()
 
 
 def test_cli_rejects_bad_worker_count(capsys, monkeypatch):

@@ -577,7 +577,8 @@ def test_block_scan_builds_only_what_it_must(ctx372, monkeypatch):
 
 
 def test_filtered_count_matches_the_filter(ctx372):
-    for k, residue in [(0, 0), (1, 0), (1, 2), (2, 0), (2, 1), (2, None)]:
+    for k, residue in [(0, 0), (1, 0), (1, 2), (2, 0), (2, 1), (2, None),
+                       (3, 0), (3, 1), (4, 0), (None, 0), (None, 2)]:
         space = StratumSpace(ctx372, Stratum(length=5, k=k, tau_residue=residue))
         fails = [not space.passes_filters(c) for _, c in space.iter_range(0, space.total)]
         rng = random.Random(k)

@@ -1,7 +1,9 @@
 import random
+from functools import partial
 
 import pytest
 
+from prodone import invariants
 from prodone.group import make_group
 
 from prodone.invariants import (
@@ -10,14 +12,13 @@ from prodone.invariants import (
     elasticity_calculator,
     extremal_atom,
     extremal_atoms_all,
-    large_davenport,
     max_order_p_multiplicity,
     order_p_subgroups,
     small_davenport,
     uk_bounded,
     verify_elasticity_witness,
 )
-from prodone.sequences import Sequence, classify, is_atom
+from prodone.sequences import Sequence, classify, is_atom, length_set_bounded
 
 N_F_372 = 42    # distinct realized extremal multisets at (3,7,2); regression constant
 N_F_3133 = 156  # same at (3,13,3)
@@ -171,22 +172,6 @@ def test_mutated_extremal_is_rejected(ctx372):
     assert not (verdict.atom and mutated in forms)
 
 
-def test_large_davenport_lower_witness(ctx372, ctx3133):
-    report = large_davenport(ctx372, "lower_witness")
-    assert report.value == 14
-    seq = Sequence.parse(ctx372, report.witness)
-    assert len(seq) == 14 and is_atom(ctx372, seq).atom
-    report13 = large_davenport(ctx3133, "lower_witness")
-    seq13 = Sequence.parse(ctx3133, report13.witness)
-    assert len(seq13) == 26 and is_atom(ctx3133, seq13).atom
-
-
-@pytest.mark.parametrize("mode", ["exhaustive_at_2q", "exhaustive_full", "bogus"])
-def test_large_davenport_has_only_the_witness_mode(ctx372, mode):
-    with pytest.raises(ValueError, match="unknown mode"):
-        large_davenport(ctx372, mode)
-
-
 def test_order_p_subgroups(ctx372):
     subs = order_p_subgroups(ctx372)
     assert len(subs) == 7
@@ -308,3 +293,13 @@ def test_uk_three_reaches_past_even_bound(ctx372):
     assert verify_elasticity_witness(ctx372, witness) == []
     table = elasticity_calculator(14, 1)
     assert max(result.values) <= table.rho_odd_bounds[1]
+
+
+def test_uk_counts_a_capped_product_as_budget_exhausted(ctx372, monkeypatch):
+    # max_products is above the 527 products tried at k=2, so only the state cap exhausts the budget.
+    monkeypatch.setattr(invariants, "length_set_bounded", partial(length_set_bounded, max_states=64))
+    result = uk_bounded(ctx372, 2, max_products=10**6)
+    assert result.budget_exhausted
+    assert sorted(result.values) == [2, 3, 4, 7]
+    for witness in result.witnesses.values():
+        assert verify_elasticity_witness(ctx372, witness) == []

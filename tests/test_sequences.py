@@ -201,13 +201,13 @@ def test_count_in(ctx372):
 
 def test_length_set_single_atom(ctx372):
     result = length_set_bounded(ctx372, Sequence.parse(ctx372, "(0,1),(0,6)"))
-    assert result.lengths == frozenset({1}) and result.exact
+    assert result.lengths == frozenset({1})
 
 
 def test_length_set_two_pairs(ctx372):
     seq = Sequence.parse(ctx372, "(1,0),(2,0),(0,1),(0,6)")
     result = length_set_bounded(ctx372, seq)
-    assert result.lengths == frozenset({2}) and result.exact
+    assert result.lengths == frozenset({2})
     factors = result.factorization(2)
     assert cat_all(factors) == seq
     assert all(is_atom(ctx372, f).atom for f in factors)
@@ -221,7 +221,6 @@ def test_length_set_requires_product_one(ctx372):
 def test_length_set_consistency_bounds(ctx372):
     seq = Sequence.parse(ctx372, "(0,1)^7,(1,0),(2,0),(0,3),(0,4)")
     result = length_set_bounded(ctx372, seq)
-    assert result.exact
     assert max(result.lengths) <= len(seq) // 2  # identity-free atoms have length >= 2
     assert min(result.lengths) >= len(seq) / 14  # no atom longer than 2q
     for ell in result.lengths:
@@ -234,8 +233,11 @@ def test_length_set_budget_fallback(ctx372):
     seq = Sequence.parse(ctx372, FORMA_372).cat(
         Sequence.parse(ctx372, FORMA_372).inverse(ctx372)
     )
-    result = length_set_bounded(ctx372, seq, max_states=64)
-    assert not result.exact
+    # Past max_states the DP fails loudly; with room it is exact and witnessed.
+    with pytest.raises(ResourceCapError):
+        length_set_bounded(ctx372, seq, max_states=64)
+    result = length_set_bounded(ctx372, seq)
+    assert {2, 14} <= result.lengths
     for ell in result.lengths:
         factors = result.factorization(ell)
         assert cat_all(factors) == seq
