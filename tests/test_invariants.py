@@ -172,6 +172,15 @@ def test_mutated_extremal_is_rejected(ctx372):
     assert not (verdict.atom and mutated in forms)
 
 
+def test_large_davenport_lower_witness(ctx372, ctx3133):
+    # The atom of length 2q that davenport --which large emits as its witness.
+    for ctx in (ctx372, ctx3133):
+        witness = extremal_atom(ctx, (1, 0), (0, 1)).sequence
+        seq = Sequence.parse(ctx, witness.format(ctx))
+        assert len(seq) == 2 * ctx.q and is_atom(ctx, seq).atom
+    assert ctx372.q == 7 and ctx3133.q == 13  # lengths 14 and 26
+
+
 def test_order_p_subgroups(ctx372):
     subs = order_p_subgroups(ctx372)
     assert len(subs) == 7
