@@ -2,11 +2,16 @@
 
 Exit codes: 0 = claim verified, 1 = claim falsified / counterexample found,
 2 = usage or resource error.  Diagnostics go to stderr; stdout carries one
-JSON document per invocation.  ``--workers``, else PRODONE_THREADS, sets the
-worker count; it must be a positive integer and is capped at the CPU count.
-``search``, ``verify-inverse``, ``davenport`` and ``elasticity`` take no seed:
-their verdicts, counters and digests are the same on every run and for every
-shard plan.  Only ``lemmas --seed`` seeds randomized trials.
+JSON document per invocation.  ``search`` and ``verify-inverse`` take a
+worker count for their process pool: ``--workers``, else PRODONE_THREADS; it
+must be a positive integer and is capped at the CPU count.  ``search``,
+``verify-inverse``, ``davenport`` and ``elasticity`` take no seed: their
+verdicts, counters and digests are the same on every run and for every shard
+plan.  ``search`` lists every atom of its rank range; its certificate's atom
+list, counters and digest describe the same scan.  Only ``lemmas --seed``
+seeds randomized trials, and ``lemmas --trials`` must be non-negative.
+``elasticity --uk`` factors each product through the one-pass length-set DP
+of ``sequences.length_set_bounded``.
 """
 
 from __future__ import annotations
@@ -88,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--length", type=int, required=True)
     p_search.add_argument("--k", type=int, default=None,
                           help="terms outside the commutator subgroup (omit for all)")
-    p_search.add_argument("--mode", choices=("raw", "up_to_aut"), default="raw")
     p_search.add_argument("--shards", type=int, default=1)
     p_search.add_argument("--shard-index", type=int, default=None)
     p_search.add_argument("--checkpoint", metavar="FILE")
@@ -101,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dav = sub.add_parser("davenport", help="small/large Davenport constant runs")
     _add_group_arg(p_dav)
     p_dav.add_argument("--which", choices=("small", "large"), required=True)
-    p_dav.add_argument("--workers", type=int, default=None)
     p_dav.add_argument("--emit-cert", metavar="FILE")
 
     p_inv = sub.add_parser("verify-inverse", help="match all maximal atoms against the extremal set")
@@ -220,16 +223,14 @@ def _cmd_search(args) -> int:
         space = StratumSpace(ctx, stratum)
         shard = make_shards(space.total, args.shards)[args.shard_index]
         result = atom_search(
-            ctx, stratum, shard=shard, mode=args.mode,
+            ctx, stratum, shard=shard,
             checkpoint_path=args.checkpoint, max_candidates=args.max_candidates,
         )
     elif args.shards > 1:
-        result = run_sharded(
-            ctx, stratum, n_shards=args.shards, workers=workers, mode=args.mode,
-        )
+        result = run_sharded(ctx, stratum, n_shards=args.shards, workers=workers)
     else:
         result = atom_search(
-            ctx, stratum, mode=args.mode,
+            ctx, stratum,
             checkpoint_path=args.checkpoint, max_candidates=args.max_candidates,
         )
     payload = checkpoint_record(
@@ -247,7 +248,6 @@ def _cmd_search(args) -> int:
 
 def _cmd_davenport(args) -> int:
     ctx = make_group(args.group)
-    resolve_workers(args.workers)  # runs no pool, but a bad count still exits 2
     started = time.perf_counter()
     if args.which == "small":
         result = small_davenport(ctx)
@@ -313,6 +313,8 @@ def _cmd_elasticity(args) -> int:
 
 def _cmd_lemmas(args) -> int:
     ctx = make_group(args.group)
+    if args.trials < 0:
+        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     started = time.perf_counter()
     report = run_lemma(ctx, args.lemma, args.trials, args.seed, n=args.n, mode=args.mode)
     cert = make_certificate(

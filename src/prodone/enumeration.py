@@ -96,20 +96,21 @@ settles a whole block at once on two facts:
    position and t-degree residue (``_degree_counts``), walking the unranked
    outer part of x as ``rank_multiset`` does, so it counts the failures of
    any rank range at every k, and no filtered candidate is built.  The
-   block scan lists F (``StratumSpace.outer_parts``, x_count entries, which
-   is at most C(n - q + 1, 2) for k <= 2).  With residue 0 and k = 1 the one
-   outer term has nonzero degree, F is empty, and the whole stratum is
-   counted at once.
+   block scan lists F (``StratumSpace.outer_table``, x_count entries, which
+   is at most C(n - q + 1, 2) for k <= 2, built once per group and outer
+   shape).  With residue 0 and k = 1 the one outer term has nonzero degree,
+   F is empty, and the whole stratum is counted at once.
 6. For k = 2 the target reads the pair and ΣY alone.  By 2, the verdict of
    S = Y.x1.x2 compares the bit 1 << c with the profile of Y, and c depends
    on x1, x2 and ΣY mod q only (``_pair_target``).  When d1 + d2 is
    nonzero mod p the bit is 0, no mask holds it, and the verdict is
    ``not_product_one``, as 1 requires.
    So the block computes the profile of its Y once, takes the target bits of
-   the passing pairs from a table built once per ΣY value, and settles each
-   pair with the same two bit tests as ``classify_candidate``.  Non-atoms
-   and candidates that are not product-one are only counted; an atom is
-   built and confirmed by the engine, in rank order.
+   the passing pairs from the row for its ΣY value (one of q rows kept with
+   F in ``StratumSpace.outer_table``), and settles each pair with the same
+   two bit tests as ``classify_candidate``.  Non-atoms and candidates that
+   are not product-one are only counted; an atom is built and confirmed by
+   the engine, in rank order.
 
 Every other passing candidate of a block (k = 0, and k = 1 with a nonzero or
 no residue) is built and goes through ``classify_candidate``; strata with
@@ -129,7 +130,7 @@ import json
 import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from random import Random
@@ -235,6 +236,10 @@ class Stratum:
         )
 
 
+# (outer parts, ranks of the passing ones, k = 2 target rows); see ``StratumSpace.outer_table``
+_OuterTable = tuple[list[tuple[int, ...]], list[int], list[list[tuple[int, int]]]]
+
+
 class StratumSpace:
     """A stratum resolved against a group: ground sets, size, rank access.
 
@@ -312,16 +317,30 @@ class StratumSpace:
             degree += idx // q
         return degree % self.ctx.p == residue
 
-    @cached_property
-    def outer_parts(self) -> tuple[list[tuple[int, ...]], list[int]]:
-        """(every outer part in rank order, the ranks of those that pass the filter).
+    @property
+    def outer_table(self) -> _OuterTable:
+        """(every outer part in rank order, the ranks of those that pass the filter, target rows).
 
         Terms of <a> have t-degree 0, so with a fixed k the t-degree filter
-        reads the outer part alone (fact 5 of the module docstring).  The
-        table has ``x_count`` entries; the scan builds it for k <= 2 only.
+        reads the outer part alone (fact 5 of the module docstring).  For
+        k = 2, row ΣY of the targets lists (outer rank, ``_pair_target`` bit)
+        for each passing pair in rank order (fact 6); other k have no rows.
+        The table has ``x_count`` entries and depends on the group and the
+        outer ground, size and residue alone, so it is built once per such
+        shape and kept in ``_OUTER_TABLES``; the scan uses it for k <= 2 only.
         """
-        outer = list(combinations_with_replacement(self.x_ground, self.x_size))
-        return outer, [x for x, part in enumerate(outer) if self.passes_filters(part)]
+        key = (self.ctx.params, tuple(self.x_ground), self.x_size, self.stratum.tau_residue)
+        table = _OUTER_TABLES.get(key)
+        if table is None:
+            ctx = self.ctx
+            outer = list(combinations_with_replacement(self.x_ground, self.x_size))
+            passing = [x for x, part in enumerate(outer) if self.passes_filters(part)]
+            targets = [] if self.stratum.k != 2 else [
+                [(x, _pair_target(ctx, *outer[x], total)) for x in passing]
+                for total in range(ctx.q)
+            ]
+            table = _OUTER_TABLES[key] = (outer, passing, targets)
+        return table
 
     def filtered_count(self, lo: int, hi: int) -> int:
         """Ranks in [lo, hi) whose content fails the t-degree filter (fact 5 of the module docstring)."""
@@ -343,6 +362,9 @@ class StratumSpace:
             return y_rank * failing_per_block + x_rank - passing
 
         return failing_below(hi) - failing_below(lo)
+
+
+_OUTER_TABLES: dict[tuple, _OuterTable] = {}
 
 
 @lru_cache(maxsize=16)
@@ -764,7 +786,7 @@ class _Scan:
 
     def blocks(self, lo: int, hi: int) -> None:
         space, counters, ctx = self.space, self.counters, self.space.ctx
-        outer, passing = space.outer_parts
+        outer, passing, targets = space.outer_table
         filtered = space.filtered_count(lo, hi)
         counters.visited += hi - lo
         counters.filtered_out += filtered
@@ -772,9 +794,6 @@ class _Scan:
         if not passing:
             return
         n_pass = len(passing)
-        pair_route = space.stratum.k == 2
-        # ΣY mod q -> (outer rank, target bit) of each passing pair, in rank order
-        targets: dict[int, list[tuple[int, int]]] = {}
         not_product_one = non_atoms = 0
         for _, inner, x_lo, x_hi in space.iter_blocks(lo, hi):
             if x_hi - x_lo == space.x_count:
@@ -783,14 +802,12 @@ class _Scan:
                 i, j = bisect_left(passing, x_lo), bisect_left(passing, x_hi)
             if i == j:
                 continue
-            if not pair_route:
+            if not targets:
                 for x in passing[i:j]:
                     self.classify(inner + outer[x])
                 continue
             total, sums, split = _inner_profile(ctx.q, inner)
-            row = targets.get(total)
-            if row is None:
-                row = targets[total] = [(x, _pair_target(ctx, *outer[x], total)) for x in passing]
+            row = targets[total]
             for x, target in row if j - i == n_pass else row[i:j]:
                 if not sums & target:
                     not_product_one += 1
@@ -810,7 +827,6 @@ def atom_search(
     ctx: GroupCtx,
     stratum: Stratum,
     *,
-    mode: str = "raw",
     shard: Shard | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
     checkpoint_path: str | None = None,
@@ -825,8 +841,6 @@ def atom_search(
     ``max_candidates`` bounds the work of a single call (the result is then
     marked incomplete).
     """
-    if mode not in ("raw", "up_to_aut"):
-        raise ValueError(f"unknown search mode {mode!r}")
     if checkpoint_path and checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be at least 1, got {checkpoint_every}")
     space = StratumSpace(ctx, stratum)
@@ -869,7 +883,7 @@ def atom_search(
             persist(False)
     complete = stop >= hi
     persist(complete)
-    return _apply_mode(ctx, mode, SearchResult(
+    return SearchResult(
         stratum=stratum,
         shard=shard,
         counters=scan.counters,
@@ -878,25 +892,7 @@ def atom_search(
         digest=scan.digest,
         complete=complete,
         last_rank=last_rank,
-    ))
-
-
-# -- canonicalization -----------------------------------------------------------
-
-
-def canonical_form(ctx: GroupCtx, seq: Sequence, auts: list[tuple[int, ...]]) -> Sequence:
-    """Lexicographically least element of the automorphism orbit of ``seq``."""
-    return min(seq.map_indices(table) for table in auts)
-
-
-def _apply_mode(ctx: GroupCtx, mode: str, result: SearchResult) -> SearchResult:
-    """``result`` with its atoms replaced by their sorted Aut-orbit representatives under ``up_to_aut``."""
-    if mode == "up_to_aut" and result.atoms:
-        from .group import automorphisms
-
-        auts = automorphisms(ctx)
-        result.atoms = sorted({canonical_form(ctx, seq, auts) for seq in result.atoms})
-    return result
+    )
 
 
 # -- parallel driver -------------------------------------------------------------
@@ -934,7 +930,6 @@ def run_sharded(
     workers: int | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
     checkpoint_dir: str | None = None,
-    mode: str = "raw",
 ) -> SearchResult:
     """Process a stratum as disjoint shards, merging digests and counters.
 
@@ -942,8 +937,6 @@ def run_sharded(
     rank order, so the merged result equals one ``atom_search`` over the
     whole stratum, whatever the shard plan and worker schedule.
     """
-    if mode not in ("raw", "up_to_aut"):
-        raise ValueError(f"unknown search mode {mode!r}")
     space = StratumSpace(ctx, stratum)
     shards = make_shards(space.total, n_shards)
     workers = resolve_workers(workers)
@@ -977,4 +970,4 @@ def run_sharded(
         merged.atoms.extend(result.atoms)
         merged.unverified.extend(result.unverified)
         merged.complete = merged.complete and result.complete
-    return _apply_mode(ctx, mode, merged)
+    return merged

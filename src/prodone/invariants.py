@@ -480,15 +480,15 @@ def elasticity_calculator(
     d_constant: int,
     k: int,
     *,
-    max_lambda_index: int | None = None,
     rho_odd_known: dict[int, int] | None = None,
 ) -> ElasticityTable:
     """Closed-form elasticities for a group with even maximal atom length D.
 
     rho_{2k} = k*D exactly; rho_{2k+1} is pinned to [k*D+2, k*D+D/2-1].
-    The lambda table maps n = l*D + j to its value (as a (lo, hi) range,
-    collapsed when the bounds determine it or when rho_{2l+1} is supplied):
-    2l for j = 0, 2l+1 for j in [1, rho_{2l+1}-l*D], 2l+2 up to j = D-1.
+    The lambda table maps each n = l*D + j from 1 to 2D to its value (as a
+    (lo, hi) range, collapsed when the bounds determine it or when
+    rho_{2l+1} is supplied): 2l for j = 0, 2l+1 for j in
+    [1, rho_{2l+1}-l*D], 2l+2 up to j = D-1.
     """
     if d_constant % 2 != 0 or d_constant < 4:
         raise ValueError(f"even D >= 4 required, got {d_constant}")
@@ -497,10 +497,9 @@ def elasticity_calculator(
     d = d_constant
     rho_even = k * d
     rho_odd_bounds = (k * d + 2, k * d + d // 2 - 1)
-    max_index = max_lambda_index if max_lambda_index is not None else 2 * d
     rho_odd_known = rho_odd_known or {}
     table: dict[int, tuple[int, int]] = {}
-    for n in range(1, max_index + 1):
+    for n in range(1, 2 * d + 1):
         ell, j = divmod(n, d)
         if j == 0:
             table[n] = (2 * ell, 2 * ell)

@@ -14,7 +14,9 @@ All of these are read off one graded dynamic program over the lattice of
 sub-multisets: reach(T) = union over g in supp(T) of reach(T - g) * g, with
 reach(empty) = {identity}.  States are mixed-radix indices over the
 multiplicity vector, so the table has prod_g (v_g + 1) entries; product sets
-are bitsets packed into Python ints.
+are bitsets packed into Python ints.  ``length_set_bounded`` then makes one
+ascending pass over the product-one states of that table, finding the atom
+states and the length sets together (the proof is in its docstring).
 """
 
 from __future__ import annotations
@@ -305,20 +307,6 @@ class _Lattice:
     def seq_of(self, t: int) -> Sequence:
         return Sequence(zip(self.support, self.digits_of(t)))
 
-    def sub_states(self, t: int) -> Iterator[int]:
-        """All u with u | t componentwise, as linear state indices."""
-        digits = self.digits_of(t)
-        strides = self.strides
-
-        def rec(pos: int, acc: int):
-            if pos == len(digits):
-                yield acc
-                return
-            for d in range(digits[pos] + 1):
-                yield from rec(pos + 1, acc + d * strides[pos])
-
-        yield from rec(0, 0)
-
 
 def _lattice(ctx: GroupCtx, seq: Sequence, state_cap: int | None) -> _Lattice:
     return _Lattice(ctx, seq, DEFAULT_STATE_CAP if state_cap is None else state_cap)
@@ -399,6 +387,24 @@ def length_set_bounded(
 ) -> LengthSetResult:
     """The exact set of factorization lengths of ``seq`` into atoms.
 
+    One ascending pass over the product-one states t of the filled lattice.
+    An atom a found so far that fits digitwise in t, and whose remainder
+    t - a has a length set, gives t the lengths v + 1 for v in that set; the
+    first such a, in ascending order, is the recorded step for each length.
+    When no such a exists, t is an atom with lengths {1}.  Two facts make
+    this exact:
+
+    * Every nonempty product-one state is a sum of atom states: a product-one
+      sequence that is not an atom splits into two shorter product-one parts,
+      and induction on the length factors each of them.  So the states with a
+      length set are exactly the nonempty product-one ones.
+    * A product-one t is a non-atom iff some atom a != t fits in t and leaves
+      a product-one t - a.  If t = u + w with u, w nonempty and product-one,
+      take an atom a of a factorization of u; then t - a = (u - a) + w is
+      product-one (a concatenation of product-one parts).  The converse is
+      the definition.  Mixed-radix order visits a and t - a before t, so both
+      are settled when t is reached.
+
     Raises ``ResourceCapError`` when the sub-multiset lattice exceeds
     ``max_states``; every reported length carries an explicit factorization.
     """
@@ -406,58 +412,31 @@ def length_set_bounded(
         raise ValueError("the empty sequence has no factorization lengths")
     lattice = _Lattice(ctx, seq, max_states)
     reach = lattice.reach
-    po_states = [t for t in range(1, lattice.nstates) if reach[t] & 1]
-    if lattice.full not in po_states:
+    if not reach[lattice.full] & 1:
         raise ValueError("sequence is not product-one")
-    po_set = set(po_states)
-    # Atom states: product-one with no proper nonempty split into two
-    # product-one parts (the complement within t is t - u linearly).
-    atoms: list[int] = []
-    for t in po_states:
-        minimal = True
-        for u in lattice.sub_states(t):
-            if u == 0 or u == t:
-                continue
-            if u in po_set and (t - u) in po_set:
-                minimal = False
-                break
-        if minimal:
-            atoms.append(t)
-    atom_digits = [lattice.digits_of(a) for a in atoms]
-    # Forward DP over the divisor lattice: lengths_at[t] = achievable counts.
-    lengths_at: dict[int, set[int]] = {0: {0}}
+    lengths_at: dict[int, set[int]] = {}
     choice: dict[tuple[int, int], int] = {}
-    width = lattice.width
-    # Process states in increasing linear order; adding an atom always
-    # increases the index, so a simple sorted sweep is enough.
-    all_states = sorted(_reachable_states(lattice, atoms, atom_digits))
-    for t in all_states:
-        if t == 0:
+    atoms: list[tuple[int, list[int]]] = []
+    for t in range(1, lattice.nstates):
+        if not reach[t] & 1:
             continue
-        td = lattice.digits_of(t)
+        digits = lattice.digits_of(t)
         found: set[int] = set()
-        for a, ad in zip(atoms, atom_digits):
-            if a > t:
-                break
-            ok = True
-            for j in range(width):
-                if ad[j] > td[j]:
-                    ok = False
-                    break
-            if not ok:
+        for a, atom_digits in atoms:
+            rest = lengths_at.get(t - a)
+            if rest is None or any(d > e for d, e in zip(atom_digits, digits)):
                 continue
-            prev = lengths_at.get(t - a)
-            if not prev:
-                continue
-            for val in prev:
+            for val in rest:
                 if val + 1 not in found:
                     found.add(val + 1)
                     choice[(t, val + 1)] = a
-        if found:
-            lengths_at[t] = found
-    full_lengths = lengths_at.get(lattice.full, set())
+        if not found:
+            found = {1}
+            choice[(t, 1)] = t
+            atoms.append((t, digits))
+        lengths_at[t] = found
     witnesses: dict[int, tuple[Sequence, ...]] = {}
-    for ell in full_lengths:
+    for ell in lengths_at[lattice.full]:
         factors = []
         t, val = lattice.full, ell
         while val:
@@ -466,31 +445,4 @@ def length_set_bounded(
             t -= a
             val -= 1
         witnesses[ell] = tuple(factors)
-    return LengthSetResult(frozenset(full_lengths), _witnesses=witnesses)
-
-
-def _reachable_states(lattice: _Lattice, atoms: list[int], atom_digits: list[list[int]]) -> set[int]:
-    """States expressible as sums of atom states (digitwise-valid)."""
-    reached = {0}
-    frontier = [0]
-    mults = lattice.mults
-    width = lattice.width
-    digit_cache = {0: [0] * width}
-    while frontier:
-        t = frontier.pop()
-        td = digit_cache[t]
-        for a, ad in zip(atoms, atom_digits):
-            ok = True
-            for j in range(width):
-                if td[j] + ad[j] > mults[j]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nt = t + a
-            if nt not in reached:
-                reached.add(nt)
-                digit_cache[nt] = [td[j] + ad[j] for j in range(width)]
-                frontier.append(nt)
-    return reached
-
+    return LengthSetResult(frozenset(lengths_at[lattice.full]), _witnesses=witnesses)

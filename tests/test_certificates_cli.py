@@ -632,8 +632,11 @@ def test_cli_davenport_large_rejects_removed_modes(capsys, mode):
     (["davenport", "--group", "3,7,2", "--which", "large", "--mode", "lower_witness"],
      "--mode"),
     (["elasticity", "--group", "3,7,2", "--k", "2", "--seed", "1"], "--seed"),
+    (["search", "--group", "3,7,2", "--length", "14", "--k", "2", "--mode", "up_to_aut"],
+     "--mode"),
+    (["davenport", "--group", "3,7,2", "--which", "small", "--workers", "2"], "--workers"),
 ], ids=["search-seed", "search-heuristic-tries", "verify-inverse-seed", "davenport-seed",
-        "davenport-mode", "elasticity-seed"])
+        "davenport-mode", "elasticity-seed", "search-mode", "davenport-workers"])
 def test_cli_rejects_removed_scan_flags(capsys, argv, flag):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
@@ -685,8 +688,7 @@ def test_cli_rejects_bad_worker_count(capsys, monkeypatch):
         assert code == 2, workers
         assert out == "" and "--workers" in err
     monkeypatch.setenv("PRODONE_THREADS", "abc")
-    for argv in (search, ("verify-inverse", "--group", "3,7,2"),
-                 ("davenport", "--group", "3,7,2", "--which", "small")):
+    for argv in (search, ("verify-inverse", "--group", "3,7,2")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "" and "PRODONE_THREADS" in err
@@ -700,6 +702,14 @@ def test_cli_lemmas(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["payload"]["failures"] == 0
+
+
+def test_cli_lemmas_rejects_negative_trials(capsys):
+    code, out, err = run_cli(
+        capsys, "lemmas", "--group", "3,7,2", "--lemma", "cauchy-davenport", "--trials", "-3",
+    )
+    assert code == 2
+    assert out == "" and "--trials" in err
 
 
 def test_cli_elasticity(capsys, tmp_path):

@@ -14,7 +14,6 @@ from prodone.enumeration import (
     Stratum,
     StratumSpace,
     atom_search,
-    canonical_form,
     checkpoint_record,
     classify_candidate,
     digest_add,
@@ -309,8 +308,6 @@ def test_atom_search_constant_runs_at_length_seven(ctx372):
     assert sorted(seq.format(ctx372) for seq in result.atoms) == [
         f"(0,{b})^7" for b in range(1, 7)
     ]
-    reps = atom_search(ctx372, Stratum(length=7, k=0), mode="up_to_aut")
-    assert len(reps.atoms) == 1
 
 
 def test_sharded_run_matches_single_run(ctx372):
@@ -324,9 +321,6 @@ def test_sharded_run_matches_single_run(ctx372):
     two_workers = run_sharded(ctx372, stratum, n_shards=4, workers=2)
     assert two_workers.digest == single.digest
     assert two_workers.atoms == single.atoms
-    reps = run_sharded(ctx372, stratum, n_shards=3, workers=1, mode="up_to_aut")
-    assert reps.atoms == atom_search(ctx372, stratum, mode="up_to_aut").atoms
-    assert 0 < len(reps.atoms) < len(single.atoms)
 
 
 def test_checkpoint_resume_equals_uninterrupted(ctx372, tmp_path):
@@ -487,6 +481,16 @@ def test_block_scan_matches_reference_with_identity(ctx372):
         assert _block_record(ctx372, stratum) == _reference_run(ctx372, stratum)[-1]
 
 
+def test_block_scan_keeps_one_outer_table_per_group(ctx372):
+    # 3,7,4 has the p and q of 3,7,2 but another s, so its k=2 targets differ
+    # from those of the 3,7,2 outer table, which is built first.
+    ctx374 = make_group("3,7,4")
+    for length in (5, 7):
+        stratum = Stratum(length=length, k=2)
+        atom_search(ctx372, stratum)
+        assert _block_record(ctx374, stratum) == _reference_run(ctx374, stratum)[-1]
+
+
 @pytest.mark.parametrize("descriptor,seed", [("5,11,3", 21), ("3,13,3", 31)])
 def test_block_scan_matches_reference_on_windows(descriptor, seed):
     ctx = make_group(descriptor)
@@ -558,7 +562,9 @@ def test_sharded_k2_stratum_matches_single_run(ctx372):
 
 
 def test_block_scan_builds_only_what_it_must(ctx372, monkeypatch):
-    # The filter runs once per outer part, and k=2 pairs never reach classify_candidate.
+    # The filter runs once per outer part of a shape, and k=2 pairs never reach
+    # classify_candidate.
+    monkeypatch.setattr(enumeration, "_OUTER_TABLES", {})
     tested = []
     passes = StratumSpace.passes_filters
     monkeypatch.setattr(StratumSpace, "passes_filters",
@@ -574,6 +580,9 @@ def test_block_scan_builds_only_what_it_must(ctx372, monkeypatch):
     tested.clear()
     k2 = atom_search(ctx372, Stratum(length=14, k=2), shard=Shard(0, 1, 0, 20_000))
     assert len(tested) == 105 and k2.counters.checked > 0
+    tested.clear()
+    again = atom_search(ctx372, Stratum(length=14, k=2), shard=Shard(0, 1, 20_000, 40_000))
+    assert tested == [] and again.counters.checked > 0
 
 
 def test_filtered_count_matches_the_filter(ctx372):
@@ -597,18 +606,7 @@ def test_digest_is_order_independent():
     assert len(digest_hex(ab)) == 64
 
 
-# -- canonicalization -----------------------------------------------------------
-
-
-def test_canonical_form_orbit_constancy(ctx372):
-    auts = automorphisms(ctx372)
-    rng = random.Random(2)
-    for _ in range(25):
-        seq = Sequence.from_indices(rng.choices(range(1, 21), k=5))
-        canon = canonical_form(ctx372, seq, auts)
-        assert canonical_form(ctx372, canon, auts) == canon
-        for table in rng.sample(auts, 5):
-            assert canonical_form(ctx372, seq.map_indices(table), auts) == canon
+# -- automorphism orbits -----------------------------------------------------------
 
 
 def test_extremal_orbit_size_divides_aut_order(ctx372):

@@ -1,12 +1,18 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodone.group import make_group
 from prodone.oracles import naive_is_atom, naive_pi_set
 from prodone.sequences import (
+    LengthSetResult,
     ProductSet,
     ResourceCapError,
     Sequence,
+    _Lattice,
     cat_all,
     classify,
     is_atom,
@@ -173,8 +179,6 @@ def test_complement_of_product_one_part_stays_in_commutator(ctx372, seq, data):
     # For product-one S and product-one T | S: pi(S . T^-1) lies in <a>.
     if not classify(ctx372, seq).product_one:
         return
-    from prodone.sequences import _Lattice
-
     lattice = _Lattice(ctx372, seq, 1 << 16)
     po_states = [
         t for t in range(1, lattice.nstates - 1) if lattice.reach[t] & 1
@@ -242,3 +246,100 @@ def test_length_set_budget_fallback(ctx372):
         factors = result.factorization(ell)
         assert cat_all(factors) == seq
         assert all(is_atom(ctx372, f).atom for f in factors)
+
+
+def _reference_length_set(ctx, seq, max_states=1 << 20):
+    """The former three-pass length-set DP, kept as the reference.
+
+    It finds the atom states by testing every sub-state split, collects the
+    states that are sums of atom states by a search from 0, then runs the
+    forward DP over those states in ascending order.
+    """
+    lattice = _Lattice(ctx, seq, max_states)
+    reach, width = lattice.reach, lattice.width
+    po_states = [t for t in range(1, lattice.nstates) if reach[t] & 1]
+    if lattice.full not in po_states:
+        raise ValueError("sequence is not product-one")
+    po_set = set(po_states)
+
+    def sub_states(t):
+        ranges = [range(d + 1) for d in lattice.digits_of(t)]
+        for digits in itertools.product(*ranges):
+            yield sum(d * stride for d, stride in zip(digits, lattice.strides))
+
+    atoms = [
+        t for t in po_states
+        if not any(u not in (0, t) and u in po_set and t - u in po_set for u in sub_states(t))
+    ]
+    atom_digits = [lattice.digits_of(a) for a in atoms]
+    reached, frontier = {0}, [0]
+    while frontier:
+        t = frontier.pop()
+        td = lattice.digits_of(t)
+        for a, ad in zip(atoms, atom_digits):
+            if all(td[j] + ad[j] <= lattice.mults[j] for j in range(width)) and t + a not in reached:
+                reached.add(t + a)
+                frontier.append(t + a)
+    lengths_at = {0: {0}}
+    choice = {}
+    for t in sorted(reached - {0}):
+        td = lattice.digits_of(t)
+        found = set()
+        for a, ad in zip(atoms, atom_digits):
+            if a > t:
+                break
+            if any(ad[j] > td[j] for j in range(width)):
+                continue
+            for val in lengths_at.get(t - a, ()):
+                if val + 1 not in found:
+                    found.add(val + 1)
+                    choice[(t, val + 1)] = a
+        if found:
+            lengths_at[t] = found
+    witnesses = {}
+    for ell in lengths_at.get(lattice.full, set()):
+        factors, t, val = [], lattice.full, ell
+        while val:
+            a = choice[(t, val)]
+            factors.append(lattice.seq_of(a))
+            t, val = t - a, val - 1
+        witnesses[ell] = tuple(factors)
+    return LengthSetResult(frozenset(witnesses), _witnesses=witnesses)
+
+
+def _seeded_product_one(ctx, rng, length):
+    """A product-one sequence: random terms closed by the inverse of their ordered product.
+
+    Half of the draws take their terms from a pool of two to four elements,
+    so that terms repeat.
+    """
+    ground = range(ctx.n) if rng.random() < 0.5 else rng.sample(range(ctx.n), rng.randint(2, 4))
+    terms = [rng.choice(ground) for _ in range(length - 1)]
+    acc = 0
+    for idx in terms:
+        acc = ctx.mul_idx(acc, idx)
+    return Sequence.from_indices(terms + [ctx.inv_table[acc]])
+
+
+@pytest.mark.parametrize("descriptor", ["3,7,2", "5,11,3", "3,13,3"])
+def test_length_set_matches_three_pass_reference(descriptor):
+    ctx = make_group(descriptor)
+    rng = random.Random(descriptor)
+    cases = [_seeded_product_one(ctx, rng, rng.randint(2, 10)) for _ in range(40)]
+    # S . S^-1 factors in several ways, which gives length sets with more than one length.
+    for _ in range(10):
+        half = _seeded_product_one(ctx, rng, rng.randint(2, 5))
+        cases.append(half.cat(half.inverse(ctx)))
+    atoms = repeated = several = 0
+    for seq in cases:
+        result = length_set_bounded(ctx, seq)
+        expected = _reference_length_set(ctx, seq)
+        assert result.lengths == expected.lengths, seq.format(ctx)
+        for ell in expected.lengths:
+            assert result.factorization(ell) == expected.factorization(ell), (seq.format(ctx), ell)
+        if is_atom(ctx, seq).atom:
+            atoms += 1
+            assert result.lengths == frozenset({1})
+        repeated += any(m > 1 for _, m in seq.entries)
+        several += len(result.lengths) > 1
+    assert atoms and repeated and several
