@@ -172,6 +172,16 @@ def _check_range(space, lo: int, last_rank: int, record: dict, where: str, fail)
     filtered = space.filtered_count(lo, last_rank + 1)
     if counters["filtered_out"] != filtered:
         fail(f"{where}filtered_out {counters['filtered_out']} != recomputed {filtered}")
+    if stratum.k == 0 and stratum.length > ctx.q:
+        # No atoms, and the verdicts are sum counts (enumeration fact 9).  A
+        # k = 0 content passes the filter iff the empty outer part does, so
+        # either every rank is checked or none is.
+        checked = last_rank - lo + 1 - filtered
+        product_one = space.zero_sum_count(lo, last_rank + 1) if checked else 0
+        claimed = (counters["atoms"], counters["non_atoms"], counters["not_product_one"])
+        if claimed != (0, product_one, checked - product_one):
+            fail(f"{where}atoms, non_atoms, not_product_one {claimed} != recomputed "
+                 f"{(0, product_one, checked - product_one)}")
     for text in record["atoms"] + record["unverified"]:
         seq = Sequence.parse(ctx, text)
         outside = sum(idx >= ctx.q for idx in seq.indices())

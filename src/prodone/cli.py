@@ -4,7 +4,9 @@ Exit codes: 0 = claim verified, 1 = claim falsified / counterexample found,
 2 = usage or resource error.  Diagnostics go to stderr; stdout carries one
 JSON document per invocation.  ``search`` and ``verify-inverse`` take a
 worker count for their process pool: ``--workers``, else PRODONE_THREADS; it
-must be a positive integer and is capped at the CPU count.  ``search``,
+must be a positive integer and is capped at the CPU count.  ``search`` runs
+a pool only with ``--shards`` above 1 and no ``--shard-index``, and rejects
+an explicit ``--workers`` above 1 otherwise.  ``search``,
 ``verify-inverse``, ``davenport`` and ``elasticity`` take no seed: their
 verdicts, counters and digests are the same on every run and for every shard
 plan.  ``search`` lists every atom of its rank range; its certificate's atom
@@ -217,6 +219,8 @@ def _cmd_search(args) -> int:
                             ("--max-candidates", args.max_candidates)):
             if value is not None:
                 raise ValueError(f"{flag} needs --shard-index when --shards is above 1")
+    elif args.workers is not None and args.workers > 1:
+        raise ValueError("--workers above 1 needs --shards above 1 and no --shard-index")
     workers = resolve_workers(args.workers)
     started = time.perf_counter()
     if args.shard_index is not None:

@@ -94,11 +94,11 @@ settles a whole block at once on two facts:
    filter number y.f + x - #{F < x}.  ``filtered_count`` reads |F| and
    #{F < x} off a table of the outer parts counted by length, first ground
    position and t-degree residue (``_degree_counts``), walking the unranked
-   outer part of x as ``rank_multiset`` does, so it counts the failures of
-   any rank range at every k, and no filtered candidate is built.  The
-   block scan lists F (``StratumSpace.outer_table``, x_count entries, which
-   is at most C(n - q + 1, 2) for k <= 2, built once per group and outer
-   shape).  With residue 0 and k = 1 the one outer term has nonzero degree,
+   outer part of x as ``rank_multiset`` does (``_count_below``), so it
+   counts the failures of any rank range at every k, and no filtered
+   candidate is built.  The block scan lists F
+   (``StratumSpace.outer_table``, x_count entries, which is at most
+   C(n - q + 1, 2) for k <= 2, built once per group and outer shape).  With residue 0 and k = 1 the one outer term has nonzero degree,
    F is empty, and the whole stratum is counted at once.
 6. For k = 2 the target reads the pair and ΣY alone.  By 2, the verdict of
    S = Y.x1.x2 compares the bit 1 << c with the profile of Y, and c depends
@@ -112,15 +112,45 @@ settles a whole block at once on two facts:
    are not product-one are only counted; an atom is built and confirmed by
    the engine, in rank order.
 
-Every other passing candidate of a block (k = 0, and k = 1 with a nonzero or
-no residue) is built and goes through ``classify_candidate``; strata with
-k >= 3 or k = None keep the loop that builds, filters and classifies one
-candidate at a time.  Counters are sums over ranks and the atom and
-unverified lists grow in rank order, so the state after a range does not
-depend on how the range was cut into blocks; ``atom_search`` cuts its slices
-where ``max_candidates`` stops and where ``checkpoint_every`` writes a
-checkpoint, and so writes the same records at the same ranks as a loop over
-single candidates.
+Three cuts settle whole blocks by arithmetic, with no per-candidate work:
+
+7. Cut A, a full split mask.  If R is all of Z_q, then so is P (R lies in
+   P), and a pair's verdict reads whether its target bit is 0: a nonzero
+   bit lies in R, so the pair is a non-atom, and a zero bit lies in no mask,
+   so it is ``not_product_one``.  The bit is 0 exactly when d1 + d2 is
+   nonzero mod p (fact 6), which the pair's degrees alone decide, so
+   ``StratumSpace.outer_table`` keeps the prefix counts of passing pairs
+   with a zero target, and the block needs one subtraction.
+8. Cut B, a pair y, -y in Y.  Let Y hold terms y and -y with y nonzero,
+   and m further nonzero terms with m >= q - 1.  Then R is all of Z_q: take
+   Z = {y, -y}, so ΣZ = 0, and B among the m other nonzero terms.  Their
+   subset sums are the sumset {0, y_1} + ... + {0, y_m}, of size at least
+   min(q, m + 1) = q by the Cauchy-Davenport theorem (|A + B| >= min(q,
+   |A| + |B| - 1) in Z_q, q prime).  The test reads Y's distinct terms, so a
+   block that passes it skips ``_inner_profile`` and goes to cut A.  The
+   count gate matters: at short lengths, or with identity terms in Y, the
+   pair alone does not make R full.
+9. Cut D, k = 0 and length above q.  A product-one S over the cyclic <a>
+   with more than q terms is never an atom: S without its first term has
+   at least q terms y_1 .. y_m, and two of the m + 1 prefix sums y_1 + ... +
+   y_i (i = 0 .. m) agree mod q by pigeonhole, so a nonempty block of them
+   sums to 0.  It misses the first term, and its complement sums to 0 as
+   well, so S splits into two product-one parts.  So the verdicts of a
+   rank range are counts of multisets by their sum mod q: those with sum 0
+   are non-atoms and the others are not product-one.
+   ``StratumSpace.zero_sum_count`` reads them off the same table and rank
+   walk as ``filtered_count`` (``_count_below``, with exponents for
+   degrees), and the scan credits them to ``abelian``.
+
+Every other passing candidate of a block (k = 0 up to length q, and k = 1
+with a nonzero or no residue) is built and goes through
+``classify_candidate``; strata with k >= 3 or k = None keep the loop that
+builds, filters and classifies one candidate at a time.  Counters are sums
+over ranks and the atom and unverified lists grow in rank order, so the
+state after a range does not depend on how the range was cut into blocks;
+``atom_search`` cuts its slices where ``max_candidates`` stops and where
+``checkpoint_every`` writes a checkpoint, and so writes the same records at
+the same ranks as a loop over single candidates.
 """
 
 from __future__ import annotations
@@ -131,7 +161,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb
 from random import Random
 from typing import Iterator
@@ -236,8 +266,9 @@ class Stratum:
         )
 
 
-# (outer parts, ranks of the passing ones, k = 2 target rows); see ``StratumSpace.outer_table``
-_OuterTable = tuple[list[tuple[int, ...]], list[int], list[list[tuple[int, int]]]]
+# (outer parts, ranks of the passing ones, k = 2 target rows, k = 2 zero-target prefix counts);
+# see ``StratumSpace.outer_table``
+_OuterTable = tuple[list[tuple[int, ...]], list[int], list[list[tuple[int, int]]], list[int]]
 
 
 class StratumSpace:
@@ -319,12 +350,14 @@ class StratumSpace:
 
     @property
     def outer_table(self) -> _OuterTable:
-        """(every outer part in rank order, the ranks of those that pass the filter, target rows).
+        """(every outer part in rank order, the ranks of those that pass the filter, target rows, zeros).
 
         Terms of <a> have t-degree 0, so with a fixed k the t-degree filter
         reads the outer part alone (fact 5 of the module docstring).  For
         k = 2, row ΣY of the targets lists (outer rank, ``_pair_target`` bit)
-        for each passing pair in rank order (fact 6); other k have no rows.
+        for each passing pair in rank order (fact 6), and zeros[i] counts the
+        pairs among the first i passing ones whose target is 0 in every row
+        (fact 7); other k have no rows and no zeros.
         The table has ``x_count`` entries and depends on the group and the
         outer ground, size and residue alone, so it is built once per such
         shape and kept in ``_OUTER_TABLES``; the scan uses it for k <= 2 only.
@@ -339,7 +372,8 @@ class StratumSpace:
                 [(x, _pair_target(ctx, *outer[x], total)) for x in passing]
                 for total in range(ctx.q)
             ]
-            table = _OUTER_TABLES[key] = (outer, passing, targets)
+            zeros = list(accumulate((not t for _, t in targets[0]), initial=0)) if targets else []
+            table = _OUTER_TABLES[key] = (outer, passing, targets, zeros)
         return table
 
     def filtered_count(self, lo: int, hi: int) -> int:
@@ -347,21 +381,22 @@ class StratumSpace:
         residue = self.stratum.tau_residue
         if residue is None:
             return 0
-        p, q, size = self.ctx.p, self.ctx.q, self.x_size
+        p, q, x_count = self.ctx.p, self.ctx.q, self.x_count
         degrees = tuple(idx // q for idx in self.x_ground)
-        counts = _degree_counts(degrees, size, p)
-        failing_per_block = self.x_count - counts[size][0][residue]
+        failing_per_block = x_count - _count_below(degrees, self.x_size, p, residue, x_count)
 
         def failing_below(rank: int) -> int:
-            y_rank, x_rank = divmod(rank, self.x_count)
-            passing, need, first = 0, residue, 0
-            for i, v in enumerate(unrank_multiset(x_rank, len(degrees), size)):
-                # outer parts that agree before position i and hold a smaller term there
-                passing += counts[size - i][first][need] - counts[size - i][v][need]
-                need, first = (need - degrees[v]) % p, v
+            y_rank, x_rank = divmod(rank, x_count)
+            passing = _count_below(degrees, self.x_size, p, residue, x_rank)
             return y_rank * failing_per_block + x_rank - passing
 
         return failing_below(hi) - failing_below(lo)
+
+    def zero_sum_count(self, lo: int, hi: int) -> int:
+        """Ranks in [lo, hi) of a k = 0 stratum whose terms sum to 0 mod q (fact 9 of the module docstring)."""
+        values, size = tuple(self.y_ground), self.y_size
+        return (_count_below(values, size, self.ctx.q, 0, hi)
+                - _count_below(values, size, self.ctx.q, 0, lo))
 
 
 _OUTER_TABLES: dict[tuple, _OuterTable] = {}
@@ -385,6 +420,24 @@ def _degree_counts(degrees: tuple[int, ...], size: int, p: int) -> list[list[lis
             row[i] = [below[d] + here[(d - deg) % p] for d in range(p)]
         counts.append(row)
     return counts
+
+
+def _count_below(values: tuple[int, ...], size: int, modulus: int, residue: int, rank: int) -> int:
+    """Nondecreasing size-tuples over the positions of ``values`` with rank below ``rank`` and sum ``residue``.
+
+    The sum is of ``values`` at the tuple's positions, mod ``modulus``.  The
+    walk over the unranked tuple of ``rank`` (``rank`` may be the count of
+    all tuples) adds, at each position i, the tuples that agree before i and
+    hold a smaller term there, read off ``_degree_counts``.
+    """
+    counts = _degree_counts(values, size, modulus)
+    if rank == multiset_count(len(values), size):
+        return counts[size][0][residue]
+    below, need, first = 0, residue, 0
+    for i, v in enumerate(unrank_multiset(rank, len(values), size)):
+        below += counts[size - i][first][need] - counts[size - i][v][need]
+        need, first = (need - values[v]) % modulus, v
+    return below
 
 
 # -- shards ----------------------------------------------------------------
@@ -530,6 +583,12 @@ def _inner_profile(q: int, inner: tuple[int, ...]) -> tuple[int, int, int]:
         split[v] |= sums  # this copy opens Z
         sums |= ((sums << v) | (sums >> (q - v))) & full
     return sum(inner) % q, sums, split[0]
+
+
+def _has_zero_pair(q: int, inner: tuple[int, ...]) -> bool:
+    """Cut B (fact 8 of the module docstring): Y holds some y, -y and q - 1 further nonzero terms."""
+    present = set(inner)
+    return len(inner) - inner.count(0) > q and not present.isdisjoint([q - y for y in present])
 
 
 def _pair_target(ctx: GroupCtx, x1: int, x2: int, total: int) -> int:
@@ -786,14 +845,21 @@ class _Scan:
 
     def blocks(self, lo: int, hi: int) -> None:
         space, counters, ctx = self.space, self.counters, self.space.ctx
-        outer, passing, targets = space.outer_table
+        q = ctx.q
+        outer, passing, targets, zeros = space.outer_table
         filtered = space.filtered_count(lo, hi)
         counters.visited += hi - lo
         counters.filtered_out += filtered
         counters.checked += hi - lo - filtered
         if not passing:
             return
-        n_pass = len(passing)
+        if space.stratum.k == 0 and space.stratum.length > q:  # cut D, fact 9; () passes, so all do
+            product_one = space.zero_sum_count(lo, hi)
+            counters.non_atoms += product_one
+            counters.not_product_one += hi - lo - product_one
+            counters.note_method("abelian", hi - lo)
+            return
+        n_pass, full = len(passing), (1 << q) - 1
         not_product_one = non_atoms = 0
         for _, inner, x_lo, x_hi in space.iter_blocks(lo, hi):
             if x_hi - x_lo == space.x_count:
@@ -806,7 +872,15 @@ class _Scan:
                 for x in passing[i:j]:
                     self.classify(inner + outer[x])
                 continue
-            total, sums, split = _inner_profile(ctx.q, inner)
+            if _has_zero_pair(q, inner):
+                split = full  # cut B, fact 8
+            else:
+                total, sums, split = _inner_profile(q, inner)
+            if split == full:  # cut A, fact 7
+                zero = zeros[j] - zeros[i]
+                not_product_one += zero
+                non_atoms += j - i - zero
+                continue
             row = targets[total]
             for x, target in row if j - i == n_pass else row[i:j]:
                 if not sums & target:

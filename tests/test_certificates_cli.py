@@ -305,14 +305,15 @@ def test_checkpoint_certificate(ctx372):
     assert check_certificate(cert).ok
 
 
-def _stratum_record(k, total, atoms, filtered_out):
+def _stratum_record(k, total, atoms, filtered_out, not_product_one=0):
     digest = digest_empty()
     for text in atoms:
         digest = digest_add(digest, text)
     checked = total - filtered_out
     counters = {
         "visited": total, "filtered_out": filtered_out, "checked": checked,
-        "atoms": len(atoms), "non_atoms": checked - len(atoms), "not_product_one": 0,
+        "atoms": len(atoms), "non_atoms": checked - len(atoms) - not_product_one,
+        "not_product_one": not_product_one,
         "unverified": 0, "by_method": {"abelian" if k == 0 else "outer_pair": checked},
     }
     return {"k": k, "total": total, "counters": counters, "atoms": list(atoms),
@@ -326,7 +327,8 @@ def _inverse_payload(ctx):
     spaces = {k: StratumSpace(ctx, Stratum(length=length, k=k)) for k in (0, 1, 2)}
     strata = [
         _stratum_record(k, space.total, forms if k == 2 else [],
-                        space.filtered_count(0, space.total))
+                        space.filtered_count(0, space.total),
+                        space.total - space.zero_sum_count(0, space.total) if k == 0 else 0)
         for k, space in spaces.items()
     ]
     return {
@@ -405,9 +407,9 @@ def test_inverse_report_forged_filter_count_is_rejected(ctx372):
         assert any("filtered_out" in m for m in outcome.messages)
 
 
-def _checkpoint_payload(ctx, max_candidates=None):
-    """A scan of ranks [1000, 4000) of the k=2 stratum at length 2q, as atom_search records it."""
-    stratum = Stratum(length=2 * ctx.q, k=2)
+def _checkpoint_payload(ctx, max_candidates=None, k=2):
+    """A scan of ranks [1000, 4000) of the stratum with ``k`` outer terms at length 2q, as atom_search records it."""
+    stratum = Stratum(length=2 * ctx.q, k=k)
     shard = Shard(index=1, n_shards=3, start_rank=1_000, end_rank=4_000)
     result = atom_search(ctx, stratum, shard=shard, max_candidates=max_candidates)
     return checkpoint_record(
@@ -427,6 +429,8 @@ def test_checkpoint_checker_accepts_genuine_records(ctx372):
     partial = _check_checkpoint(_checkpoint_payload(ctx372, max_candidates=1_234))
     assert partial.ok, partial.messages
     assert any("partial" in c for c in partial.caveats)
+    k0 = _check_checkpoint(_checkpoint_payload(ctx372, k=0))
+    assert k0.ok, k0.messages
 
 
 def _raise_visits(payload, delta):
@@ -473,6 +477,36 @@ def test_checkpoint_forgeries_are_rejected(ctx372, forge):
     payload = _checkpoint_payload(ctx372)
     forge(payload)
     assert not _check_checkpoint(payload).ok
+
+
+def _move_k0_verdict(record):
+    record["counters"]["non_atoms"] -= 1
+    record["counters"]["not_product_one"] += 1
+
+
+def _list_k0_atom(record):
+    # A product-one k=0 content, listed with its counter, digest and accounting consistent.
+    text = "(0,1)^7,(0,6)^7"
+    record["atoms"].append(text)
+    record["counters"]["atoms"] += 1
+    record["counters"]["non_atoms"] -= 1
+    record["digest"] = digest_hex(digest_add(int(record["digest"], 16), text))
+
+
+@pytest.mark.parametrize("forge", [_move_k0_verdict, _list_k0_atom], ids=["moved", "atom"])
+@pytest.mark.parametrize("kind", ["inverse_report", "checkpoint"])
+def test_k0_verdict_forgeries_are_rejected(ctx372, kind, forge):
+    # At length 14 > q every k=0 verdict is a sum count, which the checker recomputes.
+    if kind == "checkpoint":
+        payload = _checkpoint_payload(ctx372, k=0)
+        forge(payload)
+        outcome = _check_checkpoint(payload)
+    else:
+        payload = _inverse_payload(ctx372)
+        forge(payload["strata"][0])
+        outcome = _check_inverse(payload)
+    assert not outcome.ok
+    assert any("non_atoms, not_product_one" in m for m in outcome.messages), outcome.messages
 
 
 def _window_payload(ctx, k):
@@ -679,6 +713,18 @@ def test_cli_search_sharded_run_rejects_limits(capsys, tmp_path, monkeypatch, li
     assert code == 2
     assert out == "" and limit[0] in err and "Traceback" not in err
     assert not (tmp_path / "ck.json").exists()
+
+
+@pytest.mark.parametrize("plan", [(), ("--shards", "1"), ("--shards", "2", "--shard-index", "0")],
+                         ids=["no-shards", "one-shard", "shard-index"])
+def test_cli_search_rejects_workers_without_a_pool(capsys, plan):
+    # Only run_sharded runs a pool; elsewhere --workers 2 would change nothing.
+    search = ("search", "--group", "3,7,2", "--length", "6", "--k", "3", *plan)
+    code, out, err = run_cli(capsys, *search, "--workers", "2")
+    assert code == 2
+    assert out == "" and "--workers" in err
+    code, _, _ = run_cli(capsys, *search, "--workers", "1")
+    assert code == 0
 
 
 def test_cli_rejects_bad_worker_count(capsys, monkeypatch):

@@ -562,8 +562,8 @@ def test_sharded_k2_stratum_matches_single_run(ctx372):
 
 
 def test_block_scan_builds_only_what_it_must(ctx372, monkeypatch):
-    # The filter runs once per outer part of a shape, and k=2 pairs never reach
-    # classify_candidate.
+    # The filter runs once per outer part of a shape, and neither k=2 pairs nor
+    # k=0 contents longer than q reach classify_candidate.
     monkeypatch.setattr(enumeration, "_OUTER_TABLES", {})
     tested = []
     passes = StratumSpace.passes_filters
@@ -583,6 +583,66 @@ def test_block_scan_builds_only_what_it_must(ctx372, monkeypatch):
     tested.clear()
     again = atom_search(ctx372, Stratum(length=14, k=2), shard=Shard(0, 1, 20_000, 40_000))
     assert tested == [] and again.counters.checked > 0
+    k0 = atom_search(ctx372, Stratum(length=14, k=0))
+    assert k0.counters.to_dict() == {
+        "visited": 11_628, "filtered_out": 0, "checked": 11_628, "atoms": 0,
+        "non_atoms": 1_662, "not_product_one": 9_966, "unverified": 0,
+        "by_method": {"abelian": 11_628}}
+
+
+def test_zero_sum_count_matches_brute_force(ctx372):
+    for length in (8, 14):
+        for exclude_identity in (True, False):
+            stratum = Stratum(length=length, k=0, exclude_identity=exclude_identity)
+            space = StratumSpace(ctx372, stratum)
+            zero = [sum(c) % ctx372.q == 0 for _, c in space.iter_range(0, space.total)]
+            rng = random.Random(length)
+            ranges = [(0, space.total), (space.total, space.total)] + [
+                sorted(rng.randrange(space.total + 1) for _ in range(2)) for _ in range(30)]
+            for lo, hi in ranges:
+                assert space.zero_sum_count(lo, hi) == sum(zero[lo:hi]), (stratum, lo, hi)
+
+
+def _assert_zero_pair_means_full_split(q, parts):
+    full = (1 << q) - 1
+    fired = 0
+    for inner in parts:
+        if enumeration._has_zero_pair(q, inner):
+            fired += 1
+            assert enumeration._inner_profile(q, inner)[2] == full, inner
+    return fired
+
+
+def test_zero_pair_cut_means_full_split_mask(ctx372):
+    # Every <a>-part of the length-14 k=2 stratum at 3,7,2: cut B settles 5,610
+    # blocks, cut A another 572, and 6 reach the pair loop.
+    space = StratumSpace(ctx372, Stratum(length=14, k=2))
+    parts = [inner for _, inner, _, _ in space.iter_blocks(0, space.total)]
+    assert len(parts) == 6_188
+    assert _assert_zero_pair_means_full_split(7, parts) == 5_610
+    full = [enumeration._inner_profile(7, inner)[2] == 127 for inner in parts]
+    assert sum(full) == 5_610 + 572
+    # Shorter <a>-parts, with and without the identity: below the count gate a
+    # pair y, -y does not make R full, e.g. Y = 1, 2, 6 has R = {0, 2}.
+    assert not enumeration._has_zero_pair(7, (1, 2, 6))
+    assert enumeration._inner_profile(7, (1, 2, 6))[2] == 0b101
+    for size in range(2, 12):
+        for start in (0, 1):
+            parts = itertools.combinations_with_replacement(range(start, 7), size)
+            _assert_zero_pair_means_full_split(7, parts)
+
+
+@pytest.mark.parametrize("descriptor,seed", [("5,11,3", 5), ("3,13,3", 13)])
+def test_zero_pair_cut_means_full_split_mask_on_samples(descriptor, seed):
+    ctx = make_group(descriptor)
+    q = ctx.q
+    rng = random.Random(seed)
+    parts = []
+    for _ in range(400):
+        size = rng.choice([2 * q - 2, rng.randrange(2, 2 * q)])
+        low = rng.randrange(2)  # 0 lets the identity in
+        parts.append(tuple(sorted(rng.randrange(low, q) for _ in range(size))))
+    assert _assert_zero_pair_means_full_split(q, parts) > 100
 
 
 def test_filtered_count_matches_the_filter(ctx372):
