@@ -140,33 +140,36 @@ _COUNTER_NAMES = (
 )
 
 
-def _check_accounting(counters: dict, record: dict, where: str, fail) -> None:
-    """Counter identities of one scanned range, and its lists against their counters."""
+def _check_scan(space, lo: int, last_rank: int, record: dict, where: str, fail) -> None:
+    """A scan of ranks [lo, last_rank] of ``space`` as ``record`` reports it.
+
+    Counter identities, visit and filter counts, k = 0 verdicts above length
+    q, listed sequences in the stratum, exhibited atoms and findings digest.
+    """
+    from .enumeration import digest_add, digest_empty, digest_hex
+
+    ctx, stratum = space.ctx, space.stratum
+    counters = record["counters"]
     methods = counters["by_method"]
     values = [counters[name] for name in _COUNTER_NAMES] + list(methods.values())
     if any(type(value) is not int or value < 0 for value in values):
         fail(f"{where}counters are not all non-negative ints")
-        return
-    if sum(methods.values()) != counters["checked"]:
-        fail(f"{where}by_method sums to {sum(methods.values())}, not checked {counters['checked']}")
-    if counters["filtered_out"] + counters["checked"] != counters["visited"]:
-        fail(f"{where}filter accounting broken")
-    parts = (
-        counters["atoms"] + counters["non_atoms"]
-        + counters["not_product_one"] + counters["unverified"]
-    )
-    if parts != counters["checked"]:
-        fail(f"{where}verdict accounting broken")
-    if len(record["atoms"]) != counters["atoms"]:
-        fail(f"{where}atom list length != counter")
-    if len(record["unverified"]) != counters["unverified"]:
-        fail(f"{where}unverified list length != counter")
-
-
-def _check_range(space, lo: int, last_rank: int, record: dict, where: str, fail) -> None:
-    """Scanned ranks [lo, last_rank] of ``space``: visit and filter counts, listed sequences."""
-    ctx, stratum = space.ctx, space.stratum
-    counters = record["counters"]
+    else:
+        if sum(methods.values()) != counters["checked"]:
+            fail(f"{where}by_method sums to {sum(methods.values())}, not checked "
+                 f"{counters['checked']}")
+        if counters["filtered_out"] + counters["checked"] != counters["visited"]:
+            fail(f"{where}filter accounting broken")
+        parts = (
+            counters["atoms"] + counters["non_atoms"]
+            + counters["not_product_one"] + counters["unverified"]
+        )
+        if parts != counters["checked"]:
+            fail(f"{where}verdict accounting broken")
+        if len(record["atoms"]) != counters["atoms"]:
+            fail(f"{where}atom list length != counter")
+        if len(record["unverified"]) != counters["unverified"]:
+            fail(f"{where}unverified list length != counter")
     if counters["visited"] != last_rank - lo + 1:
         fail(f"{where}visited {counters['visited']} != ranks {lo}..{last_rank}")
     filtered = space.filtered_count(lo, last_rank + 1)
@@ -187,6 +190,13 @@ def _check_range(space, lo: int, last_rank: int, record: dict, where: str, fail)
         outside = sum(idx >= ctx.q for idx in seq.indices())
         if len(seq) != stratum.length or stratum.k not in (None, outside):
             fail(f"{where}listed sequence {text} is not in the stratum")
+    digest = digest_empty()
+    for text in record["atoms"]:
+        if not is_atom(ctx, Sequence.parse(ctx, text)).atom:
+            fail(f"{where}exhibited atom fails re-check: {text}")
+        digest = digest_add(digest, text)
+    if digest_hex(digest) != record["digest"]:
+        fail(f"{where}findings digest does not recompute")
 
 
 def check_certificate(cert: Certificate) -> CheckResult:
@@ -263,7 +273,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
                 "exhaustive refutation of longer sequences requires re-running the DFS"
             )
         elif cert.kind == "inverse_report":
-            from .enumeration import Stratum, StratumSpace, digest_add, digest_empty, digest_hex
+            from .enumeration import Stratum, StratumSpace
             from .invariants import extremal_atoms_all
 
             forms = {f.sequence.format(ctx) for f in extremal_atoms_all(ctx)}
@@ -279,33 +289,19 @@ def check_certificate(cert: Certificate) -> CheckResult:
                 fail(f"strata do not cover exactly the k-set of scope {payload['scope']!r}")
             matched = 0
             n_atoms = 0
-            k2_atoms = 0
             unverified = 0
             for stratum in payload["strata"]:
-                counters = stratum["counters"]
                 space = StratumSpace(ctx, Stratum(length=length, k=stratum["k"]))
-                size = space.total
-                if stratum["total"] != size:
-                    fail(f"stratum k={stratum['k']}: total {stratum['total']} != stratum size {size}")
-                where = f"stratum k={stratum['k']}: "
-                _check_accounting(counters, stratum, where, fail)
-                _check_range(space, 0, size - 1, stratum, where, fail)
-                digest = digest_empty()
+                if stratum["total"] != space.total:
+                    fail(f"stratum k={stratum['k']}: total {stratum['total']} != stratum size "
+                         f"{space.total}")
+                _check_scan(space, 0, space.total - 1, stratum, f"stratum k={stratum['k']}: ", fail)
                 for text in stratum["atoms"]:
-                    seq = Sequence.parse(ctx, text)
-                    if not is_atom(ctx, seq).atom:
-                        fail(f"exhibited atom fails re-check: {text}")
-                    if stratum["k"] == 2 and text not in forms:
-                        fail(f"length-2q atom outside the extremal set: {text}")
-                    if stratum["k"] != 2:
-                        fail(f"atom reported in stratum k={stratum['k']}: {text}")
-                    digest = digest_add(digest, text)
-                if digest_hex(digest) != stratum["digest"]:
-                    fail(f"stratum k={stratum['k']}: digest does not recompute")
+                    if stratum["k"] == 2 and text in forms:
+                        matched += 1
+                    else:
+                        fail(f"stratum k={stratum['k']}: atom outside the extremal set: {text}")
                 n_atoms += len(stratum["atoms"])
-                if stratum["k"] == 2:
-                    k2_atoms += len(stratum["atoms"])
-                    matched += sum(text in forms for text in stratum["atoms"])
                 unverified += len(stratum["unverified"])
             if payload["matched"] != matched:
                 fail(f"recomputed matched count {matched} != recorded {payload['matched']}")
@@ -313,7 +309,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
                 fail(f"recomputed atom count {n_atoms} != recorded {payload['atoms_found']}")
             verified = (
                 not payload["exceptions"] and not unverified
-                and k2_atoms == len(forms) and n_atoms == k2_atoms
+                and matched == len(forms) == n_atoms
             )
             if payload["verified"] != verified:
                 fail(f"recomputed verified flag {verified} != recorded {payload['verified']}")
@@ -335,7 +331,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
             for problem in verify_elasticity_witness(ctx, witness):
                 fail(problem)
         elif cert.kind == "lemma_report":
-            from .oracles import LEMMA_IDS, check_cyclic_extremal, recheck_counterexample
+            from .oracles import LEMMA_IDS, check_cyclic_extremal, check_record
 
             lemma = payload["lemma"]
             if lemma not in LEMMA_IDS:
@@ -366,18 +362,17 @@ def check_certificate(cert: Certificate) -> CheckResult:
                     fail(f"payload group {payload['group']!r} is not the certificate's "
                          f"{cert.group!r}")
                 if record is not None:
-                    if not recheck_counterexample(ctx, lemma, record):
+                    # The lemma's own check, run on the recorded instance; a
+                    # ValueError (hypotheses not met) fails the certificate.
+                    if check_record(ctx, lemma, record) != record:
                         fail("counterexample does not re-verify")
                 else:
                     result.caveats.append(
                         "absence of counterexamples re-verifiable only by re-running the trials"
                     )
         elif cert.kind == "checkpoint":
-            from .enumeration import (
-                Stratum, StratumSpace, digest_add, digest_empty, digest_hex,
-            )
+            from .enumeration import Stratum, StratumSpace
 
-            _check_accounting(payload["counters"], payload, "", fail)
             space = StratumSpace(ctx, Stratum.from_dict(payload["stratum"]))
             total = space.total
             shard = payload["shard"]
@@ -391,15 +386,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
             elif not lo - 1 <= last_rank < hi:
                 fail(f"last rank {last_rank} is outside [{lo}, {hi})")
             else:
-                _check_range(space, lo, last_rank, payload, "", fail)
-            digest = digest_empty()
-            for text in payload["atoms"]:
-                seq = Sequence.parse(ctx, text)
-                if not is_atom(ctx, seq).atom:
-                    fail(f"exhibited atom fails re-check: {text}")
-                digest = digest_add(digest, text)
-            if digest_hex(digest) != payload["digest"]:
-                fail("findings digest does not recompute")
+                _check_scan(space, lo, last_rank, payload, "", fail)
             if not complete:
                 result.caveats.append("checkpoint covers a partial scan")
             result.caveats.append(

@@ -89,10 +89,7 @@ class GroupCtx:
         self.q = q
         self.s = s % q
         self.n = p * q
-        self.identity: Element = (0, 0)
-        self.identity_idx = 0
         self.spow = [pow(self.s, i, q) for i in range(p)]
-        self._spow_inv = [pow(v, -1, q) for v in self.spow]
         self.inv_table = [0] * self.n
         for i in range(self.n):
             a, b = divmod(i, q)

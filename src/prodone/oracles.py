@@ -8,6 +8,18 @@ leans on, and report any counterexample (these facts are theorems, so a
 counterexample is a falsifiable engine-bug signal, never an expected
 outcome).
 
+Each randomized lemma is a proposer and a check, paired in ``_SUITES``.
+``propose(ctx, rng)`` draws one instance from a trial's seeded stream, or
+returns None when its retry loop runs out (a generation failure).
+``check(ctx, instance)`` raises ValueError when the instance misses the
+lemma's hypotheses; otherwise it returns None, or the counterexample record:
+the instance in text plus the values it measured.  A proposer retries on the
+same predicate its check requires.  ``run_lemma`` runs the proposer and then
+the check on every trial, and ``check_record`` runs the same check on the
+instance a record names, so a certificate's counterexample is accepted only
+when the check reproduces it exactly.  ``cyclic-extremal`` is an exhaustive
+scan, re-derived whole.
+
 Lemma ids:
 
 * ``cauchy-davenport``      |AB| >= min(q, |A|+|B|-1) in C_q
@@ -176,8 +188,8 @@ def _zero_sum_free_multisets(n: int):
 
 def check_cauchy_davenport(q: int, a_set: set[int], b_set: set[int]) -> dict | None:
     """Return a counterexample record if |A+B| < min(q, |A|+|B|-1) in C_q."""
-    if not a_set or not b_set:
-        raise ValueError("Cauchy-Davenport needs nonempty subsets")
+    if not a_set or not b_set or not a_set | b_set <= set(range(q)):
+        raise ValueError("Cauchy-Davenport needs nonempty subsets of C_q")
     sums = {(a + b) % q for a in a_set for b in b_set}
     bound = min(q, len(a_set) + len(b_set) - 1)
     if len(sums) >= bound:
@@ -253,163 +265,146 @@ def check_cyclic_extremal(n: int, mode: str) -> LemmaReport:
 RETRY_CAP = 10_000
 
 
-def _random_multiset(rng: random.Random, ground: list[int], length: int) -> Sequence:
+def _random_multiset(rng: random.Random, ground: range, length: int) -> Sequence:
     return Sequence.from_indices(rng.choices(ground, k=length) if length else [])
 
 
-def _run_trials(ctx, lemma, trials, seed, one_trial) -> LemmaReport:
-    failures = 0
-    counterexample = None
-    generation_failures = 0
-    trials_run = 0
-    for i in range(trials):
-        rng = _trial_rng(seed, i, lemma)
-        outcome = one_trial(rng)
-        if outcome == "generation-failed":
-            generation_failures += 1
-            continue
-        trials_run += 1
-        if outcome is not None:
-            failures += 1
-            counterexample = outcome
-            break
-    return LemmaReport(
-        lemma=lemma,
-        group=ctx.params.descriptor() if ctx is not None else None,
-        trials=trials,
-        trials_run=trials_run,
-        failures=failures,
-        counterexample=counterexample,
-        generation_failures=generation_failures,
-        seed=seed,
-    )
+def _require(holds: bool, hypothesis: str) -> None:
+    if not holds:
+        raise ValueError(f"instance misses the hypothesis: {hypothesis}")
 
 
-def check_product_set_lemmas(ctx: GroupCtx, lemma_id: str, trials: int, seed: int = 0) -> LemmaReport:
-    q, p, n = ctx.q, ctx.p, ctx.n
-    non_identity = list(range(1, n))
-    commutator_nontrivial = list(range(1, q))
-    outside = list(range(q, n))
+def _spread_record(ctx: GroupCtx, seq: Sequence, bound: int) -> dict | None:
+    size = len(pi_set(ctx, seq))
+    if size >= bound:
+        return None
+    return {"sequence": seq.format(ctx), "pi_size": size, "bound": bound}
 
-    if lemma_id == "outer-term-spread":
 
-        def one_trial(rng: random.Random):
-            length = rng.randrange(0, min(q + 2, 13))
-            s_seq = _random_multiset(rng, commutator_nontrivial, length)
-            g = rng.choice(outside)
-            whole = s_seq.cat(Sequence.from_indices([g]))
-            size = len(pi_set(ctx, whole))
-            bound = min(q, len(whole))
-            if size >= bound:
-                return None
-            return {"sequence": whole.format(ctx), "pi_size": size, "bound": bound}
+def _propose_cauchy_davenport(ctx: GroupCtx, rng: random.Random) -> tuple[set[int], set[int]]:
+    q = ctx.q
+    a_set = set(rng.sample(range(q), rng.randrange(1, q + 1)))
+    return a_set, set(rng.sample(range(q), rng.randrange(1, q + 1)))
 
-    elif lemma_id == "outer-pair-spread":
 
-        def one_trial(rng: random.Random):
-            length = rng.randrange(0, (q + 1) // 2 + 2)
-            s_seq = _random_multiset(rng, commutator_nontrivial, length)
-            for _ in range(RETRY_CAP):
-                g1, g2 = rng.choice(outside), rng.choice(outside)
-                if (ctx.tau_degree_idx(g1) + ctx.tau_degree_idx(g2)) % p != 0:
-                    break
-            else:
-                return "generation-failed"
-            whole = s_seq.cat(Sequence.from_indices([g1, g2]))
-            size = len(pi_set(ctx, whole))
-            bound = min(q, 2 * length + 1)
-            if size >= bound:
-                return None
-            return {"sequence": whole.format(ctx), "pi_size": size, "bound": bound}
+def _propose_outer_term(ctx: GroupCtx, rng: random.Random) -> Sequence:
+    s_seq = _random_multiset(rng, range(1, ctx.q), rng.randrange(0, min(ctx.q + 2, 13)))
+    return s_seq.cat(Sequence.from_indices([rng.choice(range(ctx.q, ctx.n))]))
 
-    elif lemma_id == "full-support-spread":
 
-        def one_trial(rng: random.Random):
-            length = rng.randrange(2, 9)
-            for _ in range(RETRY_CAP):
-                s_seq = _random_multiset(rng, non_identity, length)
-                if len(ctx.subgroup_generated_idx(set(s_seq.support()))) == n:
-                    break
-            else:
-                return "generation-failed"
-            size = len(pi_set(ctx, s_seq))
-            bound = min(p, length)
-            if size >= bound:
-                return None
-            return {"sequence": s_seq.format(ctx), "pi_size": size, "bound": bound}
+def _check_outer_term(ctx: GroupCtx, seq: Sequence) -> dict | None:
+    outer = sum(m for i, m in seq.entries if i >= ctx.q)
+    _require(not seq.multiplicity(0) and outer == 1, "one term outside <a>, none equal to e")
+    return _spread_record(ctx, seq, min(ctx.q, len(seq)))
 
-    elif lemma_id == "closed-product-chain":
-        class_of: dict[int, frozenset[int]] = {}
-        for cls in ctx.conjugacy_classes():
-            for idx in cls:
-                class_of[idx] = cls
 
-        def conj_closed(ps: ProductSet) -> bool:
-            members = set(ps.indices())
-            return all(class_of[i] <= members for i in members)
+def _outer_pair(ctx: GroupCtx, seq: Sequence) -> bool:
+    outer = [i for i in seq.indices() if i >= ctx.q]
+    return (not seq.multiplicity(0) and len(outer) == 2
+            and sum(map(ctx.tau_degree_idx, outer)) % ctx.p != 0)
 
-        def admissible(seq: Sequence, need_closed: bool) -> ProductSet | None:
-            if len(seq) < 2:
-                return None
-            ps = pi_set(ctx, seq)
-            if len(ps) < len(seq):
-                return None
-            if ps.mask & ~1 == 0:
-                return None
-            if need_closed and not conj_closed(ps):
-                return None
-            return ps
 
-        def propose(rng: random.Random) -> Sequence:
-            style = rng.randrange(3)
-            if style == 0:
-                g = rng.choice(outside)
-                h = rng.choice(non_identity)
-                return Sequence.from_indices([g, ctx.inv_idx(g), h])
-            if style == 1:
-                return _random_multiset(rng, non_identity, rng.randrange(2, 5))
-            g = rng.choice(outside)
-            extra = _random_multiset(rng, non_identity, rng.randrange(1, 4))
-            return Sequence.from_indices([g, ctx.inv_idx(g)]).cat(extra)
+def _propose_outer_pair(ctx: GroupCtx, rng: random.Random) -> Sequence | None:
+    s_seq = _random_multiset(rng, range(1, ctx.q), rng.randrange(0, (ctx.q + 1) // 2 + 2))
+    outside = range(ctx.q, ctx.n)
+    for _ in range(RETRY_CAP):
+        seq = s_seq.cat(Sequence.from_indices([rng.choice(outside), rng.choice(outside)]))
+        if _outer_pair(ctx, seq):
+            return seq
+    return None
 
-        def one_trial(rng: random.Random):
-            r = rng.randrange(1, 4)
-            factors: list[Sequence] = []
-            products: list[ProductSet] = []
-            for i in range(r):
-                need_closed = i < r - 1
-                for _ in range(RETRY_CAP):
-                    cand = propose(rng)
-                    ps = admissible(cand, need_closed)
-                    if ps is not None:
-                        factors.append(cand)
-                        products.append(ps)
-                        break
-                else:
-                    return "generation-failed"
-            chained = products[0]
-            for ps in products[1:]:
-                chained = chained.product(ctx, ps)
-            total_terms = sum(len(f) for f in factors)
-            total_pi = sum(len(ps) for ps in products)
-            record = {
-                "factors": [f.format(ctx) for f in factors],
-                "chain_size": len(chained),
-                "total_terms": total_terms,
-                "total_pi_sizes": total_pi,
-            }
-            if len(chained) < min(q - 1, total_pi) or len(chained) < min(q - 1, total_terms):
-                record["violated"] = "lower bound"
-                return record
-            if total_terms >= q + 1 and len(chained) != q:
-                record["violated"] = "saturation"
-                return record
+
+def _check_outer_pair(ctx: GroupCtx, seq: Sequence) -> dict | None:
+    _require(_outer_pair(ctx, seq), "two terms outside <a> with t-degree sum not 0 mod p, none equal to e")
+    return _spread_record(ctx, seq, min(ctx.q, 2 * (len(seq) - 2) + 1))
+
+
+def _full_support(ctx: GroupCtx, seq: Sequence) -> bool:
+    return not seq.multiplicity(0) and len(ctx.subgroup_generated_idx(set(seq.support()))) == ctx.n
+
+
+def _propose_full_support(ctx: GroupCtx, rng: random.Random) -> Sequence | None:
+    length = rng.randrange(2, 9)
+    for _ in range(RETRY_CAP):
+        seq = _random_multiset(rng, range(1, ctx.n), length)
+        if _full_support(ctx, seq):
+            return seq
+    return None
+
+
+def _check_full_support(ctx: GroupCtx, seq: Sequence) -> dict | None:
+    _require(_full_support(ctx, seq), "support generating G, no term equal to e")
+    return _spread_record(ctx, seq, min(ctx.p, len(seq)))
+
+
+def _chain_factor(ctx: GroupCtx, seq: Sequence, closed: bool) -> ProductSet | None:
+    """pi(seq) when ``seq`` may stand in a chain, else None.
+
+    A factor has two or more terms, |pi| >= |seq| and a product other than
+    e; every factor but the last has a conjugation-closed product set.
+    """
+    if len(seq) < 2:
+        return None
+    ps = pi_set(ctx, seq)
+    if len(ps) < len(seq) or ps.mask & ~1 == 0:
+        return None
+    if closed:
+        members = set(ps.indices())
+        if not all(c <= members or c.isdisjoint(members) for c in ctx.conjugacy_classes()):
             return None
+    return ps
 
-    else:
-        raise ValueError(f"unknown product-set lemma {lemma_id!r}")
 
-    return _run_trials(ctx, lemma_id, trials, seed, one_trial)
+def _propose_chain_factor(ctx: GroupCtx, rng: random.Random) -> Sequence:
+    outside, non_identity = range(ctx.q, ctx.n), range(1, ctx.n)
+    style = rng.randrange(3)
+    if style == 0:
+        g = rng.choice(outside)
+        h = rng.choice(non_identity)
+        return Sequence.from_indices([g, ctx.inv_idx(g), h])
+    if style == 1:
+        return _random_multiset(rng, non_identity, rng.randrange(2, 5))
+    g = rng.choice(outside)
+    extra = _random_multiset(rng, non_identity, rng.randrange(1, 4))
+    return Sequence.from_indices([g, ctx.inv_idx(g)]).cat(extra)
+
+
+def _propose_chain(ctx: GroupCtx, rng: random.Random) -> list[Sequence] | None:
+    r = rng.randrange(1, 4)
+    factors: list[Sequence] = []
+    for i in range(r):
+        for _ in range(RETRY_CAP):
+            cand = _propose_chain_factor(ctx, rng)
+            if _chain_factor(ctx, cand, i < r - 1) is not None:
+                factors.append(cand)
+                break
+        else:
+            return None
+    return factors
+
+
+def _check_chain(ctx: GroupCtx, factors: list[Sequence]) -> dict | None:
+    products = [_chain_factor(ctx, f, i < len(factors) - 1) for i, f in enumerate(factors)]
+    _require(bool(products) and None not in products, "a nonempty chain of admissible factors")
+    chained = products[0]
+    for ps in products[1:]:
+        chained = chained.product(ctx, ps)
+    total_terms = sum(len(f) for f in factors)
+    total_pi = sum(len(ps) for ps in products)
+    record = {
+        "factors": [f.format(ctx) for f in factors],
+        "chain_size": len(chained),
+        "total_terms": total_terms,
+        "total_pi_sizes": total_pi,
+    }
+    q = ctx.q
+    if len(chained) < min(q - 1, total_pi) or len(chained) < min(q - 1, total_terms):
+        record["violated"] = "lower bound"
+        return record
+    if total_terms >= q + 1 and len(chained) != q:
+        record["violated"] = "saturation"
+        return record
+    return None
 
 
 def shortest_product_one(ctx: GroupCtx, seq: Sequence) -> Sequence | None:
@@ -425,49 +420,60 @@ def shortest_product_one(ctx: GroupCtx, seq: Sequence) -> Sequence | None:
     return lattice.seq_of(best_state)
 
 
-def check_subsequence_lemmas(ctx: GroupCtx, lemma_id: str, trials: int, seed: int = 0) -> LemmaReport:
-    q, p, n = ctx.q, ctx.p, ctx.n
-    non_identity = list(range(1, n))
+def _propose_short_window(ctx: GroupCtx, rng: random.Random) -> Sequence:
+    length = ctx.q + 2 * ctx.p - 3 + rng.randrange(0, 3)
+    return _random_multiset(rng, range(1, ctx.n), length)
 
-    if lemma_id == "short-window":
-        base_len = q + 2 * p - 3
 
-        def one_trial(rng: random.Random):
-            length = base_len + rng.randrange(0, 3)
-            s_seq = _random_multiset(rng, non_identity, length)
-            found = shortest_product_one(ctx, s_seq)
-            if found is not None and len(found) <= q and classify(ctx, found).product_one:
-                return None
-            return {
-                "sequence": s_seq.format(ctx),
-                "found": found.format(ctx) if found else None,
-                "bound": q,
-            }
+def _check_short_window(ctx: GroupCtx, seq: Sequence) -> dict | None:
+    _require(len(seq) >= ctx.q + 2 * ctx.p - 3, "at least q + 2p - 3 terms")
+    found = shortest_product_one(ctx, seq)
+    if found is not None and len(found) <= ctx.q and classify(ctx, found).product_one:
+        return None
+    return {
+        "sequence": seq.format(ctx),
+        "found": found.format(ctx) if found else None,
+        "bound": ctx.q,
+    }
 
-    elif lemma_id == "coset-window":
 
-        def one_trial(rng: random.Random):
-            length = q + rng.randrange(0, 3)
-            for _ in range(RETRY_CAP):
-                s_seq = _random_multiset(rng, non_identity, length)
-                degree = sum(ctx.tau_degree_idx(i) * m for i, m in s_seq.entries)
-                if degree % p == 0:
-                    break
-            else:
-                return "generation-failed"
-            found = shortest_product_one(ctx, s_seq)
-            if found is not None and classify(ctx, found).product_one:
-                return None
-            return {"sequence": s_seq.format(ctx), "found": None}
+def _coset_window(ctx: GroupCtx, seq: Sequence) -> bool:
+    return len(seq) >= ctx.q and sum(ctx.tau_degree_idx(i) * m for i, m in seq.entries) % ctx.p == 0
 
-    else:
-        raise ValueError(f"unknown subsequence lemma {lemma_id!r}")
 
-    return _run_trials(ctx, lemma_id, trials, seed, one_trial)
+def _propose_coset_window(ctx: GroupCtx, rng: random.Random) -> Sequence | None:
+    length = ctx.q + rng.randrange(0, 3)
+    for _ in range(RETRY_CAP):
+        seq = _random_multiset(rng, range(1, ctx.n), length)
+        if _coset_window(ctx, seq):
+            return seq
+    return None
+
+
+def _check_coset_window(ctx: GroupCtx, seq: Sequence) -> dict | None:
+    _require(_coset_window(ctx, seq), "at least q terms, t-degrees summing to 0 mod p")
+    found = shortest_product_one(ctx, seq)
+    if found is not None and classify(ctx, found).product_one:
+        return None
+    return {"sequence": seq.format(ctx), "found": None}
+
+
+#: lemma id -> (proposer, check) for every randomized lemma.
+_SUITES = {
+    "cauchy-davenport": (
+        _propose_cauchy_davenport, lambda ctx, sets: check_cauchy_davenport(ctx.q, *sets),
+    ),
+    "outer-term-spread": (_propose_outer_term, _check_outer_term),
+    "outer-pair-spread": (_propose_outer_pair, _check_outer_pair),
+    "full-support-spread": (_propose_full_support, _check_full_support),
+    "closed-product-chain": (_propose_chain, _check_chain),
+    "short-window": (_propose_short_window, _check_short_window),
+    "coset-window": (_propose_coset_window, _check_coset_window),
+}
 
 
 def run_lemma(
-    ctx: GroupCtx | None,
+    ctx: GroupCtx,
     lemma_id: str,
     trials: int,
     seed: int = 0,
@@ -476,66 +482,43 @@ def run_lemma(
     mode: str = "extremal",
 ) -> LemmaReport:
     """Dispatch a lemma suite by id; see module docstring for the catalogue."""
-    if lemma_id == "cauchy-davenport":
-        if ctx is None:
-            raise ValueError("cauchy-davenport needs a group for its modulus")
-        q = ctx.q
-
-        def one_trial(rng: random.Random):
-            a_set = set(rng.sample(range(q), rng.randrange(1, q + 1)))
-            b_set = set(rng.sample(range(q), rng.randrange(1, q + 1)))
-            return check_cauchy_davenport(q, a_set, b_set)
-
-        return _run_trials(ctx, lemma_id, trials, seed, one_trial)
     if lemma_id == "cyclic-extremal":
-        target = n if n is not None else (ctx.q if ctx is not None else None)
-        if target is None:
-            raise ValueError("cyclic-extremal needs n or a group")
-        return check_cyclic_extremal(target, mode)
-    if lemma_id in ("outer-term-spread", "outer-pair-spread", "full-support-spread", "closed-product-chain"):
-        if ctx is None:
-            raise ValueError(f"{lemma_id} needs a group")
-        return check_product_set_lemmas(ctx, lemma_id, trials, seed)
-    if lemma_id in ("short-window", "coset-window"):
-        if ctx is None:
-            raise ValueError(f"{lemma_id} needs a group")
-        return check_subsequence_lemmas(ctx, lemma_id, trials, seed)
-    raise ValueError(f"unknown lemma id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
+        return check_cyclic_extremal(n if n is not None else ctx.q, mode)
+    if lemma_id not in _SUITES:
+        raise ValueError(f"unknown lemma id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
+    propose, check = _SUITES[lemma_id]
+    counterexample = None
+    generation_failures = 0
+    trials_run = 0
+    for i in range(trials):
+        instance = propose(ctx, _trial_rng(seed, i, lemma_id))
+        if instance is None:
+            generation_failures += 1
+            continue
+        trials_run += 1
+        counterexample = check(ctx, instance)
+        if counterexample is not None:
+            break
+    return LemmaReport(
+        lemma=lemma_id,
+        group=ctx.params.descriptor(),
+        trials=trials,
+        trials_run=trials_run,
+        failures=int(counterexample is not None),
+        counterexample=counterexample,
+        generation_failures=generation_failures,
+        seed=seed,
+    )
 
 
-def recheck_counterexample(ctx: GroupCtx | None, lemma: str, record: dict) -> bool:
-    """Re-verify a reported counterexample by direct recomputation."""
-    if lemma == "cauchy-davenport":
-        again = check_cauchy_davenport(record["q"], set(record["A"]), set(record["B"]))
-        return again is not None
-    if lemma == "cyclic-extremal":
-        n_val = record["n"]
-        seq = record.get("sequence")
-        if seq is None:
-            # A claim on the longest zero-sum-free length: re-run the scan.
-            return check_cyclic_extremal(n_val, "extremal").counterexample == record
-        mask = 0
-        ok_zsf = True
-        for v in seq:
-            mask = mask | _rotate(mask, v, n_val) | (1 << v)
-            if mask & 1:
-                ok_zsf = False
-        return ok_zsf
-    if ctx is None:
-        return False
-    if lemma in ("outer-term-spread", "outer-pair-spread", "full-support-spread"):
-        seq = Sequence.parse(ctx, record["sequence"])
-        return len(pi_set(ctx, seq)) == record["pi_size"] and record["pi_size"] < record["bound"]
-    if lemma == "closed-product-chain":
-        factors = [Sequence.parse(ctx, text) for text in record["factors"]]
-        chained = pi_set(ctx, factors[0])
-        for f in factors[1:]:
-            chained = chained.product(ctx, pi_set(ctx, f))
-        return len(chained) == record["chain_size"]
-    if lemma in ("short-window", "coset-window"):
-        # Claimed failure means no qualifying subsequence exists; recompute.
-        shortest = shortest_product_one(ctx, Sequence.parse(ctx, record["sequence"]))
-        if lemma == "coset-window":
-            return shortest is None
-        return shortest is None or len(shortest) > record["bound"]
-    return False
+def check_record(ctx: GroupCtx, lemma_id: str, record: dict) -> dict | None:
+    """Run the check of a randomized lemma on the instance a counterexample record names."""
+    if lemma_id not in _SUITES:
+        raise ValueError(f"{lemma_id!r} is not a randomized lemma")
+    if lemma_id == "cauchy-davenport":
+        instance = set(record["A"]), set(record["B"])
+    elif lemma_id == "closed-product-chain":
+        instance = [Sequence.parse(ctx, text) for text in record["factors"]]
+    else:
+        instance = Sequence.parse(ctx, record["sequence"])
+    return _SUITES[lemma_id][1](ctx, instance)

@@ -253,43 +253,145 @@ def _cyclic_extremal_payload(ctx372):
     return run_lemma(ctx372, "cyclic-extremal", trials=0).to_payload()
 
 
+def _trials_payload(lemma):
+    """A factory for the five-trial report of ``lemma`` at seed 0, named after the lemma."""
+    def make(ctx372):
+        return run_lemma(ctx372, lemma, trials=5, seed=0).to_payload()
+
+    make.__name__ = f"_{lemma.replace('-', '_')}_payload"
+    return make
+
+
+def _claims(record):
+    """Forge the report into one failing trial with ``record`` as its counterexample."""
+    return lambda pl: pl.update(failures=1, trials_run=1, counterexample=record)
+
+
+def _forged(lemma, record, row_id):
+    return pytest.param(_trials_payload(lemma), _claims(record), id=row_id)
+
+
+_CHAIN_CLAIM = {"factors": ["(1,0),(2,0),(0,1)"], "chain_size": 3, "total_terms": 3,
+                "total_pi_sizes": 3, "violated": "lower bound"}
+_UNIT_CHAIN_CLAIM = {"factors": ["(0,1),(0,6)"], "chain_size": 1, "total_terms": 2,
+                     "total_pi_sizes": 1, "violated": "lower bound"}
+
+
 @pytest.mark.parametrize("make_payload,forge", [
-    (_cauchy_davenport_payload, lambda pl: pl.update(trials_run=pl["trials"] + 1)),
-    (_cauchy_davenport_payload, lambda pl: pl.update(generation_failures=1)),
-    (_cauchy_davenport_payload, lambda pl: pl.update(lemma="no-such-lemma")),
-    (_cauchy_davenport_payload, lambda pl: pl.update(group="3,13,3")),
-    (_cauchy_davenport_payload, lambda pl: pl.update(trials=float(pl["trials"]))),
-    (_cauchy_davenport_payload, lambda pl: pl.update(trials="50")),
-    (_cauchy_davenport_payload, lambda pl: pl.update(trials_run=True)),
-    (_cauchy_davenport_payload, lambda pl: pl.update(failures=-1)),
-    (_cauchy_davenport_payload, lambda pl: pl.pop("trials")),
-    (_cauchy_davenport_payload, lambda pl: pl.update(failures=1)),
-    (_cauchy_davenport_payload, lambda pl: pl.update(
-        failures=0, counterexample={"q": 7, "A": [0], "B": [0], "sumset_size": 1, "bound": 1})),
-    (_cauchy_davenport_payload, lambda pl: pl.update(
+    pytest.param(_cauchy_davenport_payload, lambda pl: pl.update(trials_run=pl["trials"] + 1),
+                 id="trials-run-above-trials"),
+    pytest.param(_cauchy_davenport_payload, lambda pl: pl.update(generation_failures=1),
+                 id="run-plus-generation-above-trials"),
+    pytest.param(_cauchy_davenport_payload, lambda pl: pl.update(lemma="no-such-lemma"),
+                 id="unknown-lemma"),
+    pytest.param(_cauchy_davenport_payload, lambda pl: pl.update(group="3,13,3"), id="group"),
+    pytest.param(_cauchy_davenport_payload, lambda pl: pl.update(trials=float(pl["trials"])),
+                 id="trials-float"),
+    pytest.param(_cauchy_davenport_payload, lambda pl: pl.update(trials="50"), id="trials-str"),
+    pytest.param(_cauchy_davenport_payload, lambda pl: pl.update(trials_run=True),
+                 id="trials-run-bool"),
+    pytest.param(_cauchy_davenport_payload, lambda pl: pl.update(failures=-1),
+                 id="failures-negative"),
+    pytest.param(_cauchy_davenport_payload, lambda pl: pl.pop("trials"), id="trials-missing"),
+    pytest.param(_cauchy_davenport_payload, lambda pl: pl.update(failures=1),
+                 id="failures-without-counterexample"),
+    pytest.param(_cauchy_davenport_payload, lambda pl: pl.update(
+        failures=0, counterexample={"q": 7, "A": [0], "B": [0], "sumset_size": 1, "bound": 1}),
+        id="counterexample-without-failures"),
+    pytest.param(_cauchy_davenport_payload, lambda pl: pl.update(
         failures=1, counterexample={"q": 7, "A": [0, 1], "B": [0, 1], "sumset_size": 2,
-                                    "bound": 3})),
-    (_cyclic_extremal_payload, lambda pl: pl.update(
-        failures=1, counterexample={"n": 7, "max_zero_sum_free_length": 5, "expected": 6})),
-    (_cyclic_extremal_payload, lambda pl: pl.update(trials=pl["trials"] + 1)),
-    (_cyclic_extremal_payload, lambda pl: pl.update(group="C_5:extremal")),
-    (_cyclic_extremal_payload, lambda pl: pl.update(group="3,7,2")),
-    (_cyclic_extremal_payload, lambda pl: pl.update(notes=[])),
-], ids=["trials-run-above-trials", "run-plus-generation-above-trials", "unknown-lemma",
-        "group", "trials-float", "trials-str", "trials-run-bool", "failures-negative",
-        "trials-missing", "failures-without-counterexample", "counterexample-without-failures",
-        "fabricated-counterexample", "cyclic-structural-counterexample", "cyclic-trials",
-        "cyclic-other-n", "cyclic-group-not-cyclic", "cyclic-notes-dropped"])
+                                    "bound": 3}),
+        id="fabricated-counterexample"),
+    pytest.param(_cyclic_extremal_payload, lambda pl: pl.update(
+        failures=1, counterexample={"n": 7, "max_zero_sum_free_length": 5, "expected": 6}),
+        id="cyclic-structural-counterexample"),
+    pytest.param(_cyclic_extremal_payload, lambda pl: pl.update(trials=pl["trials"] + 1),
+                 id="cyclic-trials"),
+    pytest.param(_cyclic_extremal_payload, lambda pl: pl.update(group="C_5:extremal"),
+                 id="cyclic-other-n"),
+    pytest.param(_cyclic_extremal_payload, lambda pl: pl.update(group="3,7,2"),
+                 id="cyclic-group-not-cyclic"),
+    pytest.param(_cyclic_extremal_payload, lambda pl: pl.update(notes=[]),
+                 id="cyclic-notes-dropped"),
+    # Claims whose measured values are not what the lemma's check measures.
+    _forged("cauchy-davenport", {"q": 7, "A": [0, 1], "B": [0, 1], "sumset_size": 3, "bound": 3},
+            "cauchy-davenport-bound-met"),
+    _forged("cauchy-davenport", {"q": 4, "A": [0, 2], "B": [0, 2], "sumset_size": 2, "bound": 3},
+            "cauchy-davenport-other-modulus"),
+    _forged("outer-term-spread", {"sequence": "(1,0),(0,1)", "pi_size": 1, "bound": 2},
+            "outer-term-spread-pi-size"),
+    _forged("outer-term-spread", {"sequence": "(1,0),(0,1)", "pi_size": 2, "bound": 5},
+            "outer-term-spread-bound"),
+    _forged("closed-product-chain", _CHAIN_CLAIM, "closed-product-chain-no-violation"),
+    # Instances that miss the lemma's hypotheses.
+    _forged("cauchy-davenport", {"q": 7, "A": [0, 7], "B": [0], "sumset_size": 1, "bound": 2},
+            "cauchy-davenport-outside-cq"),
+    _forged("outer-term-spread", {"sequence": "(0,0)^3,(1,0)", "pi_size": 1, "bound": 4},
+            "outer-term-spread-identity-terms"),
+    _forged("outer-pair-spread", {"sequence": "(1,0),(0,1)", "pi_size": 2, "bound": 7},
+            "outer-pair-spread-one-outer-term"),
+    _forged("outer-pair-spread", {"sequence": "(0,1)^3,(1,0),(2,0)", "pi_size": 5, "bound": 7},
+            "outer-pair-spread-degrees-cancel"),
+    _forged("full-support-spread", {"sequence": "(0,1),(0,1)", "pi_size": 1, "bound": 2},
+            "full-support-spread-support-in-a"),
+    _forged("full-support-spread", {"sequence": "(0,0)^4,(0,1),(1,0)", "pi_size": 2, "bound": 3},
+            "full-support-spread-identity-terms"),
+    _forged("closed-product-chain", _UNIT_CHAIN_CLAIM, "closed-product-chain-trivial-factor"),
+    _forged("short-window", {"sequence": "(0,1)", "found": None, "bound": 7},
+            "short-window-one-term"),
+    _forged("short-window", {"sequence": "(0,1)^6,(1,0)^2", "found": None, "bound": 7},
+            "short-window-below-q+2p-3"),
+    _forged("coset-window", {"sequence": "(0,1)", "found": None}, "coset-window-one-term"),
+    _forged("coset-window", {"sequence": "(0,1)^6,(1,0)^2", "found": None},
+            "coset-window-degree-not-0"),
+])
 def test_lemma_report_forgeries_are_rejected(ctx372, make_payload, forge):
     payload = make_payload(ctx372)
     forge(payload)
     assert not check_certificate(make_certificate("lemma_report", "3,7,2", payload, seed=1)).ok
 
 
-@pytest.mark.parametrize("make_payload", [_cauchy_davenport_payload, _cyclic_extremal_payload])
+@pytest.mark.parametrize("make_payload", [_cauchy_davenport_payload, _cyclic_extremal_payload] + [
+    _trials_payload(lemma) for lemma in ("outer-term-spread", "outer-pair-spread",
+                                         "full-support-spread", "closed-product-chain",
+                                         "short-window", "coset-window")
+])
 def test_lemma_report_matrix_baselines_pass(ctx372, make_payload):
-    outcome = check_certificate(make_certificate("lemma_report", "3,7,2", make_payload(ctx372)))
+    payload = make_payload(ctx372)
+    outcome = check_certificate(make_certificate("lemma_report", "3,7,2", payload))
     assert outcome.ok, outcome.messages
+    if payload["lemma"] != "cyclic-extremal":
+        assert any("re-running the trials" in c for c in outcome.caveats)
+
+
+def test_lemma_counterexample_from_the_check_re_verifies(ctx372, monkeypatch):
+    # A check that demands one product more than the lemma does finds a
+    # counterexample, and the checker accepts it because it runs that check.
+    from prodone import oracles
+
+    propose, check = oracles._SUITES["outer-term-spread"]
+
+    def strict(ctx, seq):
+        check(ctx, seq)
+        return oracles._spread_record(ctx, seq, min(ctx.q, len(seq)) + 1)
+
+    monkeypatch.setitem(oracles._SUITES, "outer-term-spread", (propose, strict))
+    payload = run_lemma(ctx372, "outer-term-spread", trials=50, seed=0).to_payload()
+    assert payload["failures"] == 1
+    outcome = check_certificate(make_certificate("lemma_report", "3,7,2", payload, seed=0))
+    assert outcome.ok, outcome.messages
+    payload["counterexample"]["bound"] += 1
+    assert not check_certificate(make_certificate("lemma_report", "3,7,2", payload, seed=0)).ok
+
+
+def test_cli_check_cert_rejects_lemma_instance_outside_hypotheses(ctx372, capsys, tmp_path):
+    payload = run_lemma(ctx372, "coset-window", trials=5, seed=0).to_payload()
+    _claims({"sequence": "(0,1)^6,(1,0)^2", "found": None})(payload)
+    path = str(tmp_path / "lemma.json")
+    write_certificate(make_certificate("lemma_report", "3,7,2", payload, seed=0), path)
+    code, out, _ = run_cli(capsys, "check-cert", path)
+    assert code == 1
+    assert not json.loads(out)["ok"]
 
 
 def test_checkpoint_certificate(ctx372):

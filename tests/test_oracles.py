@@ -9,7 +9,6 @@ from prodone.oracles import (
     naive_is_atom,
     naive_pi_set,
     naive_subproducts_set,
-    recheck_counterexample,
     run_lemma,
 )
 from prodone.sequences import Sequence, is_atom, pi_set, subproducts_set
@@ -117,16 +116,6 @@ def test_short_window_self_witness(ctx372):
     from prodone.sequences import subproducts_set
 
     assert subproducts_set(ctx372, seq).contains_identity
-
-
-def test_counterexample_recheck_rejects_fabrications(ctx372):
-    fake = {"q": 7, "A": [0, 1], "B": [0, 1], "sumset_size": 3, "bound": 3}
-    assert not recheck_counterexample(ctx372, "cauchy-davenport", fake)
-    fake_spread = {"sequence": "(1,0),(0,1)", "pi_size": 1, "bound": 2}
-    assert not recheck_counterexample(ctx372, "outer-term-spread", fake_spread)
-    # A structural claim on C_7 is re-derived by the exhaustive scan, which finds 6.
-    fake_length = {"n": 7, "max_zero_sum_free_length": 5, "expected": 6}
-    assert not recheck_counterexample(ctx372, "cyclic-extremal", fake_length)
 
 
 def test_run_lemma_rejects_unknown_id(ctx372):
