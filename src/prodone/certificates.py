@@ -4,9 +4,11 @@ Every certificate is UTF-8 JSON with sorted keys, a schema version, and a
 digest over the canonical payload (timing excluded, so identical inputs and
 seed reproduce identical digests).  ``check_certificate`` re-verifies claims
 using only engine-level recomputation: atoms are re-checked, multiset
-equalities re-summed, digests recomputed.  What cannot be re-checked without
-re-running a search (exhaustiveness of a scan, absence of counterexamples)
-is stated as a caveat in the verdict rather than silently assumed.
+equalities re-summed, digests recomputed.  Scans of strata with at most two
+terms outside <a> settle whole rank ranges by arithmetic, so the checker
+runs them again.  What cannot be re-checked without re-running a longer
+search (exhaustiveness of a k >= 3 scan, absence of counterexamples) is
+stated as a caveat in the verdict rather than silently assumed.
 """
 
 from __future__ import annotations
@@ -140,11 +142,18 @@ _COUNTER_NAMES = (
 )
 
 
+_VERDICT_COUNTERS = {
+    "atom": "atoms", "non_atom": "non_atoms", "not_product_one": "not_product_one",
+    "unverified": "unverified",
+}
+
+
 def _check_scan(space, lo: int, last_rank: int, record: dict, where: str, fail) -> None:
     """A scan of ranks [lo, last_rank] of ``space`` as ``record`` reports it.
 
-    Counter identities, visit and filter counts, k = 0 verdicts above length
-    q, listed sequences in the stratum, exhibited atoms and findings digest.
+    Counter identities, visit and filter counts, listed sequences in the
+    stratum, exhibited atoms and findings digest.  A stratum with k <= 2 is
+    scanned again (``_check_rescan``).
     """
     from .enumeration import digest_add, digest_empty, digest_hex
 
@@ -175,16 +184,6 @@ def _check_scan(space, lo: int, last_rank: int, record: dict, where: str, fail) 
     filtered = space.filtered_count(lo, last_rank + 1)
     if counters["filtered_out"] != filtered:
         fail(f"{where}filtered_out {counters['filtered_out']} != recomputed {filtered}")
-    if stratum.k == 0 and stratum.length > ctx.q:
-        # No atoms, and the verdicts are sum counts (enumeration fact 9).  A
-        # k = 0 content passes the filter iff the empty outer part does, so
-        # either every rank is checked or none is.
-        checked = last_rank - lo + 1 - filtered
-        product_one = space.zero_sum_count(lo, last_rank + 1) if checked else 0
-        claimed = (counters["atoms"], counters["non_atoms"], counters["not_product_one"])
-        if claimed != (0, product_one, checked - product_one):
-            fail(f"{where}atoms, non_atoms, not_product_one {claimed} != recomputed "
-                 f"{(0, product_one, checked - product_one)}")
     for text in record["atoms"] + record["unverified"]:
         seq = Sequence.parse(ctx, text)
         outside = sum(idx >= ctx.q for idx in seq.indices())
@@ -197,6 +196,42 @@ def _check_scan(space, lo: int, last_rank: int, record: dict, where: str, fail) 
         digest = digest_add(digest, text)
     if digest_hex(digest) != record["digest"]:
         fail(f"{where}findings digest does not recompute")
+    if stratum.k is not None and stratum.k <= 2:
+        _check_rescan(space, lo, last_rank, record, where, fail)
+
+
+def _check_rescan(space, lo: int, last_rank: int, record: dict, where: str, fail) -> None:
+    """Scan ranks [lo, last_rank] of a k <= 2 stratum again and compare it with ``record``.
+
+    These scans settle whole rank ranges by arithmetic and take seconds at
+    most at the shipped triples.  The verdict counters, the nonzero entries
+    of ``by_method`` and the atom list must equal the re-scan's.  A
+    candidate the record lists as unverified (its scan ran with a lower
+    state cap) counts with the verdict that ``classify_candidate`` gives it
+    now.
+    """
+    from .enumeration import Shard, atom_search, classify_candidate
+
+    ctx, counters = space.ctx, record["counters"]
+    rescan = atom_search(ctx, space.stratum, shard=Shard(0, 1, lo, last_rank + 1))
+    expected = rescan.counters.to_dict()
+    claimed = {name: counters[name] for name in _VERDICT_COUNTERS.values()}
+    for text in record["unverified"]:
+        kind = classify_candidate(ctx, Sequence.parse(ctx, text).indices())[0]
+        claimed["unverified"] -= 1
+        claimed[_VERDICT_COUNTERS[kind]] += 1
+    names = ", ".join(claimed)
+    claimed_values = tuple(claimed.values())
+    expected_values = tuple(expected[name] for name in claimed)
+    if claimed_values != expected_values:
+        fail(f"{where}{names} {claimed_values} != re-scan {expected_values}")
+    methods = {method: count for method, count in counters["by_method"].items() if count}
+    if methods != expected["by_method"]:
+        fail(f"{where}by_method {methods} != re-scan {expected['by_method']}")
+    unverified = set(record["unverified"])
+    atoms = [text for text in (seq.format(ctx) for seq in rescan.atoms) if text not in unverified]
+    if record["atoms"] != atoms:
+        fail(f"{where}atom list differs from the re-scan's")
 
 
 def check_certificate(cert: Certificate) -> CheckResult:
@@ -315,9 +350,10 @@ def check_certificate(cert: Certificate) -> CheckResult:
                 fail(f"recomputed verified flag {verified} != recorded {payload['verified']}")
             if payload["exceptions"]:
                 fail(f"report lists {len(payload['exceptions'])} exceptions")
-            result.caveats.append(
-                "exhaustiveness of the scan itself requires re-running the search"
-            )
+            if any(st["k"] > 2 for st in payload["strata"]):
+                result.caveats.append(
+                    "exhaustiveness of the k >= 3 scans requires re-running the search"
+                )
         elif cert.kind == "elasticity_witness":
             from .invariants import ElasticityWitness, verify_elasticity_witness
 
@@ -389,9 +425,10 @@ def check_certificate(cert: Certificate) -> CheckResult:
                 _check_scan(space, lo, last_rank, payload, "", fail)
             if not complete:
                 result.caveats.append("checkpoint covers a partial scan")
-            result.caveats.append(
-                "coverage of the rank interval requires re-running the shard"
-            )
+            if space.stratum.k is None or space.stratum.k > 2:
+                result.caveats.append(
+                    "coverage of the rank interval requires re-running the shard"
+                )
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         fail(f"malformed payload: {exc}")
     return result

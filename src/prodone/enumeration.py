@@ -74,18 +74,21 @@ q of a sub-multiset B of Y.
 
    R is contained in P, so the verdict is ``not_product_one`` when c is not
    in P, ``non_atom`` when c is in R, and ``atom`` otherwise.
-4. Cost.  The profile (ΣY mod q, P, R) depends on q and the sorted Y alone.
-   ``_inner_profile`` builds P and R as q-bit masks by sending each term of
-   Y to B, to Z or to neither, in O(q |Y|) rotations, and keeps the last
-   profile, so one profile serves every outer pair of a Y.  A candidate then
-   costs two bit tests; neither the ordering search nor the DP runs.
+4. Cost.  The profile (ΣY mod q, P, R) depends on q and the sorted Y alone,
+   and ``_profile_step`` extends it by one term: each term of Y goes to B,
+   to Z or to neither.  The step keeps every mask split[z] = {ΣB : ΣZ = z,
+   Z nonempty} (R is split[0]), packed as q lanes of q bits in one integer,
+   so rotating every lane by the term and moving each lane to lane z + y
+   are a few big-int shifts and masks, whatever q.  A candidate then costs
+   two bit tests; neither the ordering search nor the DP runs.
 
-The block scan.  A rank of a stratum with fixed k is y_rank * x_count +
-x_rank, where y_rank ranks the <a>-part Y and x_rank the outer part X, so the
-outer part varies fastest.  ``StratumSpace.iter_blocks`` cuts a rank range
-into blocks, one Y with a slice [x_lo, x_hi) of outer ranks each, and
-``iter_range`` is a loop over those blocks.  For k <= 2, ``atom_search``
-settles a whole block at once on two facts:
+The scan.  A rank of a stratum with fixed k is y_rank * x_count + x_rank,
+where y_rank ranks the <a>-part Y and x_rank the outer part X, so the outer
+part varies fastest.  ``StratumSpace.iter_blocks`` cuts a rank range into
+blocks, one Y with a slice [x_lo, x_hi) of outer ranks each, and
+``iter_range`` is a loop over those blocks.  ``atom_search`` scans k <= 1
+block by block; for k = 2 it walks the tree of sorted prefixes of Y instead
+(fact 8).  Two facts serve both:
 
 5. The filter reads the outer part alone.  A term (0, y) of <a> has t-degree
    0, so the t-degree sum of S = Y.X is that of X, and S passes the filter
@@ -96,40 +99,51 @@ settles a whole block at once on two facts:
    position and t-degree residue (``_degree_counts``), walking the unranked
    outer part of x as ``rank_multiset`` does (``_count_below``), so it
    counts the failures of any rank range at every k, and no filtered
-   candidate is built.  The block scan lists F
-   (``StratumSpace.outer_table``, x_count entries, which is at most
-   C(n - q + 1, 2) for k <= 2, built once per group and outer shape).  With residue 0 and k = 1 the one outer term has nonzero degree,
-   F is empty, and the whole stratum is counted at once.
+   candidate is built.  The scan lists F (``StratumSpace.outer_table``,
+   x_count entries, which is at most C(n - q + 1, 2) for k <= 2, built once
+   per group and outer shape).  With residue 0 and k = 1 the one outer term
+   has nonzero degree, F is empty, and the whole stratum is counted at once.
 6. For k = 2 the target reads the pair and ΣY alone.  By 2, the verdict of
    S = Y.x1.x2 compares the bit 1 << c with the profile of Y, and c depends
    on x1, x2 and ΣY mod q only (``_pair_target``).  When d1 + d2 is
    nonzero mod p the bit is 0, no mask holds it, and the verdict is
    ``not_product_one``, as 1 requires.
-   So the block computes the profile of its Y once, takes the target bits of
-   the passing pairs from the row for its ΣY value (one of q rows kept with
-   F in ``StratumSpace.outer_table``), and settles each pair with the same
-   two bit tests as ``classify_candidate``.  Non-atoms and candidates that
-   are not product-one are only counted; an atom is built and confirmed by
-   the engine, in rank order.
+   So a Y settles its passing pairs from its one profile: it takes their
+   target bits from the row for its ΣY value (one of q rows kept with F in
+   ``StratumSpace.outer_table``) and applies the same two bit tests as
+   ``classify_candidate``.  Non-atoms and candidates that are not
+   product-one are only counted; an atom is built and confirmed by the
+   engine, in rank order.
 
-Three cuts settle whole blocks by arithmetic, with no per-candidate work:
+Two cuts settle whole rank ranges by arithmetic, with no per-candidate work,
+and the prefix walk carries the first across whole subtrees:
 
 7. Cut A, a full split mask.  If R is all of Z_q, then so is P (R lies in
    P), and a pair's verdict reads whether its target bit is 0: a nonzero
    bit lies in R, so the pair is a non-atom, and a zero bit lies in no mask,
    so it is ``not_product_one``.  The bit is 0 exactly when d1 + d2 is
-   nonzero mod p (fact 6), which the pair's degrees alone decide, so
-   ``StratumSpace.outer_table`` keeps the prefix counts of passing pairs
-   with a zero target, and the block needs one subtraction.
-8. Cut B, a pair y, -y in Y.  Let Y hold terms y and -y with y nonzero,
-   and m further nonzero terms with m >= q - 1.  Then R is all of Z_q: take
-   Z = {y, -y}, so ΣZ = 0, and B among the m other nonzero terms.  Their
-   subset sums are the sumset {0, y_1} + ... + {0, y_m}, of size at least
-   min(q, m + 1) = q by the Cauchy-Davenport theorem (|A + B| >= min(q,
-   |A| + |B| - 1) in Z_q, q prime).  The test reads Y's distinct terms, so a
-   block that passes it skips ``_inner_profile`` and goes to cut A.  The
-   count gate matters: at short lengths, or with identity terms in Y, the
-   pair alone does not make R full.
+   nonzero mod p (fact 6), which the pair's degrees alone decide and ΣY
+   does not, so ``StratumSpace.outer_table`` keeps zeros[i], the passing
+   pairs among the first i with a zero target.  Over the ranks below
+   r = y.x_count + x, with i = #{F < x}, the passing pairs number
+   y.|F| + i and those with a zero target y.zeros[|F|] + zeros[i], so two
+   such counts settle any rank range whose every Y has a full R.
+8. The prefix walk (k = 2).  Two facts let cut A settle a subtree at once:
+   * R only grows: if Y is a sub-multiset of Y', then R(Y) lies in R(Y'),
+     since a pair B, Z of Y is one of Y'.  So a sorted prefix of Y whose R
+     is full has a full R in every completion.
+   * Lex prefixes are rank intervals: the sorted <a>-parts that begin with
+     a given prefix are consecutive in lex order.  Over m ground values and
+     |Y| terms, the child that puts ground position v at index i of the
+     prefix covers multiset_count(m - v, |Y| - i - 1) consecutive y-ranks,
+     and the children of a node follow each other in v.
+   ``_Scan.walk`` goes depth first through the prefixes, each node holding
+   its prefix's profile.  A child whose ranks miss the scanned range is
+   skipped unbuilt; a child with a full R is settled by cut A over the part
+   of its interval in the range, however little of it that is; a full-length
+   Y with R not full has its pairs settled as in 6; any other child is
+   walked.  At 3,7,2 the walk of the whole k = 2 stratum builds 1,934
+   prefix profiles and reaches the pair loop with 6 of 6,188 <a>-parts.
 9. Cut D, k = 0 and length above q.  A product-one S over the cyclic <a>
    with more than q terms is never an atom: S without its first term has
    at least q terms y_1 .. y_m, and two of the m + 1 prefix sums y_1 + ... +
@@ -147,7 +161,7 @@ with a nonzero or no residue) is built and goes through
 ``classify_candidate``; strata with k >= 3 or k = None keep the loop that
 builds, filters and classifies one candidate at a time.  Counters are sums
 over ranks and the atom and unverified lists grow in rank order, so the
-state after a range does not depend on how the range was cut into blocks;
+state after a range does not depend on how the range was cut up;
 ``atom_search`` cuts its slices where ``max_candidates`` stops and where
 ``checkpoint_every`` writes a checkpoint, and so writes the same records at
 the same ranks as a loop over single candidates.
@@ -564,31 +578,59 @@ def _abelian_verdict(ctx: GroupCtx, content: tuple[int, ...]) -> str:
     return "atom"
 
 
+@lru_cache(maxsize=16)
+def _lane_masks(q: int) -> tuple[int, list[int], list[int]]:
+    """(all q lanes, keep[y], wrap[y]) for the packed split masks of ``_profile_step``.
+
+    Lane z is bits z.q .. z.q + q - 1.  keep[y] holds the bits at or above y
+    of every lane, wrap[y] those below y.
+    """
+    ones = sum(1 << z * q for z in range(q))
+    keep = [ones * ((1 << q) - (1 << y)) for y in range(q)]
+    wrap = [ones * ((1 << y) - 1) for y in range(q)]
+    return (1 << q * q) - 1, keep, wrap
+
+
+# The profile of the empty <a>-part: ΣY = 0, P = {0}, no nonempty Z.
+_EMPTY_PROFILE = (0, 1, 0)
+
+
+def _profile_step(q: int, profile: tuple[int, int, int], y: int) -> tuple[int, int, int]:
+    """The profile (ΣY mod q, P, packed split lanes) of Y plus one term y, 0 <= y < q.
+
+    Lane z of the packed integer is the q-bit mask of ΣB over disjoint B, Z
+    of Y with Z nonempty and ΣZ = z; lane 0 is R.  The new term goes to B
+    (every lane rotated by y), to Z (lane z - y moves to lane z) or to
+    neither, and it opens Z on its own for every B of the old P.
+    """
+    total, sums, split = profile
+    lanes, keep, wrap = _lane_masks(q)
+    spun = (split << y) & keep[y] | (split >> (q - y)) & wrap[y]
+    moved = (split << y * q) & lanes | split >> (q - y) * q
+    return (
+        (total + y) % q,
+        sums | ((sums << y) | (sums >> (q - y))) & ((1 << q) - 1),
+        split | spun | moved | sums << y * q,
+    )
+
+
 @lru_cache(maxsize=1)
 def _inner_profile(q: int, inner: tuple[int, ...]) -> tuple[int, int, int]:
-    """(ΣY mod q, subset-sum mask P, split mask R) of the <a>-part Y.
+    """(ΣY mod q, subset-sum mask P, split mask R) of the sorted <a>-part Y.
 
     Bit b of P is set when some sub-multiset B of Y has ΣB = b; bit b of R
-    when some B is disjoint from a nonempty Z of Y with ΣZ = 0.  The profile
-    depends on q and Y alone, so ``(q, sorted Y)`` is the whole key, and one
-    entry serves a run of candidates because ``iter_range`` varies the outer
-    terms fastest.
+    when some B is disjoint from a nonempty Z of Y with ΣZ = 0.  It folds
+    ``_profile_step`` over Y for ``classify_candidate``; the k = 2 scan
+    builds its profiles in the prefix walk instead.  The one cached entry
+    serves a run of candidates with the same <a>-part, which a loop over
+    the ranks of a fixed-k stratum meets, since the outer part varies
+    fastest.
     """
-    full = (1 << q) - 1
-    sums = 1  # Z empty so far: the subset sums of the prefix of Y
-    split = [0] * q  # Z nonempty: split[z] is the mask of ΣB with ΣZ = z
-    for v in inner:
-        spun = [((mask << v) | (mask >> (q - v))) & full for mask in split]
-        split = [split[z] | spun[z] | split[z - v] for z in range(q)]  # neither / B / Z
-        split[v] |= sums  # this copy opens Z
-        sums |= ((sums << v) | (sums >> (q - v))) & full
-    return sum(inner) % q, sums, split[0]
-
-
-def _has_zero_pair(q: int, inner: tuple[int, ...]) -> bool:
-    """Cut B (fact 8 of the module docstring): Y holds some y, -y and q - 1 further nonzero terms."""
-    present = set(inner)
-    return len(inner) - inner.count(0) > q and not present.isdisjoint([q - y for y in present])
+    profile = _EMPTY_PROFILE
+    for y in inner:
+        profile = _profile_step(q, profile, y)
+    total, sums, split = profile
+    return total, sums, split & ((1 << q) - 1)
 
 
 def _pair_target(ctx: GroupCtx, x1: int, x2: int, total: int) -> int:
@@ -800,10 +842,11 @@ class _Scan:
     """What one ``atom_search`` call has found, and the two loops that extend it.
 
     ``ranks`` builds, filters and classifies one candidate at a time.
-    ``blocks`` takes a stratum with k <= 2 one <a>-part block at a time and
-    builds only the candidates it must hand on (see the module docstring).
-    Over the same ranks both leave the counters, digest and lists that the
-    per-candidate loop leaves.
+    ``blocks`` takes a stratum with k <= 2: one <a>-part block at a time for
+    k <= 1, and by the prefix walk (``walk``) for k = 2.  It builds only the
+    candidates it must hand on (see the module docstring).  Over the same
+    ranks both leave the counters, digest and lists that the per-candidate
+    loop leaves.
     """
 
     space: StratumSpace
@@ -845,52 +888,79 @@ class _Scan:
 
     def blocks(self, lo: int, hi: int) -> None:
         space, counters, ctx = self.space, self.counters, self.space.ctx
-        q = ctx.q
-        outer, passing, targets, zeros = space.outer_table
+        outer, passing, targets, _ = space.outer_table
         filtered = space.filtered_count(lo, hi)
         counters.visited += hi - lo
         counters.filtered_out += filtered
         counters.checked += hi - lo - filtered
         if not passing:
             return
-        if space.stratum.k == 0 and space.stratum.length > q:  # cut D, fact 9; () passes, so all do
+        if space.stratum.k == 0 and space.stratum.length > ctx.q:  # cut D, fact 9; () passes, so all do
             product_one = space.zero_sum_count(lo, hi)
             counters.non_atoms += product_one
             counters.not_product_one += hi - lo - product_one
             counters.note_method("abelian", hi - lo)
             return
+        if targets:
+            self.walk(lo, hi)
+            return
+        for _, inner, x_lo, x_hi in space.iter_blocks(lo, hi):
+            for x in passing[bisect_left(passing, x_lo):bisect_left(passing, x_hi)]:
+                self.classify(inner + outer[x])
+
+    def walk(self, lo: int, hi: int) -> None:
+        """Settle ranks [lo, hi) of a k = 2 stratum by the prefix walk of fact 8."""
+        space, ctx = self.space, self.space.ctx
+        q, x_count, values, size = ctx.q, space.x_count, space.y_ground, space.y_size
+        outer, passing, targets, zeros = space.outer_table
         n_pass, full = len(passing), (1 << q) - 1
         not_product_one = non_atoms = 0
-        for _, inner, x_lo, x_hi in space.iter_blocks(lo, hi):
-            if x_hi - x_lo == space.x_count:
-                i, j = 0, n_pass
-            else:
-                i, j = bisect_left(passing, x_lo), bisect_left(passing, x_hi)
-            if i == j:
-                continue
-            if not targets:
-                for x in passing[i:j]:
-                    self.classify(inner + outer[x])
-                continue
-            if _has_zero_pair(q, inner):
-                split = full  # cut B, fact 8
-            else:
-                total, sums, split = _inner_profile(q, inner)
-            if split == full:  # cut A, fact 7
-                zero = zeros[j] - zeros[i]
-                not_product_one += zero
-                non_atoms += j - i - zero
-                continue
-            row = targets[total]
-            for x, target in row if j - i == n_pass else row[i:j]:
-                if not sums & target:
-                    not_product_one += 1
-                elif split & target:
-                    non_atoms += 1
-                else:
-                    content = inner + outer[x]
-                    kind, _ = _confirm_atom(ctx, content, "outer_pair", self.state_cap)
-                    self.add(content, kind, "outer_pair")
+        prefix: list[int] = []
+
+        def below(rank: int) -> tuple[int, int]:
+            """(passing pairs, those with a zero target) among the ranks below ``rank`` (fact 7)."""
+            y, x = divmod(rank, x_count)
+            i = bisect_left(passing, x)
+            return y * n_pass + i, y * zeros[-1] + zeros[i]
+
+        def visit(depth: int, first: int, y_rank: int, profile: tuple[int, int, int]) -> None:
+            """The subtree of the ``depth``-term prefix ``prefix``, whose first y-rank is ``y_rank``."""
+            nonlocal not_product_one, non_atoms
+            if depth == size:  # fact 6: the passing pairs of Y = prefix inside [lo, hi)
+                total, sums, split = profile
+                split &= full
+                i = bisect_left(passing, lo - y_rank * x_count)
+                j = bisect_left(passing, hi - y_rank * x_count)
+                inner = tuple(prefix)
+                for x, target in targets[total][i:j]:
+                    if not sums & target:
+                        not_product_one += 1
+                    elif split & target:
+                        non_atoms += 1
+                    else:
+                        content = inner + outer[x]
+                        kind, _ = _confirm_atom(ctx, content, "outer_pair", self.state_cap)
+                        self.add(content, kind, "outer_pair")
+                return
+            for v in range(first, len(values)):
+                count = multiset_count(len(values) - v, size - depth - 1)
+                a, b = y_rank * x_count, (y_rank + count) * x_count
+                if a >= hi:
+                    return
+                if b > lo:
+                    child = _profile_step(q, profile, values[v])
+                    if child[2] & full == full:  # cut A, fact 7, over the whole subtree
+                        (pass_a, zero_a), (pass_b, zero_b) = below(max(a, lo)), below(min(b, hi))
+                        not_product_one += zero_b - zero_a
+                        non_atoms += pass_b - pass_a - zero_b + zero_a
+                    else:
+                        prefix.append(values[v])
+                        visit(depth + 1, v, y_rank, child)
+                        prefix.pop()
+                y_rank += count
+
+        visit(0, 0, 0, _EMPTY_PROFILE)
+        counters = self.counters
         counters.not_product_one += not_product_one
         counters.non_atoms += non_atoms
         if not_product_one + non_atoms:

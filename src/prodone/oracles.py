@@ -38,6 +38,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .group import GroupCtx
 from .sequences import AtomVerdict, ProductSet, Sequence, _Lattice, classify, pi_set
@@ -319,6 +320,10 @@ def _check_outer_pair(ctx: GroupCtx, seq: Sequence) -> dict | None:
     return _spread_record(ctx, seq, min(ctx.q, 2 * (len(seq) - 2) + 1))
 
 
+# ``_full_support`` and ``_chain_factor`` keep their last few values: a
+# proposer accepts an instance on the same predicate that its check then
+# requires, so the check of the instance just proposed reads the cache.
+@lru_cache(maxsize=8)
 def _full_support(ctx: GroupCtx, seq: Sequence) -> bool:
     return not seq.multiplicity(0) and len(ctx.subgroup_generated_idx(set(seq.support()))) == ctx.n
 
@@ -337,6 +342,7 @@ def _check_full_support(ctx: GroupCtx, seq: Sequence) -> dict | None:
     return _spread_record(ctx, seq, min(ctx.p, len(seq)))
 
 
+@lru_cache(maxsize=64)
 def _chain_factor(ctx: GroupCtx, seq: Sequence, closed: bool) -> ProductSet | None:
     """pi(seq) when ``seq`` may stand in a chain, else None.
 

@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Criterion 5 (the full-scope scan over every stratum) is an extended
-multi-hour run, and the k<=2 scope at 5,11,3 an extended one of about a
-minute; enable both with PRODONE_EXTENDED=1.  Everything else runs in
-a normal pytest invocation and asserts both the stated results and the
-stated time budgets.
+multi-hour run; enable it with PRODONE_EXTENDED=1.  Everything else,
+the k<=2 scope at 5,11,3 and 3,13,3 included, runs in a normal pytest
+invocation and asserts both the stated results and the stated time
+budgets.
 """
 
 import itertools
@@ -120,16 +120,27 @@ def test_criterion_4_inverse_theorem_stratum_scope(ctx372, inverse_report_372):
     _report(4, "length-14 atoms exist only in the k=2 stratum and all match", started, 600.0)
 
 
-@pytest.mark.extended
-@pytest.mark.skipif(not EXTENDED, reason="about a minute; set PRODONE_EXTENDED=1")
-def test_inverse_theorem_k_le_2_at_5_11_3(ctx5113):
-    # 9.9e9 ranks of k=2 and 2.0e7 of k=0, settled by the block cuts.
-    report = verify_inverse_theorem(ctx5113, "k_le_2")
-    assert report.n_f == report.matched == 220
+def _check_k_le_2_claim(ctx, n_f: int) -> None:
+    started = time.perf_counter()
+    descriptor = ctx.params.descriptor()
+    report = verify_inverse_theorem(ctx, "k_le_2")
+    assert report.n_f == report.matched == n_f
     assert not report.exceptions and report.unverified_total == 0 and report.verified
-    cert = make_certificate("inverse_report", "5,11,3", report.to_payload(), seed=report.seed)
+    cert = make_certificate("inverse_report", descriptor, report.to_payload(), seed=report.seed)
     outcome = check_certificate(cert)
     assert outcome.ok, outcome.messages
+    assert outcome.caveats == []  # the checker scans every k<=2 stratum again
+    _report(4, f"k<=2 inverse theorem at ({descriptor}), certificate re-checked", started, 60.0)
+
+
+def test_inverse_theorem_k_le_2_at_5_11_3(ctx5113):
+    # 9.9e9 ranks of k=2 and 2.0e7 of k=0, settled by the prefix walk and cut D.
+    _check_k_le_2_claim(ctx5113, 220)
+
+
+def test_inverse_theorem_k_le_2_at_3_13_3(ctx3133):
+    # 1.5e11 ranks of k=2, of which the pair loop sees the blocks of 12 <a>-parts.
+    _check_k_le_2_claim(ctx3133, 156)
 
 
 @pytest.mark.extended

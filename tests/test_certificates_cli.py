@@ -445,9 +445,17 @@ def _check_inverse(payload):
 
 
 def test_inverse_report_checker_accepts_consistent_report(ctx372):
-    outcome = _check_inverse(_inverse_payload(ctx372))
+    # The checker scans every k<=2 stratum again, so no exhaustiveness caveat
+    # remains; a report that lists a k>=3 stratum keeps it.
+    payload = _inverse_payload(ctx372)
+    outcome = _check_inverse(payload)
     assert outcome.ok, outcome.messages
-    assert any("exhaustiveness" in c for c in outcome.caveats)
+    assert not any("exhaustiveness" in c for c in outcome.caveats)
+    payload["scope"] = "full"
+    payload["strata"].append(_stratum_record(3, 42, [], 42))
+    outcome = _check_inverse(payload)
+    assert not outcome.ok
+    assert any("exhaustiveness of the k >= 3" in c for c in outcome.caveats)
 
 
 def test_inverse_report_forged_stratum_size_is_rejected(ctx372):
@@ -609,6 +617,52 @@ def test_k0_verdict_forgeries_are_rejected(ctx372, kind, forge):
         outcome = _check_inverse(payload)
     assert not outcome.ok
     assert any("non_atoms, not_product_one" in m for m in outcome.messages), outcome.messages
+
+
+def _move_k2_verdict(record):
+    # One non-atom recounted as not product-one: every accounting identity
+    # still holds, and only a second scan shows the verdict is wrong.
+    record["counters"]["non_atoms"] -= 1
+    record["counters"]["not_product_one"] += 1
+
+
+@pytest.mark.parametrize("kind", ["inverse_report", "checkpoint"])
+def test_k2_verdict_forgeries_are_rejected(ctx372, kind):
+    if kind == "checkpoint":
+        payload = _checkpoint_payload(ctx372)
+        _move_k2_verdict(payload)
+        outcome = _check_checkpoint(payload)
+    else:
+        payload = _inverse_payload(ctx372)
+        _move_k2_verdict(payload["strata"][2])
+        outcome = _check_inverse(payload)
+    assert not outcome.ok
+    assert any("non_atoms, not_product_one" in m and "re-scan" in m
+               for m in outcome.messages), outcome.messages
+
+
+def test_k2_checkpoint_is_scanned_again(ctx372):
+    # A genuine k=2 window passes with no coverage caveat, and a record whose
+    # atom list drops an atom (counter and digest kept consistent) fails.
+    payload = _checkpoint_payload(ctx372, k=2)
+    outcome = _check_checkpoint(payload)
+    assert outcome.ok, outcome.messages
+    assert not any("coverage" in c for c in outcome.caveats)
+    stratum = Stratum(length=14, k=2)
+    shard = Shard(index=0, n_shards=1, start_rank=0, end_rank=649_740)
+    result = atom_search(ctx372, stratum, shard=shard)
+    counters = result.counters
+    counters.atoms -= 1
+    counters.non_atoms += 1
+    atoms = [s.format(ctx372) for s in result.atoms][1:]
+    digest = digest_empty()
+    for text in atoms:
+        digest = digest_add(digest, text)
+    payload = checkpoint_record(ctx372, stratum, shard, 0, counters, digest, atoms, [],
+                                result.last_rank, True)
+    outcome = _check_checkpoint(payload)
+    assert not outcome.ok
+    assert any("atom list differs" in m for m in outcome.messages), outcome.messages
 
 
 def _window_payload(ctx, k):

@@ -603,37 +603,52 @@ def test_zero_sum_count_matches_brute_force(ctx372):
                 assert space.zero_sum_count(lo, hi) == sum(zero[lo:hi]), (stratum, lo, hi)
 
 
-def _assert_zero_pair_means_full_split(q, parts):
+def _assert_split_mask_only_grows(q, parts):
+    """Fold each part one term at a time: a full R stays full, and no step loses a bit of R.
+
+    Returns how many parts reach a full R before their last term.
+    """
     full = (1 << q) - 1
-    fired = 0
+    early = 0
     for inner in parts:
-        if enumeration._has_zero_pair(q, inner):
-            fired += 1
-            assert enumeration._inner_profile(q, inner)[2] == full, inner
-    return fired
+        profile = enumeration._EMPTY_PROFILE
+        was_full = False
+        for i, y in enumerate(inner):
+            grown = enumeration._profile_step(q, profile, y)
+            before, after = profile[2] & full, grown[2] & full
+            assert before & ~after == 0, inner[:i + 1]
+            assert not was_full or after == full, inner[:i + 1]
+            early += was_full and i == len(inner) - 1
+            was_full, profile = after == full, grown
+        assert enumeration._inner_profile(q, tuple(inner))[2] == profile[2] & full
+    return early
 
 
-def test_zero_pair_cut_means_full_split_mask(ctx372):
-    # Every <a>-part of the length-14 k=2 stratum at 3,7,2: cut B settles 5,610
-    # blocks, cut A another 572, and 6 reach the pair loop.
+def test_split_mask_only_grows(ctx372):
+    # Every <a>-part of the length-14 k=2 stratum at 3,7,2: 6,182 of the 6,188
+    # have a full R, and only the other 6 reach the pair loop.
     space = StratumSpace(ctx372, Stratum(length=14, k=2))
     parts = [inner for _, inner, _, _ in space.iter_blocks(0, space.total)]
     assert len(parts) == 6_188
-    assert _assert_zero_pair_means_full_split(7, parts) == 5_610
-    full = [enumeration._inner_profile(7, inner)[2] == 127 for inner in parts]
-    assert sum(full) == 5_610 + 572
-    # Shorter <a>-parts, with and without the identity: below the count gate a
-    # pair y, -y does not make R full, e.g. Y = 1, 2, 6 has R = {0, 2}.
-    assert not enumeration._has_zero_pair(7, (1, 2, 6))
+    assert _assert_split_mask_only_grows(7, parts) > 5_000
+    assert sum(enumeration._inner_profile(7, inner)[2] != 127 for inner in parts) == 6
+    # Y = 1, 2, 6 has R = {0, 2}: ΣB = 2 beside Z = {1, 6}.
     assert enumeration._inner_profile(7, (1, 2, 6))[2] == 0b101
+    # Shorter <a>-parts, with and without the identity, and R of a
+    # sub-multiset inside R of the whole for random sub-multisets.
     for size in range(2, 12):
         for start in (0, 1):
-            parts = itertools.combinations_with_replacement(range(start, 7), size)
-            _assert_zero_pair_means_full_split(7, parts)
+            _assert_split_mask_only_grows(
+                7, itertools.combinations_with_replacement(range(start, 7), size))
+    rng = random.Random(7)
+    for _ in range(300):
+        whole = sorted(rng.randrange(7) for _ in range(rng.randrange(1, 14)))
+        sub = tuple(sorted(rng.sample(whole, rng.randrange(len(whole) + 1))))
+        assert enumeration._inner_profile(7, sub)[2] & ~enumeration._inner_profile(7, tuple(whole))[2] == 0
 
 
 @pytest.mark.parametrize("descriptor,seed", [("5,11,3", 5), ("3,13,3", 13)])
-def test_zero_pair_cut_means_full_split_mask_on_samples(descriptor, seed):
+def test_split_mask_only_grows_on_samples(descriptor, seed):
     ctx = make_group(descriptor)
     q = ctx.q
     rng = random.Random(seed)
@@ -642,7 +657,72 @@ def test_zero_pair_cut_means_full_split_mask_on_samples(descriptor, seed):
         size = rng.choice([2 * q - 2, rng.randrange(2, 2 * q)])
         low = rng.randrange(2)  # 0 lets the identity in
         parts.append(tuple(sorted(rng.randrange(low, q) for _ in range(size))))
-    assert _assert_zero_pair_means_full_split(q, parts) > 100
+    assert _assert_split_mask_only_grows(q, parts) > 100
+
+
+def test_prefix_walk_builds_few_profiles(ctx372, monkeypatch):
+    # The whole k=2 stratum at 3,7,2 builds 1,934 prefix profiles (fact 8),
+    # against 6,188 <a>-parts of 12 terms each.
+    steps = []
+    step = enumeration._profile_step
+    monkeypatch.setattr(enumeration, "_profile_step", lambda *args: steps.append(1) or step(*args))
+    result = atom_search(ctx372, Stratum(length=14, k=2))
+    assert len(steps) == 1_934 and len(result.atoms) == 42
+
+
+def _settled_subtrees(ctx, stratum, depth, rng, count):
+    """``count`` (first y-rank, y-ranks) of random subtrees of ``depth``-term prefixes whose R is full.
+
+    Only subtrees of three or more <a>-parts are kept.
+    """
+    space = StratumSpace(ctx, stratum)
+    values, m, size = space.y_ground, len(space.y_ground), space.y_size
+    full = (1 << ctx.q) - 1
+    out = set()
+    while len(out) < count:
+        prefix = tuple(sorted(rng.randrange(m) for _ in range(depth)))
+        ranks = multiset_count(m - prefix[-1], size - depth)
+        if ranks > 2 and enumeration._inner_profile(ctx.q, tuple(values[v] for v in prefix))[2] == full:
+            out.add((rank_multiset(prefix + (prefix[-1],) * (size - depth), m), ranks))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("descriptor,length,depth", [
+    ("3,7,2", 14, 8), ("3,7,2", 10, 7), ("5,11,3", 16, 11), ("3,13,3", 20, 14)])
+def test_prefix_walk_matches_reference_on_windows_inside_settled_subtrees(descriptor, length, depth):
+    # Windows with an end inside a settled subtree and inside one <a>-part's
+    # block, so the walk settles part of the subtree: both ends in one
+    # subtree, and windows across the subtree's first and last rank.
+    ctx = make_group(descriptor)
+    stratum = Stratum(length=length, k=2)
+    x_count = StratumSpace(ctx, stratum).x_count
+    rng = random.Random(length)
+    for first, count in _settled_subtrees(ctx, stratum, depth, rng, 3):
+        begin, end = first * x_count, (first + count) * x_count
+        inside = begin + rng.randrange(1, count - 1) * x_count + rng.randrange(1, x_count)
+        windows = [
+            (inside, inside + rng.randrange(2, x_count + 2)),
+            (begin - 2 * x_count - 5, begin + x_count + 3),
+            (end - x_count - 3, end + 2 * x_count + 7),
+        ]
+        for lo, hi in windows:
+            shard = Shard(0, 1, max(lo, 0), hi)
+            assert _block_record(ctx, stratum, shard) == _reference_run(ctx, stratum, shard)[-1], shard
+
+
+@pytest.mark.parametrize("descriptor,seed", [("3,7,2", 1), ("5,11,3", 2), ("3,13,3", 3)])
+def test_prefix_walk_matches_reference_on_one_rank_windows(descriptor, seed):
+    ctx = make_group(descriptor)
+    rng = random.Random(seed)
+    for length, exclude_identity in ((2 * ctx.q, True), (9, False), (2, True)):
+        stratum = Stratum(length=length, k=2, exclude_identity=exclude_identity)
+        space = StratumSpace(ctx, stratum)
+        ranks = {0, space.total - 1} | {rng.randrange(space.total) for _ in range(40)}
+        for rank in sorted(ranks):
+            shard = Shard(0, 1, rank, rank + 1)
+            record = _block_record(ctx, stratum, shard)
+            assert record == _reference_run(ctx, stratum, shard)[-1], (length, rank)
+            assert record["counters"]["visited"] == 1
 
 
 def test_filtered_count_matches_the_filter(ctx372):

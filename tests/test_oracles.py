@@ -121,3 +121,30 @@ def test_short_window_self_witness(ctx372):
 def test_run_lemma_rejects_unknown_id(ctx372):
     with pytest.raises(ValueError):
         run_lemma(ctx372, "no-such-lemma", trials=1, seed=0)
+
+
+@pytest.mark.parametrize("lemma,hypothesis", [
+    ("full-support-spread", "subgroup"), ("closed-product-chain", "pi")])
+def test_lemma_check_reuses_the_proposers_hypothesis(ctx372, monkeypatch, lemma, hypothesis):
+    # The check of an instance just proposed reads the hypothesis's cached
+    # value: the generated subgroup (full support) or the factors' product
+    # sets (chain) are not computed again.
+    from prodone import oracles
+    from prodone.group import GroupCtx
+
+    calls = []
+    generated, products = GroupCtx.subgroup_generated_idx, oracles.pi_set
+    monkeypatch.setattr(GroupCtx, "subgroup_generated_idx",
+                        lambda self, gens: calls.append("subgroup") or generated(self, gens))
+    monkeypatch.setattr(oracles, "pi_set", lambda ctx, seq: calls.append("pi") or products(ctx, seq))
+    propose, check = oracles._SUITES[lemma]
+    checked = 0
+    for index in range(30):
+        instance = propose(ctx372, oracles._trial_rng(0, index, lemma))
+        if instance is None:
+            continue
+        calls.clear()
+        assert check(ctx372, instance) is None
+        assert hypothesis not in calls
+        checked += 1
+    assert checked > 20
