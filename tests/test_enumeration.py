@@ -603,10 +603,23 @@ def test_zero_sum_count_matches_brute_force(ctx372):
                 assert space.zero_sum_count(lo, hi) == sum(zero[lo:hi]), (stratum, lo, hi)
 
 
+def _brute_profile(q, inner):
+    """(P, R) of the <a>-part ``inner`` from every split of its terms into B, Z and neither."""
+    sums = split = 0
+    for roles in itertools.product((0, 1, 2), repeat=len(inner)):
+        b = sum(y for y, role in zip(inner, roles) if role == 1) % q
+        z = [y for y, role in zip(inner, roles) if role == 2]
+        sums |= 1 << b
+        if z and sum(z) % q == 0:
+            split |= 1 << b
+    return sums, split
+
+
 def _assert_split_mask_only_grows(q, parts):
     """Fold each part one term at a time: a full R stays full, and no step loses a bit of R.
 
-    Returns how many parts reach a full R before their last term.
+    Parts of up to five terms are also checked against every split of their
+    terms.  Returns how many parts reach a full R before their last term.
     """
     full = (1 << q) - 1
     early = 0
@@ -620,17 +633,19 @@ def _assert_split_mask_only_grows(q, parts):
             assert not was_full or after == full, inner[:i + 1]
             early += was_full and i == len(inner) - 1
             was_full, profile = after == full, grown
-        assert enumeration._inner_profile(q, tuple(inner))[2] == profile[2] & full
+        if len(inner) <= 5:
+            assert _brute_profile(q, inner) == (profile[1], profile[2] & full), inner
     return early
 
 
 def test_split_mask_only_grows(ctx372):
     # Every <a>-part of the length-14 k=2 stratum at 3,7,2: 6,182 of the 6,188
-    # have a full R, and only the other 6 reach the pair loop.
+    # have a full R (6,152 already before their last term), and only the
+    # other 6 reach the pair loop.
     space = StratumSpace(ctx372, Stratum(length=14, k=2))
     parts = [inner for _, inner, _, _ in space.iter_blocks(0, space.total)]
     assert len(parts) == 6_188
-    assert _assert_split_mask_only_grows(7, parts) > 5_000
+    assert _assert_split_mask_only_grows(7, parts) == 6_152
     assert sum(enumeration._inner_profile(7, inner)[2] != 127 for inner in parts) == 6
     # Y = 1, 2, 6 has R = {0, 2}: ΣB = 2 beside Z = {1, 6}.
     assert enumeration._inner_profile(7, (1, 2, 6))[2] == 0b101
