@@ -26,6 +26,10 @@ counts candidates per route:
   subset sums; the proof is in ``_abelian_verdict``);
 * ``outer_pair`` (k = 2): the closed form below, two bit tests against a
   profile of the <a>-part;
+* ``degree`` (any other k): a t-degree sum that is nonzero mod p makes the
+  candidate not product-one (fact 1 below), so neither of the next two
+  routes runs; only a scan with a nonzero or no residue meets such a
+  candidate, since the filter at residue 0 drops it;
 * ``ordering`` / ``dp`` (any other k): 64 random orderings whose split
   witnesses are self-certifying, then the engine DP as the decision
   procedure for whatever survives.  The orderings are drawn from a
@@ -157,12 +161,12 @@ and the prefix walk carries the first across whole subtrees:
    degrees), and the scan credits them to ``abelian``.
 
 Every other passing candidate of a block (k = 0 up to length q, and k = 1
-with a nonzero or no residue) is built and goes through
-``classify_candidate``; strata with k >= 3 or k = None keep the loop that
-builds, filters and classifies one candidate at a time.  Counters are sums
-over ranks and the atom and unverified lists grow in rank order, so the
-state after a range does not depend on how the range was cut up;
-``atom_search`` cuts its slices where ``max_candidates`` stops and where
+with a nonzero or no residue, which the ``degree`` route settles) is built
+and goes through ``classify_candidate``; strata with k >= 3 or k = None
+keep the loop that builds, filters and classifies one candidate at a time.
+Counters are sums over ranks and the atom and unverified lists grow in rank
+order, so the state after a range does not depend on how the range was cut
+up; ``atom_search`` cuts its slices where ``max_candidates`` stops and where
 ``checkpoint_every`` writes a checkpoint, and so writes the same records at
 the same ranks as a loop over single candidates.
 """
@@ -737,7 +741,8 @@ def classify_candidate(
     Kinds: ``atom``, ``non_atom``, ``not_product_one``, ``unverified``.
     ``method`` names the route that settled the candidate (see the module
     docstring): ``abelian`` with no term outside <a>, ``outer_pair`` with
-    exactly two, ``ordering`` or ``dp`` otherwise.  Every route is exact.
+    exactly two, otherwise ``degree`` when the t-degree sum is nonzero mod p
+    and ``ordering`` or ``dp`` when it is zero.  Every route is exact.
     Atom verdicts are confirmed by the engine, and ``unverified`` means the
     engine hit ``state_cap``.
     """
@@ -752,6 +757,8 @@ def classify_candidate(
             return kind, method, None
         kind, verdict = _confirm_atom(ctx, content, method, state_cap)
         return kind, method, verdict
+    if sum(idx // ctx.q for idx in outer) % ctx.p:
+        return "not_product_one", "degree", None
     counts: dict[int, int] = {}
     for idx in content:
         counts[idx] = counts.get(idx, 0) + 1

@@ -6,8 +6,10 @@ non-free).  The walk carries the forbidden set D, the inverses of the sorted
 products: a child g is live iff g is not in D, a child g extends D by
 g^-1 * (D + {e}) (p row rotations, ``GroupCtx.left_shift_plan``), and a
 child is a leaf iff g*h lands in D + {e} for every live h >= g, which is
-settled by one bit per term before D' is computed.  ``extremal_atom``
-realizes the long-atom shape
+settled by one bit per term before D' is computed.  Subtrees that need no
+record check are counted without a walk when they are two-node chains or
+repeat a kept (D, last term) state.  ``extremal_atom`` realizes the
+long-atom shape
 
     y^[q-1] . x . y^[q-1] . x^(p-1) y^(s_eff^(p-1)+1)
 
@@ -39,14 +41,25 @@ from .sequences import (
 
 # -- small Davenport constant -------------------------------------------------
 
+# Settled DFS subtrees with fewer nodes than this are not kept for reuse (see
+# ``small_davenport``).  At 3,13,3 the value 300 keeps 5,462 subtrees, about
+# 0.6 MB; 150 keeps 2.7 times as many for no clear gain, 1,000 reuses less.
+_REUSE_MIN_NODES = 300
+
 
 @dataclass
 class SmallDavenportResult:
-    """Exact maximum length of a product-one-free sequence, with certificate data."""
+    """Exact maximum length of a product-one-free sequence, with certificate data.
+
+    ``reused`` and ``chains`` count the subtrees the walk settled without
+    visiting them (see ``small_davenport``); the payload leaves them out.
+    """
 
     value: int
     extremal: Sequence
     nodes: int
+    reused: int = 0
+    chains: int = 0
 
     def to_payload(self, ctx: GroupCtx) -> dict:
         return {
@@ -92,32 +105,64 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
 
     D' is computed only for interior children and record candidates, by the
     left multiplication of ``GroupCtx.left_shift_plan`` (p row rotations,
-    inlined here).  Walk order, node count, value and extremal are those of
-    the walk over P with one right shift of P + {e} per child.
+    inlined here).
+
+    Two more rules count a child's subtree without walking it.  Only a
+    record check, which runs at depth > best_len, can cut a subtree short or
+    change the record, and best_len never decreases.
+
+    * Subtree reuse.  A node's live set is suffix(g0) & ~D and each child's
+      (D', g) follows from (D, g0), so (D, g0) fixes the node's subtree.  A
+      subtree that ran no record check was walked whole: its node count and
+      height (the depth of its deepest node below it) are functions of
+      (D, g0).  Such subtrees of at least ``_REUSE_MIN_NODES`` nodes are kept
+      under the key D*n + g0.  A later node at depth d with that key and a
+      kept height h is counted from the table when d + h <= best_len: every
+      node of its subtree then lies at depth <= best_len, so the walk would
+      run no record check there either and would visit the same nodes.
+    * Two-node chains.  Let child g, at depth d + 1 with d + 2 <= best_len,
+      have exactly one live child h (the leaf rule's bit tests find it).  The
+      grandchild's live set is suffix(h) & ~D'' inside suffix(h) & ~D' =
+      {h}, and h is in D'' iff h*h is in D' + {e}.  So the subtree of g has
+      exactly 2 nodes iff h*h is in D' + {e} = (D + {e}) + g^-1 * (D + {e}),
+      i.e. iff h*h or g*h*h is in D + {e}: two bit tests, no call and no D'.
+      Neither node runs a record check, as both lie at depth <= best_len.
+
+    Walk order, node count, value and extremal are those of the walk over P
+    with one right shift of P + {e} per child; ``reused`` and ``chains``
+    count the subtrees settled by the two rules.
     """
     n, q = ctx.n, ctx.q
     product_bits = [[1 << ctx.mul_idx(g, h) for h in range(n)] for g in range(n)]
+    square = [ctx.mul_idx(h, h) for h in range(n)]
     plans = [ctx.left_shift_plan(ctx.inv_table[g]) for g in range(n)]
     row = (1 << q) - 1
     double = 1 | 1 << q
     best_len = 0
     best: list[int] = []
-    nodes = 0
+    nodes = checks = reused = chains = 0
+    settled: dict[int, int] = {}  # D*n + g0 -> count << bits | height
+    bits = n.bit_length()  # a node's depth is below n: each term adds a product
+    height_mask = (1 << bits) - 1
     chosen: list[int] = []
 
-    def extend(live: int, forbidden: int) -> None:
-        nonlocal best_len, best, nodes
+    def extend(live: int, forbidden: int) -> int:
+        """Walk the subtree of the node ``chosen``; return its height."""
+        nonlocal best_len, best, nodes, checks, reused, chains
         nodes += 1
         depth = len(chosen)
         if depth > best_len:
+            checks += 1
             if not classify(ctx, Sequence.from_indices(chosen)).product_one_free:
-                return
+                return 0
             best_len = depth
             best = list(chosen)
+        height = 1 if live else 0
         closed = forbidden | 1
         while live:
             low = live & -live
             g = low.bit_length() - 1
+            deep = depth + 1 < best_len
             if depth < best_len:
                 row_g = product_bits[g]
                 rest = live
@@ -130,19 +175,54 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
                     nodes += 1
                     live ^= low
                     continue
+                if deep:
+                    rest ^= h_bit
+                    while rest:
+                        other = rest & -rest
+                        if not closed & row_g[other.bit_length() - 1]:
+                            break
+                        rest ^= other
+                    else:
+                        h2 = square[h_bit.bit_length() - 1]
+                        if closed & (1 << h2 | row_g[h2]):
+                            nodes += 2
+                            chains += 1
+                            if height < 2:
+                                height = 2
+                            live ^= low
+                            continue
             image = 0
             for src, dst, back in plans[g]:
                 image |= ((closed >> src & row) * double >> back & row) << dst
+            child = forbidden | image
+            key = child * n + g
+            if deep:
+                entry = settled.get(key, -1)
+                if entry >= 0 and depth + 1 + (entry & height_mask) <= best_len:
+                    nodes += entry >> bits
+                    reused += 1
+                    if height <= entry & height_mask:
+                        height = (entry & height_mask) + 1
+                    live ^= low
+                    continue
+            before, checks_before = nodes, checks
             chosen.append(g)
-            extend(live & ~image, forbidden | image)
+            below = extend(live & ~image, child)
             chosen.pop()
+            if checks == checks_before and nodes - before >= _REUSE_MIN_NODES:
+                settled[key] = (nodes - before) << bits | below
+            if height <= below:
+                height = below + 1
             live ^= low
+        return height
 
     extend((1 << n) - 2, 0)
     return SmallDavenportResult(
         value=best_len,
         extremal=Sequence.from_indices(best),
         nodes=nodes,
+        reused=reused,
+        chains=chains,
     )
 
 
@@ -640,15 +720,3 @@ def uk_bounded(ctx: GroupCtx, k: int, *, max_products: int = 64) -> UkResult:
         budget_exhausted=budget_exhausted,
     )
 
-
-def order_p_subgroups(ctx: GroupCtx) -> list[frozenset[int]]:
-    subs = {
-        ctx.subgroup_generated_idx({idx})
-        for idx in ctx.outside_commutator_indices
-    }
-    return sorted(subs, key=sorted)
-
-
-def max_order_p_multiplicity(ctx: GroupCtx, seq: Sequence) -> int:
-    """max_H v_H(S) over the order-p subgroups H."""
-    return max(seq.count_in(sub) for sub in order_p_subgroups(ctx))

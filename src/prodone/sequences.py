@@ -209,9 +209,6 @@ class ProductSet:
     def union(self, other: "ProductSet") -> "ProductSet":
         return ProductSet(self.mask | other.mask, self.group_order)
 
-    def intersection(self, other: "ProductSet") -> "ProductSet":
-        return ProductSet(self.mask & other.mask, self.group_order)
-
     def product(self, ctx: GroupCtx, other: "ProductSet") -> "ProductSet":
         """The product-set {a*b : a in self, b in other}."""
         out = 0
@@ -219,10 +216,6 @@ class ProductSet:
             for b in other:
                 out |= 1 << ctx.mul_idx(a, b)
         return ProductSet(out, self.group_order)
-
-    @property
-    def contains_identity(self) -> bool:
-        return bool(self.mask & 1)
 
 
 @dataclass(frozen=True)

@@ -393,6 +393,36 @@ def test_k_ge_3_windows_keep_verdicts_and_routes(ctx372, k, lo, expected):
     assert counters["atoms"] == counters["unverified"] == 0
 
 
+def test_degree_route_settles_nonzero_degree_sums(ctx372, tmp_path):
+    # Every k=1 candidate has one outer term, so its t-degree sum is nonzero:
+    # none is product-one, and the DP never runs.
+    stratum = Stratum(length=6, k=1, tau_residue=None)
+    path = str(tmp_path / "k1.json")
+    result = atom_search(ctx372, stratum, checkpoint_path=path, checkpoint_every=1000)
+    counters = result.counters
+    assert counters.checked == counters.not_product_one == 3_528
+    assert counters.atoms == counters.non_atoms == counters.unverified == 0
+    assert counters.by_method == {"degree": 3_528}
+    record = load_checkpoint(path)
+    assert record["complete"]
+    outcome = check_certificate(make_certificate("checkpoint", "3,7,2", record, seed=0))
+    assert outcome.ok, outcome.messages
+    # At k=3 the route takes exactly the nonzero sums, and the engine agrees.
+    space = StratumSpace(ctx372, Stratum(length=5, k=3, tau_residue=None))
+    rng = random.Random(5)
+    routes = set()
+    for rank in rng.sample(range(space.total), 150):
+        content = space.candidate_at(rank)
+        kind, method, _ = classify_candidate(ctx372, content)
+        degree = sum(idx // ctx372.q for idx in content) % ctx372.p
+        assert (method == "degree") == (degree != 0)
+        routes.add(method)
+        if degree:
+            assert kind == "not_product_one"
+            assert not is_atom(ctx372, Sequence.from_indices(content)).product_one
+    assert "degree" in routes and routes - {"degree"}
+
+
 # -- the block scan against the per-candidate loop ---------------------------------
 
 

@@ -1,5 +1,6 @@
 import random
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,8 +13,6 @@ from prodone.invariants import (
     elasticity_calculator,
     extremal_atom,
     extremal_atoms_all,
-    max_order_p_multiplicity,
-    order_p_subgroups,
     small_davenport,
     uk_bounded,
     verify_elasticity_witness,
@@ -54,21 +53,23 @@ def test_inverse_bit_decides_identity_bit(ctx_name, request):
             assert (extended & 1) == ((mask >> ctx.inv_table[g]) & 1)
 
 
-def reference_small_davenport(ctx):
+def reference_small_davenport(ctx, classify=classify):
     """The walk over the sorted products P: one right shift of P + {e} per child.
 
-    Returns (value, extremal, nodes); small_davenport must reproduce all three.
+    Returns (value, extremal, nodes, record checks); small_davenport must
+    reproduce all four.
     """
     ground = list(range(1, ctx.n))
     tables = [ctx.right_shift_table(g) for g in ground]
     inverse_bits = [1 << ctx.inv_table[g] for g in ground]
-    best_len, best, nodes = 0, [], 0
+    best_len, best, nodes, checks = 0, [], 0, 0
     chosen = []
 
     def extend(start, sorted_products):
-        nonlocal best_len, best, nodes
+        nonlocal best_len, best, nodes, checks
         nodes += 1
         if len(chosen) > best_len:
+            checks += 1
             if not classify(ctx, Sequence.from_indices(chosen)).product_one_free:
                 return
             best_len = len(chosen)
@@ -81,15 +82,54 @@ def reference_small_davenport(ctx):
             chosen.pop()
 
     extend(0, 0)
-    return best_len, Sequence.from_indices(best), nodes
+    return best_len, Sequence.from_indices(best), nodes, checks
+
+
+def _walk_with_checks(ctx, monkeypatch, check=classify):
+    """small_davenport's (value, extremal, nodes, record checks) and its result."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "classify", counted)
+    result = small_davenport(ctx)
+    return (result.value, result.extremal, result.nodes, len(calls)), result
 
 
 @pytest.mark.parametrize("desc", ["3,7,2", "3,7,4"])
-def test_small_davenport_matches_the_product_walk(desc):
+def test_small_davenport_matches_the_product_walk(desc, monkeypatch):
+    # The record checks must match too: a rule that skipped one keeps the
+    # node count whenever the skipped check would have failed.
     ctx = make_group(desc)
-    result = small_davenport(ctx)
-    assert (result.value, result.extremal, result.nodes) == reference_small_davenport(ctx)
+    walk, result = _walk_with_checks(ctx, monkeypatch)
+    assert walk == reference_small_davenport(ctx)
     assert result.value == ctx.p + ctx.q - 2
+    assert result.reused > 0 and result.chains > 0  # both counting rules fire
+
+
+@pytest.mark.parametrize("desc", ["3,7,2", "3,7,4"])
+@pytest.mark.parametrize("modulus", [2, 5])
+@pytest.mark.parametrize("threshold", [1, invariants._REUSE_MIN_NODES])
+def test_small_davenport_rules_respect_failing_record_checks(desc, modulus, threshold, monkeypatch):
+    # With the true check, every record check at these groups passes and no
+    # node lies deeper than the record, so the rules' depth conditions are
+    # never tested.  A stand-in check that also rejects some free sequences
+    # (by their index sum) makes checks fail and records come late; both
+    # walks use it and must still agree.
+    ctx = make_group(desc)
+    monkeypatch.setattr(invariants, "_REUSE_MIN_NODES", threshold)
+
+    def sometimes_free(ctx, seq):
+        free = classify(ctx, seq).product_one_free
+        return SimpleNamespace(product_one_free=free and sum(seq.indices()) % modulus != 1)
+
+    walk, result = _walk_with_checks(ctx, monkeypatch, sometimes_free)
+    reference = reference_small_davenport(ctx, sometimes_free)
+    assert walk == reference
+    assert reference[3] > reference[0]  # some record check failed
+    assert result.reused > 0 and result.chains > 0
 
 
 @pytest.mark.parametrize("ctx_name", ["ctx372", "ctx3133", "ctx5113"])
@@ -121,6 +161,37 @@ def test_leaf_rule_matches_the_forbidden_update(ctx_name, request):
                 image = ctx.left_shift(closed, ctx.left_shift_plan(ctx.inv_table[g]))
                 assert leaf == (suffix & ~(forbidden | image) == 0)
                 outcomes.add(leaf)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx372", "ctx3133", "ctx5113"])
+def test_chain_rule_matches_the_grandchild(ctx_name, request):
+    """If child g of a node with forbidden set D has the one live child h, the
+    subtree of g has two nodes iff h*h or g*h*h is in D + {e}; this must agree
+    with the grandchild's live set suffix(h) & ~D'' computed from D''."""
+    ctx = request.getfixturevalue(ctx_name)
+    n = ctx.n
+    rng = random.Random(n + 1)
+    outcomes = set()
+    for density in (0.6, 0.85, 0.95):
+        for _ in range(40):
+            forbidden = sum(1 << x for x in range(1, n) if rng.random() < density)
+            closed = forbidden | 1
+            for g in range(1, n):
+                if forbidden >> g & 1:
+                    continue
+                image = ctx.left_shift(closed, ctx.left_shift_plan(ctx.inv_table[g]))
+                child = forbidden | image
+                live = ((1 << n) - 1) >> g << g & ~child
+                if live == 0 or live & (live - 1):
+                    continue
+                h = live.bit_length() - 1
+                h2 = ctx.mul_idx(h, h)
+                two_nodes = bool(closed >> h2 & 1 or closed >> ctx.mul_idx(g, h2) & 1)
+                image_h = ctx.left_shift(child | 1, ctx.left_shift_plan(ctx.inv_table[h]))
+                grandchild = ((1 << n) - 1) >> h << h & ~(child | image_h)
+                assert two_nodes == (grandchild == 0)
+                outcomes.add(two_nodes)
     assert outcomes == {True, False}
 
 
@@ -179,6 +250,19 @@ def test_large_davenport_lower_witness(ctx372, ctx3133):
         seq = Sequence.parse(ctx, witness.format(ctx))
         assert len(seq) == 2 * ctx.q and is_atom(ctx, seq).atom
     assert ctx372.q == 7 and ctx3133.q == 13  # lengths 14 and 26
+
+
+def order_p_subgroups(ctx):
+    subs = {
+        ctx.subgroup_generated_idx({idx})
+        for idx in ctx.outside_commutator_indices
+    }
+    return sorted(subs, key=sorted)
+
+
+def max_order_p_multiplicity(ctx, seq):
+    """max_H v_H(S) over the order-p subgroups H."""
+    return max(seq.count_in(sub) for sub in order_p_subgroups(ctx))
 
 
 def test_order_p_subgroups(ctx372):

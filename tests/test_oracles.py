@@ -115,7 +115,7 @@ def test_short_window_self_witness(ctx372):
     seq = Sequence.parse(ctx372, "(0,1)^7")
     from prodone.sequences import subproducts_set
 
-    assert subproducts_set(ctx372, seq).contains_identity
+    assert 0 in subproducts_set(ctx372, seq)  # index 0 is the identity
 
 
 def test_run_lemma_rejects_unknown_id(ctx372):

@@ -93,7 +93,7 @@ def test_subproducts_examples(ctx372):
     assert {ctx372.coords(i) for i in ps} == {(1, 0), (0, 1), (1, 1), (1, 2)}
     single = subproducts_set(ctx372, Sequence.parse(ctx372, "(2,3)"))
     assert {ctx372.coords(i) for i in single} == {(2, 3)}
-    assert subproducts_set(ctx372, Sequence.parse(ctx372, "(0,1)^7")).contains_identity
+    assert 0 in subproducts_set(ctx372, Sequence.parse(ctx372, "(0,1)^7"))  # 0 is e
 
 
 def test_classify_flags(ctx372):
@@ -104,7 +104,7 @@ def test_classify_flags(ctx372):
     mixed = classify(ctx372, Sequence.parse(ctx372, "(0,1)^6,(1,0)^2"))
     assert (mixed.product_one, mixed.product_one_free) == (False, True)
     # Oracle agreement on the mixed example.
-    assert not naive_pi_set(ctx372, Sequence.parse(ctx372, "(0,1)^6,(1,0)^2")).contains_identity
+    assert 0 not in naive_pi_set(ctx372, Sequence.parse(ctx372, "(0,1)^6,(1,0)^2"))
 
 
 def test_product_set_algebra(ctx372):
@@ -113,7 +113,6 @@ def test_product_set_algebra(ctx372):
     prod = a.product(ctx372, b)
     assert set(prod.indices()) == {ctx372.mul_idx(0, 7), ctx372.mul_idx(1, 7)}
     assert len(a.union(b)) == 3
-    assert a.intersection(b).mask == 0
 
 
 # -- atoms -------------------------------------------------------------------
