@@ -6,9 +6,11 @@ seed reproduce identical digests).  ``check_certificate`` re-verifies claims
 using only engine-level recomputation: atoms are re-checked, multiset
 equalities re-summed, digests recomputed.  Scans of strata with at most two
 terms outside <a> settle whole rank ranges by arithmetic, so the checker
-runs them again.  What cannot be re-checked without re-running a longer
-search (exhaustiveness of a k >= 3 scan, absence of counterexamples) is
-stated as a caveat in the verdict rather than silently assumed.
+runs them again and requires the same verdicts, routes, atoms and
+unverified candidates.  What cannot be re-checked without re-running a
+longer search (exhaustiveness of a k >= 3 scan, absence of
+counterexamples) is stated as a caveat in the verdict rather than silently
+assumed.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ class Certificate:
     digest: str = ""
 
 
-def _canonical_bytes(cert: Certificate) -> bytes:
-    body = {
+def _body(cert: Certificate) -> dict:
+    """The fields the digest covers: all but ``timing`` and the digest itself."""
+    return {
         "schema": cert.schema,
         "kind": cert.kind,
         "group": cert.group,
@@ -58,7 +61,10 @@ def _canonical_bytes(cert: Certificate) -> bytes:
         "seed": cert.seed,
         "tool_version": cert.tool_version,
     }
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _canonical_bytes(cert: Certificate) -> bytes:
+    return json.dumps(_body(cert), sort_keys=True, separators=(",", ":")).encode()
 
 
 def compute_digest(cert: Certificate) -> str:
@@ -84,16 +90,7 @@ def make_certificate(
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    body = {
-        "schema": cert.schema,
-        "kind": cert.kind,
-        "group": cert.group,
-        "payload": cert.payload,
-        "seed": cert.seed,
-        "tool_version": cert.tool_version,
-        "timing": cert.timing,
-        "digest": cert.digest,
-    }
+    body = _body(cert) | {"timing": cert.timing, "digest": cert.digest}
     return json.dumps(body, sort_keys=True, indent=2)
 
 
@@ -140,12 +137,6 @@ class CheckResult:
 _COUNTER_NAMES = (
     "visited", "filtered_out", "checked", "atoms", "non_atoms", "not_product_one", "unverified",
 )
-
-
-_VERDICT_COUNTERS = {
-    "atom": "atoms", "non_atom": "non_atoms", "not_product_one": "not_product_one",
-    "unverified": "unverified",
-}
 
 
 def _check_scan(space, lo: int, last_rank: int, record: dict, where: str, fail) -> None:
@@ -204,34 +195,26 @@ def _check_rescan(space, lo: int, last_rank: int, record: dict, where: str, fail
     """Scan ranks [lo, last_rank] of a k <= 2 stratum again and compare it with ``record``.
 
     These scans settle whole rank ranges by arithmetic and take seconds at
-    most at the shipped triples.  The verdict counters, the nonzero entries
-    of ``by_method`` and the atom list must equal the re-scan's.  A
-    candidate the record lists as unverified (its scan ran with a lower
-    state cap) counts with the verdict that ``classify_candidate`` gives it
-    now.
+    most at the shipped triples.  Every scan runs with the same DP state cap,
+    so the verdict counters, ``by_method``, the atom list and the unverified
+    list must equal the re-scan's exactly.
     """
-    from .enumeration import Shard, atom_search, classify_candidate
+    from .enumeration import Shard, atom_search
 
     ctx, counters = space.ctx, record["counters"]
     rescan = atom_search(ctx, space.stratum, shard=Shard(0, 1, lo, last_rank + 1))
     expected = rescan.counters.to_dict()
-    claimed = {name: counters[name] for name in _VERDICT_COUNTERS.values()}
-    for text in record["unverified"]:
-        kind = classify_candidate(ctx, Sequence.parse(ctx, text).indices())[0]
-        claimed["unverified"] -= 1
-        claimed[_VERDICT_COUNTERS[kind]] += 1
-    names = ", ".join(claimed)
-    claimed_values = tuple(claimed.values())
-    expected_values = tuple(expected[name] for name in claimed)
+    names = ("atoms", "non_atoms", "not_product_one", "unverified")
+    claimed_values = tuple(counters[name] for name in names)
+    expected_values = tuple(expected[name] for name in names)
     if claimed_values != expected_values:
-        fail(f"{where}{names} {claimed_values} != re-scan {expected_values}")
-    methods = {method: count for method, count in counters["by_method"].items() if count}
-    if methods != expected["by_method"]:
-        fail(f"{where}by_method {methods} != re-scan {expected['by_method']}")
-    unverified = set(record["unverified"])
-    atoms = [text for text in (seq.format(ctx) for seq in rescan.atoms) if text not in unverified]
-    if record["atoms"] != atoms:
+        fail(f"{where}{', '.join(names)} {claimed_values} != re-scan {expected_values}")
+    if counters["by_method"] != expected["by_method"]:
+        fail(f"{where}by_method {counters['by_method']} != re-scan {expected['by_method']}")
+    if record["atoms"] != [seq.format(ctx) for seq in rescan.atoms]:
         fail(f"{where}atom list differs from the re-scan's")
+    if record["unverified"] != [seq.format(ctx) for seq in rescan.unverified]:
+        fail(f"{where}unverified list differs from the re-scan's")
 
 
 def check_certificate(cert: Certificate) -> CheckResult:

@@ -90,9 +90,9 @@ The scan.  A rank of a stratum with fixed k is y_rank * x_count + x_rank,
 where y_rank ranks the <a>-part Y and x_rank the outer part X, so the outer
 part varies fastest.  ``StratumSpace.iter_blocks`` cuts a rank range into
 blocks, one Y with a slice [x_lo, x_hi) of outer ranks each, and
-``iter_range`` is a loop over those blocks.  ``atom_search`` scans k <= 1
-block by block; for k = 2 it walks the tree of sorted prefixes of Y instead
-(fact 8).  Two facts serve both:
+``iter_range`` is a loop over those blocks.  For k = 2 ``atom_search``
+walks the tree of sorted prefixes of Y instead (fact 8).  Two facts serve
+the k <= 2 scans:
 
 5. The filter reads the outer part alone.  A term (0, y) of <a> has t-degree
    0, so the t-degree sum of S = Y.X is that of X, and S passes the filter
@@ -103,10 +103,11 @@ block by block; for k = 2 it walks the tree of sorted prefixes of Y instead
    position and t-degree residue (``_degree_counts``), walking the unranked
    outer part of x as ``rank_multiset`` does (``_count_below``), so it
    counts the failures of any rank range at every k, and no filtered
-   candidate is built.  The scan lists F (``StratumSpace.outer_table``,
-   x_count entries, which is at most C(n - q + 1, 2) for k <= 2, built once
-   per group and outer shape).  With residue 0 and k = 1 the one outer term
-   has nonzero degree, F is empty, and the whole stratum is counted at once.
+   candidate is built.  The k = 2 scan lists F (``StratumSpace.outer_table``,
+   x_count entries, at most C(n - q + 1, 2), built once per group and outer
+   shape).  With k = 1 the one outer term has nonzero degree, so by fact 1
+   no candidate is product-one: the passing ranks of a range are counted as
+   ``not_product_one`` under the ``degree`` route, and none is built.
 6. For k = 2 the target reads the pair and ΣY alone.  By 2, the verdict of
    S = Y.x1.x2 compares the bit 1 << c with the profile of Y, and c depends
    on x1, x2 and ΣY mod q only (``_pair_target``).  When d1 + d2 is
@@ -160,14 +161,13 @@ and the prefix walk carries the first across whole subtrees:
    walk as ``filtered_count`` (``_count_below``, with exponents for
    degrees), and the scan credits them to ``abelian``.
 
-Every other passing candidate of a block (k = 0 up to length q, and k = 1
-with a nonzero or no residue, which the ``degree`` route settles) is built
-and goes through ``classify_candidate``; strata with k >= 3 or k = None
-keep the loop that builds, filters and classifies one candidate at a time.
+Every candidate of a k = 0 stratum up to length q is built and goes through
+``classify_candidate``; strata with k >= 3 or k = None keep the loop that
+builds, filters and classifies one candidate at a time.
 Counters are sums over ranks and the atom and unverified lists grow in rank
 order, so the state after a range does not depend on how the range was cut
 up; ``atom_search`` cuts its slices where ``max_candidates`` stops and where
-``checkpoint_every`` writes a checkpoint, and so writes the same records at
+``_CHECKPOINT_EVERY`` writes a checkpoint, and so writes the same records at
 the same ranks as a loop over single candidates.
 """
 
@@ -185,13 +185,7 @@ from random import Random
 from typing import Iterator
 
 from .group import GroupCtx, GroupParamError
-from .sequences import (
-    DEFAULT_STATE_CAP,
-    AtomVerdict,
-    ResourceCapError,
-    Sequence,
-    is_atom,
-)
+from .sequences import AtomVerdict, ResourceCapError, Sequence, is_atom
 
 _DIGEST_MOD = 1 << 256
 
@@ -368,17 +362,16 @@ class StratumSpace:
 
     @property
     def outer_table(self) -> _OuterTable:
-        """(every outer part in rank order, the ranks of those that pass the filter, target rows, zeros).
+        """(every outer pair of a k = 2 stratum in rank order, the ranks of the passing ones, targets, zeros).
 
         Terms of <a> have t-degree 0, so with a fixed k the t-degree filter
-        reads the outer part alone (fact 5 of the module docstring).  For
-        k = 2, row ΣY of the targets lists (outer rank, ``_pair_target`` bit)
-        for each passing pair in rank order (fact 6), and zeros[i] counts the
-        pairs among the first i passing ones whose target is 0 in every row
-        (fact 7); other k have no rows and no zeros.
-        The table has ``x_count`` entries and depends on the group and the
-        outer ground, size and residue alone, so it is built once per such
-        shape and kept in ``_OUTER_TABLES``; the scan uses it for k <= 2 only.
+        reads the outer part alone (fact 5 of the module docstring).  Row ΣY
+        of the targets lists (outer rank, ``_pair_target`` bit) for each
+        passing pair in rank order (fact 6), and zeros[i] counts the pairs
+        among the first i passing ones whose target is 0 in every row
+        (fact 7).  The table has ``x_count`` entries and depends on the group
+        and the outer ground, size and residue alone, so it is built once per
+        such shape and kept in ``_OUTER_TABLES``.
         """
         key = (self.ctx.params, tuple(self.x_ground), self.x_size, self.stratum.tau_residue)
         table = _OUTER_TABLES.get(key)
@@ -386,11 +379,8 @@ class StratumSpace:
             ctx = self.ctx
             outer = list(combinations_with_replacement(self.x_ground, self.x_size))
             passing = [x for x, part in enumerate(outer) if self.passes_filters(part)]
-            targets = [] if self.stratum.k != 2 else [
-                [(x, _pair_target(ctx, *outer[x], total)) for x in passing]
-                for total in range(ctx.q)
-            ]
-            zeros = list(accumulate((not t for _, t in targets[0]), initial=0)) if targets else []
+            targets = [[(x, _pair_target(ctx, *outer[x], total)) for x in passing] for total in range(ctx.q)]
+            zeros = list(accumulate((not t for _, t in targets[0]), initial=0))
             table = _OUTER_TABLES[key] = (outer, passing, targets, zeros)
         return table
 
@@ -661,16 +651,14 @@ def _outer_pair_verdict(ctx: GroupCtx, inner: list[int], x1: int, x2: int) -> st
     return "non_atom" if split & target else "atom"
 
 
-def _confirm_atom(
-    ctx: GroupCtx, content: tuple[int, ...], method: str, state_cap: int,
-) -> tuple[str, AtomVerdict | None]:
+def _confirm_atom(ctx: GroupCtx, content: tuple[int, ...], method: str) -> tuple[str, AtomVerdict | None]:
     """Confirm a closed-form atom with the engine.
 
     Returns ("atom", verdict), or ("unverified", None) when the engine hits
-    ``state_cap``; raises when the engine finds no atom.
+    its state cap; raises when the engine finds no atom.
     """
     try:
-        verdict = is_atom(ctx, Sequence.from_indices(content), state_cap=state_cap)
+        verdict = is_atom(ctx, Sequence.from_indices(content))
     except ResourceCapError:
         return "unverified", None
     if not verdict.atom:
@@ -730,12 +718,7 @@ def _ordering_witness(ctx: GroupCtx, content: tuple[int, ...]) -> bool:
     return False
 
 
-def classify_candidate(
-    ctx: GroupCtx,
-    content: tuple[int, ...],
-    *,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> tuple[str, str, AtomVerdict | None]:
+def classify_candidate(ctx: GroupCtx, content: tuple[int, ...]) -> tuple[str, str, AtomVerdict | None]:
     """Classify one candidate multiset: (kind, method, verdict-for-atoms).
 
     Kinds: ``atom``, ``non_atom``, ``not_product_one``, ``unverified``.
@@ -744,7 +727,7 @@ def classify_candidate(
     exactly two, otherwise ``degree`` when the t-degree sum is nonzero mod p
     and ``ordering`` or ``dp`` when it is zero.  Every route is exact.
     Atom verdicts are confirmed by the engine, and ``unverified`` means the
-    engine hit ``state_cap``.
+    engine hit its state cap, ``sequences.DEFAULT_STATE_CAP``.
     """
     inner = [idx for idx in content if idx < ctx.q]
     outer = [idx for idx in content if idx >= ctx.q]
@@ -755,7 +738,7 @@ def classify_candidate(
             method, kind = "abelian", _abelian_verdict(ctx, content)
         if kind != "atom":
             return kind, method, None
-        kind, verdict = _confirm_atom(ctx, content, method, state_cap)
+        kind, verdict = _confirm_atom(ctx, content, method)
         return kind, method, verdict
     if sum(idx // ctx.q for idx in outer) % ctx.p:
         return "not_product_one", "degree", None
@@ -769,7 +752,7 @@ def classify_candidate(
     if lattice_states > 256 and _ordering_witness(ctx, content):
         return "non_atom", "ordering", None
     try:
-        verdict = is_atom(ctx, Sequence.from_indices(content), state_cap=state_cap)
+        verdict = is_atom(ctx, Sequence.from_indices(content))
     except ResourceCapError:
         return "unverified", "dp", None
     if not verdict.product_one:
@@ -849,22 +832,21 @@ class _Scan:
     """What one ``atom_search`` call has found, and the two loops that extend it.
 
     ``ranks`` builds, filters and classifies one candidate at a time.
-    ``blocks`` takes a stratum with k <= 2: one <a>-part block at a time for
-    k <= 1, and by the prefix walk (``walk``) for k = 2.  It builds only the
-    candidates it must hand on (see the module docstring).  Over the same
-    ranks both leave the counters, digest and lists that the per-candidate
-    loop leaves.
+    ``blocks`` takes a stratum with k <= 2: by counts for k = 1 and for k = 0
+    above length q, by the prefix walk (``walk``) for k = 2, and one
+    candidate at a time for k = 0 up to length q (see the module
+    docstring).  Over the same ranks both leave the counters, digest and
+    lists that the per-candidate loop leaves.
     """
 
     space: StratumSpace
-    state_cap: int
     counters: SearchCounters = field(default_factory=SearchCounters)
     digest: int = field(default_factory=digest_empty)
     atoms: list[str] = field(default_factory=list)
     unverified: list[str] = field(default_factory=list)
 
     def classify(self, content: tuple[int, ...]) -> None:
-        kind, method, _ = classify_candidate(self.space.ctx, content, state_cap=self.state_cap)
+        kind, method, _ = classify_candidate(self.space.ctx, content)
         self.add(content, kind, method)
 
     def add(self, content: tuple[int, ...], kind: str, method: str) -> None:
@@ -894,26 +876,27 @@ class _Scan:
             self.classify(content)
 
     def blocks(self, lo: int, hi: int) -> None:
-        space, counters, ctx = self.space, self.counters, self.space.ctx
-        outer, passing, targets, _ = space.outer_table
+        space, counters = self.space, self.counters
         filtered = space.filtered_count(lo, hi)
+        checked = hi - lo - filtered
         counters.visited += hi - lo
         counters.filtered_out += filtered
-        counters.checked += hi - lo - filtered
-        if not passing:
+        counters.checked += checked
+        if not checked:
             return
-        if space.stratum.k == 0 and space.stratum.length > ctx.q:  # cut D, fact 9; () passes, so all do
+        if space.stratum.k == 1:  # one outer term, so a nonzero t-degree sum (fact 1)
+            counters.not_product_one += checked
+            counters.note_method("degree", checked)
+        elif space.stratum.k == 2:
+            self.walk(lo, hi)
+        elif space.stratum.length > space.ctx.q:  # cut D, fact 9; () passes, so all ranks do
             product_one = space.zero_sum_count(lo, hi)
             counters.non_atoms += product_one
-            counters.not_product_one += hi - lo - product_one
-            counters.note_method("abelian", hi - lo)
-            return
-        if targets:
-            self.walk(lo, hi)
-            return
-        for _, inner, x_lo, x_hi in space.iter_blocks(lo, hi):
-            for x in passing[bisect_left(passing, x_lo):bisect_left(passing, x_hi)]:
-                self.classify(inner + outer[x])
+            counters.not_product_one += checked - product_one
+            counters.note_method("abelian", checked)
+        else:
+            for _, content in space.iter_range(lo, hi):
+                self.classify(content)
 
     def walk(self, lo: int, hi: int) -> None:
         """Settle ranks [lo, hi) of a k = 2 stratum by the prefix walk of fact 8."""
@@ -946,7 +929,7 @@ class _Scan:
                         non_atoms += 1
                     else:
                         content = inner + outer[x]
-                        kind, _ = _confirm_atom(ctx, content, "outer_pair", self.state_cap)
+                        kind, _ = _confirm_atom(ctx, content, "outer_pair")
                         self.add(content, kind, "outer_pair")
                 return
             for v in range(first, len(values)):
@@ -974,14 +957,16 @@ class _Scan:
             counters.note_method("outer_pair", not_product_one + non_atoms)
 
 
+# Ranks between the interval checkpoints that ``atom_search`` writes.
+_CHECKPOINT_EVERY = 25_000
+
+
 def atom_search(
     ctx: GroupCtx,
     stratum: Stratum,
     *,
     shard: Shard | None = None,
-    state_cap: int = DEFAULT_STATE_CAP,
     checkpoint_path: str | None = None,
-    checkpoint_every: int = 25_000,
     max_candidates: int | None = None,
 ) -> SearchResult:
     """Find all atoms in a stratum (or one shard of it).
@@ -990,14 +975,13 @@ def atom_search(
     are returned in ``unverified`` rather than silently dropped.  With
     ``checkpoint_path`` the scan resumes after the last completed rank and
     ``max_candidates`` bounds the work of a single call (the result is then
-    marked incomplete).
+    marked incomplete); the checkpoint is also written after every
+    ``_CHECKPOINT_EVERY`` ranks of the call.
     """
-    if checkpoint_path and checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be at least 1, got {checkpoint_every}")
     space = StratumSpace(ctx, stratum)
     lo = shard.start_rank if shard else 0
     hi = shard.end_rank if shard else space.total
-    scan = _Scan(space, state_cap)
+    scan = _Scan(space)
     start = lo
     if checkpoint_path and os.path.exists(checkpoint_path):
         record = load_checkpoint(checkpoint_path)
@@ -1025,7 +1009,7 @@ def atom_search(
 
     # Slices end where the per-candidate loop would write a checkpoint.
     run = scan.blocks if stratum.k is not None and stratum.k <= 2 else scan.ranks
-    every = checkpoint_every if checkpoint_path else max(1, stop - start)
+    every = _CHECKPOINT_EVERY if checkpoint_path else max(1, stop - start)
     for first in range(start, stop, every):
         end = min(first + every, stop)
         run(first, end)
@@ -1069,8 +1053,8 @@ def resolve_workers(requested: int | None = None) -> int:
 
 
 def _shard_worker(args: tuple) -> SearchResult:
-    ctx, stratum, shard, state_cap, path = args
-    return atom_search(ctx, stratum, shard=shard, state_cap=state_cap, checkpoint_path=path)
+    ctx, stratum, shard, path = args
+    return atom_search(ctx, stratum, shard=shard, checkpoint_path=path)
 
 
 def run_sharded(
@@ -1079,7 +1063,6 @@ def run_sharded(
     *,
     n_shards: int = 1,
     workers: int | None = None,
-    state_cap: int = DEFAULT_STATE_CAP,
     checkpoint_dir: str | None = None,
 ) -> SearchResult:
     """Process a stratum as disjoint shards, merging digests and counters.
@@ -1097,7 +1080,7 @@ def run_sharded(
         if checkpoint_dir:
             path = os.path.join(
                 checkpoint_dir, f"shard-{shard.index:04d}-of-{shard.n_shards:04d}.json")
-        jobs.append((ctx, stratum, shard, state_cap, path))
+        jobs.append((ctx, stratum, shard, path))
     if workers == 1 or len(jobs) == 1:
         results = [_shard_worker(job) for job in jobs]
     else:

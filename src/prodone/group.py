@@ -373,12 +373,8 @@ def generator_pairs(ctx: GroupCtx) -> list[tuple[Element, Element, int]]:
 # -- text forms --------------------------------------------------------
 
 
-def format_element(g: Element, form: str = "tuple") -> str:
-    if form == "tuple":
-        return f"({g[0]},{g[1]})"
-    if form == "word":
-        return f"t^{g[0]}*a^{g[1]}"
-    raise ValueError(f"unknown element form {form!r}")
+def format_element(g: Element) -> str:
+    return f"({g[0]},{g[1]})"
 
 
 def parse_element(ctx: GroupCtx, text: str) -> Element:

@@ -268,11 +268,11 @@ def extremal_atom(ctx: GroupCtx, x: Element, y: Element) -> ExtremalForm:
     return ExtremalForm(x=x, y=y, s_eff=s_eff, sequence=seq)
 
 
-def extremal_atoms_all(ctx: GroupCtx, *, verify: bool = True) -> list[ExtremalForm]:
+def extremal_atoms_all(ctx: GroupCtx) -> list[ExtremalForm]:
     """Distinct realized multisets over all generator pairs, deduplicated.
 
-    With ``verify`` every distinct multiset is confirmed to be an atom by the
-    engine before it is returned.
+    Every distinct multiset is confirmed to be an atom by the engine before
+    it is returned.
     """
     seen: dict[Sequence, ExtremalForm] = {}
     for x, y, _ in generator_pairs(ctx):
@@ -280,13 +280,9 @@ def extremal_atoms_all(ctx: GroupCtx, *, verify: bool = True) -> list[ExtremalFo
         if form.sequence not in seen:
             seen[form.sequence] = form
     forms = sorted(seen.values(), key=lambda f: f.sequence)
-    if verify:
-        for form in forms:
-            verdict = is_atom(ctx, form.sequence)
-            if not verdict.atom:
-                raise AssertionError(
-                    f"extremal construction failed atom check: {form.sequence.format(ctx)}"
-                )
+    for form in forms:
+        if not is_atom(ctx, form.sequence).atom:
+            raise AssertionError(f"extremal construction failed atom check: {form.sequence.format(ctx)}")
     return forms
 
 
@@ -556,19 +552,13 @@ class ElasticityTable:
         }
 
 
-def elasticity_calculator(
-    d_constant: int,
-    k: int,
-    *,
-    rho_odd_known: dict[int, int] | None = None,
-) -> ElasticityTable:
+def elasticity_calculator(d_constant: int, k: int) -> ElasticityTable:
     """Closed-form elasticities for a group with even maximal atom length D.
 
     rho_{2k} = k*D exactly; rho_{2k+1} is pinned to [k*D+2, k*D+D/2-1].
     The lambda table maps each n = l*D + j from 1 to 2D to its value (as a
-    (lo, hi) range, collapsed when the bounds determine it or when
-    rho_{2l+1} is supplied): 2l for j = 0, 2l+1 for j in
-    [1, rho_{2l+1}-l*D], 2l+2 up to j = D-1.
+    (lo, hi) range, collapsed when the bounds determine it): 2l for j = 0,
+    2l+1 for j in [1, rho_{2l+1}-l*D], 2l+2 up to j = D-1.
     """
     if d_constant % 2 != 0 or d_constant < 4:
         raise ValueError(f"even D >= 4 required, got {d_constant}")
@@ -577,7 +567,6 @@ def elasticity_calculator(
     d = d_constant
     rho_even = k * d
     rho_odd_bounds = (k * d + 2, k * d + d // 2 - 1)
-    rho_odd_known = rho_odd_known or {}
     table: dict[int, tuple[int, int]] = {}
     for n in range(1, 2 * d + 1):
         ell, j = divmod(n, d)
@@ -586,17 +575,12 @@ def elasticity_calculator(
         elif ell == 0:
             # One atom refactors only as itself, so j = 1 gives 1.
             table[n] = (1, 1) if j == 1 else (2, 2)
+        elif j <= 2:
+            table[n] = (2 * ell + 1, 2 * ell + 1)
+        elif j >= d // 2:
+            table[n] = (2 * ell + 2, 2 * ell + 2)
         else:
-            rho = rho_odd_known.get(ell)
-            if rho is not None:
-                value = 2 * ell + 1 if j <= rho - ell * d else 2 * ell + 2
-                table[n] = (value, value)
-            elif j <= 2:
-                table[n] = (2 * ell + 1, 2 * ell + 1)
-            elif j >= d // 2:
-                table[n] = (2 * ell + 2, 2 * ell + 2)
-            else:
-                table[n] = (2 * ell + 1, 2 * ell + 2)
+            table[n] = (2 * ell + 1, 2 * ell + 2)
     return ElasticityTable(
         d_constant=d,
         k=k,

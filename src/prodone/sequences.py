@@ -26,13 +26,16 @@ from typing import Iterable, Iterator
 
 from .group import Element, GroupCtx
 
-#: Default cap on DP states.  A sequence of length 2q with all-distinct
-#: support would need 2^(2q) states, which must fail loudly, not thrash.
+#: Caps on DP states, read at call time: the engine functions' and that of
+#: ``length_set_bounded``, which keeps a length set per state.  A sequence of
+#: length 2q with all-distinct support would need 2^(2q) states, which must
+#: fail loudly, not thrash.
 DEFAULT_STATE_CAP = 1 << 26
+LENGTH_SET_STATE_CAP = 1 << 20
 
 
 class ResourceCapError(RuntimeError):
-    """The DP state count would exceed the configured cap (sequence too wide)."""
+    """The DP state count would exceed the cap (sequence too wide)."""
 
 
 class Sequence:
@@ -241,7 +244,7 @@ class AtomVerdict:
 class _Lattice:
     """Reach masks over the mixed-radix lattice of sub-multisets of a sequence."""
 
-    def __init__(self, ctx: GroupCtx, seq: Sequence, state_cap: int):
+    def __init__(self, ctx: GroupCtx, seq: Sequence, cap: int):
         self.ctx = ctx
         self.seq = seq
         self.support = [i for i, _ in seq.entries]
@@ -250,9 +253,9 @@ class _Lattice:
         nstates = 1
         for m in self.mults:
             nstates *= m + 1
-            if nstates > state_cap:
+            if nstates > cap:
                 raise ResourceCapError(
-                    f"sequence too wide: {nstates}+ DP states exceed cap {state_cap}"
+                    f"sequence too wide: {nstates}+ DP states exceed cap {cap}"
                 )
         self.nstates = nstates
         self.full = nstates - 1
@@ -301,31 +304,27 @@ class _Lattice:
         return Sequence(zip(self.support, self.digits_of(t)))
 
 
-def _lattice(ctx: GroupCtx, seq: Sequence, state_cap: int | None) -> _Lattice:
-    return _Lattice(ctx, seq, DEFAULT_STATE_CAP if state_cap is None else state_cap)
-
-
-def pi_set(ctx: GroupCtx, seq: Sequence, *, state_cap: int | None = None) -> ProductSet:
+def pi_set(ctx: GroupCtx, seq: Sequence) -> ProductSet:
     """The set of full ordered products of ``seq`` (identity for the empty one)."""
-    lattice = _lattice(ctx, seq, state_cap)
+    lattice = _Lattice(ctx, seq, DEFAULT_STATE_CAP)
     return ProductSet(lattice.reach[lattice.full], ctx.n)
 
 
-def subproducts_set(ctx: GroupCtx, seq: Sequence, *, state_cap: int | None = None) -> ProductSet:
+def subproducts_set(ctx: GroupCtx, seq: Sequence) -> ProductSet:
     """Union of the product sets of all nonempty subsequences."""
     if seq.is_empty:
         raise ValueError("subproducts of the empty sequence are undefined")
-    lattice = _lattice(ctx, seq, state_cap)
+    lattice = _Lattice(ctx, seq, DEFAULT_STATE_CAP)
     mask = 0
     for t in range(1, lattice.nstates):
         mask |= lattice.reach[t]
     return ProductSet(mask, ctx.n)
 
 
-def classify(ctx: GroupCtx, seq: Sequence, *, state_cap: int | None = None) -> SequenceClass:
+def classify(ctx: GroupCtx, seq: Sequence) -> SequenceClass:
     if seq.is_empty:
         raise ValueError("cannot classify the empty sequence")
-    lattice = _lattice(ctx, seq, state_cap)
+    lattice = _Lattice(ctx, seq, DEFAULT_STATE_CAP)
     product_one = bool(lattice.reach[lattice.full] & 1)
     free = True
     for t in range(1, lattice.nstates):
@@ -335,11 +334,11 @@ def classify(ctx: GroupCtx, seq: Sequence, *, state_cap: int | None = None) -> S
     return SequenceClass(product_one=product_one, product_one_free=free)
 
 
-def is_atom(ctx: GroupCtx, seq: Sequence, *, state_cap: int | None = None) -> AtomVerdict:
+def is_atom(ctx: GroupCtx, seq: Sequence) -> AtomVerdict:
     """Minimal-product-one check via a single DP table answering both split sides."""
     if seq.is_empty:
         raise ValueError("the empty sequence is not classified")
-    lattice = _lattice(ctx, seq, state_cap)
+    lattice = _Lattice(ctx, seq, DEFAULT_STATE_CAP)
     reach = lattice.reach
     full = lattice.full
     if not reach[full] & 1:
@@ -372,12 +371,7 @@ class LengthSetResult:
         return self._witnesses.get(length)
 
 
-def length_set_bounded(
-    ctx: GroupCtx,
-    seq: Sequence,
-    *,
-    max_states: int = 1 << 20,
-) -> LengthSetResult:
+def length_set_bounded(ctx: GroupCtx, seq: Sequence) -> LengthSetResult:
     """The exact set of factorization lengths of ``seq`` into atoms.
 
     One ascending pass over the product-one states t of the filled lattice.
@@ -399,11 +393,12 @@ def length_set_bounded(
       are settled when t is reached.
 
     Raises ``ResourceCapError`` when the sub-multiset lattice exceeds
-    ``max_states``; every reported length carries an explicit factorization.
+    ``LENGTH_SET_STATE_CAP``; every reported length carries an explicit
+    factorization.
     """
     if seq.is_empty:
         raise ValueError("the empty sequence has no factorization lengths")
-    lattice = _Lattice(ctx, seq, max_states)
+    lattice = _Lattice(ctx, seq, LENGTH_SET_STATE_CAP)
     reach = lattice.reach
     if not reach[lattice.full] & 1:
         raise ValueError("sequence is not product-one")

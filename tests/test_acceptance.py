@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from prodone import enumeration
 from prodone.certificates import check_certificate, make_certificate
 from prodone.enumeration import (
     Stratum,
@@ -231,7 +232,7 @@ def test_criterion_8_lemma_suites(ctx372, ctx3133):
     _report(8, "zero counterexamples across all lemma suites", started, 300.0)
 
 
-def test_criterion_9_infrastructure(ctx372, inverse_report_372, tmp_path):
+def test_criterion_9_infrastructure(ctx372, inverse_report_372, tmp_path, monkeypatch):
     started = time.perf_counter()
     # Sharded vs single-run digest equality.
     stratum = Stratum(length=6, k=2)
@@ -244,11 +245,9 @@ def test_criterion_9_infrastructure(ctx372, inverse_report_372, tmp_path):
     resume_stratum = Stratum(length=5, k=1)
     baseline = atom_search(ctx372, resume_stratum)
     path = str(tmp_path / "resume.json")
+    monkeypatch.setattr(enumeration, "_CHECKPOINT_EVERY", 83)
     while True:
-        partial = atom_search(
-            ctx372, resume_stratum,
-            checkpoint_path=path, checkpoint_every=83, max_candidates=500,
-        )
+        partial = atom_search(ctx372, resume_stratum, checkpoint_path=path, max_candidates=500)
         if partial.complete:
             break
     assert partial.digest == baseline.digest

@@ -17,6 +17,7 @@ from prodone.enumeration import (
     StratumSpace,
     atom_search,
     checkpoint_record,
+    classify_candidate,
     digest_add,
     digest_empty,
     digest_hex,
@@ -63,6 +64,20 @@ def test_digest_ignores_timing(ctx372):
     body_two = json.loads(certificate_to_json(two))
     body_one.pop("timing"), body_two.pop("timing")
     assert body_one == body_two
+
+
+def test_certificate_digest_is_pinned():
+    # The digest covers schema, kind, group, payload, seed and tool version as
+    # canonical JSON; this value was computed before the body was shared with
+    # certificate_to_json.
+    payload = {"sequence": "(0,1)^12,(1,0),(2,5)", "length": 14,
+               "verdict": {"product_one": True, "atom": True}, "witness": None}
+    cert = make_certificate("atom", "3,7,2", payload, seed=0)
+    assert cert.digest == "bfa3d3402754cb4c21b9424a69b55d9b3fdf05c18e61922c2fdc9768fe796269"
+    body = json.loads(certificate_to_json(cert))
+    assert sorted(body) == ["digest", "group", "kind", "payload", "schema", "seed", "timing",
+                            "tool_version"]
+    assert parse_certificate(json.dumps(body)).digest == cert.digest
 
 
 def test_tampered_certificate_is_rejected(ctx372, tmp_path):
@@ -416,7 +431,9 @@ def _stratum_record(k, total, atoms, filtered_out, not_product_one=0):
         "visited": total, "filtered_out": filtered_out, "checked": checked,
         "atoms": len(atoms), "non_atoms": checked - len(atoms) - not_product_one,
         "not_product_one": not_product_one,
-        "unverified": 0, "by_method": {"abelian" if k == 0 else "outer_pair": checked},
+        "unverified": 0,
+        # A scan notes no route that settled nothing.
+        "by_method": {"abelian" if k == 0 else "outer_pair": checked} if checked else {},
     }
     return {"k": k, "total": total, "counters": counters, "atoms": list(atoms),
             "unverified": [], "digest": digest_hex(digest)}
@@ -639,6 +656,29 @@ def test_k2_verdict_forgeries_are_rejected(ctx372, kind):
     assert not outcome.ok
     assert any("non_atoms, not_product_one" in m and "re-scan" in m
                for m in outcome.messages), outcome.messages
+
+
+@pytest.mark.parametrize("kind", ["inverse_report", "checkpoint"])
+def test_k2_non_atom_listed_as_unverified_is_rejected(ctx372, kind):
+    # A genuine non-atom of the scanned range moved to the unverified list,
+    # with its counter moved to match: every accounting identity holds.  All
+    # scans run with the same state cap, so the re-scan lists no candidate.
+    space = StratumSpace(ctx372, Stratum(length=14, k=2))
+    text = next(
+        Sequence.from_indices(content).format(ctx372)
+        for _, content in space.iter_range(1_000, 4_000)
+        if space.passes_filters(content) and classify_candidate(ctx372, content)[0] == "non_atom"
+    )
+    if kind == "checkpoint":
+        payload = _checkpoint_payload(ctx372)
+        _list_unverified(payload, text)
+        outcome = _check_checkpoint(payload)
+    else:
+        payload = _inverse_payload(ctx372)
+        _list_unverified(payload["strata"][2], text)
+        outcome = _check_inverse(payload)
+    assert not outcome.ok
+    assert any("re-scan" in m for m in outcome.messages), outcome.messages
 
 
 def test_k2_checkpoint_is_scanned_again(ctx372):

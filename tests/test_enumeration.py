@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import random
 
 import pytest
 
-from prodone import enumeration
+from prodone import enumeration, sequences
 from prodone.certificates import check_certificate, make_certificate
 from prodone.enumeration import (
     SearchCounters,
@@ -191,7 +192,7 @@ def test_outer_pair_matches_engine_on_samples(descriptor, seed):
         inner = rng.choices(range(q), k=rng.randrange(0, 11))
         samples.append(tuple(sorted(inner + [x1, x2])))
     # Length-2q extremal atoms, and the same with one <a>-term replaced.
-    for form in rng.sample(extremal_atoms_all(ctx, verify=False), 6):
+    for form in rng.sample(extremal_atoms_all(ctx), 6):
         content = list(form.sequence.indices())
         samples.append(tuple(content))
         inner_at = [i for i, idx in enumerate(content) if idx < q]
@@ -323,16 +324,14 @@ def test_sharded_run_matches_single_run(ctx372):
     assert two_workers.atoms == single.atoms
 
 
-def test_checkpoint_resume_equals_uninterrupted(ctx372, tmp_path):
+def test_checkpoint_resume_equals_uninterrupted(ctx372, tmp_path, monkeypatch):
     stratum = Stratum(length=5, k=1)
     baseline = atom_search(ctx372, stratum)
     path = os.path.join(tmp_path, "ckpt.json")
+    monkeypatch.setattr(enumeration, "_CHECKPOINT_EVERY", 97)
     chunks = 0
     while True:
-        result = atom_search(
-            ctx372, stratum, checkpoint_path=path, checkpoint_every=97,
-            max_candidates=400,
-        )
+        result = atom_search(ctx372, stratum, checkpoint_path=path, max_candidates=400)
         chunks += 1
         if result.complete:
             break
@@ -347,6 +346,36 @@ def test_checkpoint_resume_equals_uninterrupted(ctx372, tmp_path):
     assert counters["filtered_out"] + counters["checked"] == counters["visited"]
 
 
+def test_checkpoint_saved_at_every_interval(ctx372, tmp_path, monkeypatch):
+    # The k=2 stratum at length 14 has 649,740 ranks: 25 interval saves and
+    # the final one.  A run stopped at rank 300,000 and resumed writes the
+    # same records at the same ranks and ends as the uninterrupted run.
+    every = enumeration._CHECKPOINT_EVERY
+    saved = []
+    save = enumeration.save_checkpoint
+
+    def capture(path, record):
+        saved.append(json.loads(json.dumps(record)))
+        save(path, record)
+
+    monkeypatch.setattr(enumeration, "save_checkpoint", capture)
+    stratum = Stratum(length=14, k=2)
+    whole = atom_search(ctx372, stratum, checkpoint_path=str(tmp_path / "whole.json"))
+    total = StratumSpace(ctx372, stratum).total
+    assert [r["last_rank"] for r in saved] == [every * i - 1 for i in range(1, 26)] + [total - 1]
+    assert [r["complete"] for r in saved] == [False] * 25 + [True]
+    uninterrupted, saved[:] = list(saved), []
+    path = str(tmp_path / "resumed.json")
+    first = atom_search(ctx372, stratum, checkpoint_path=path, max_candidates=300_000)
+    assert not first.complete and first.last_rank == 299_999
+    resumed = atom_search(ctx372, stratum, checkpoint_path=path)
+    assert resumed.complete
+    assert (resumed.digest, resumed.atoms) == (whole.digest, whole.atoms)
+    assert resumed.counters.to_dict() == whole.counters.to_dict()
+    # The stop writes rank 299,999 twice: as an interval save and as the call's last.
+    assert saved[11] == saved[12] and saved[:12] + saved[13:] == uninterrupted
+
+
 def test_checkpoint_rejects_mismatched_search(ctx372, tmp_path):
     stratum = Stratum(length=4, k=1)
     path = os.path.join(tmp_path, "ckpt.json")
@@ -359,19 +388,42 @@ def test_checkpoint_rejects_mismatched_search(ctx372, tmp_path):
     (3, 16, 2, {"checked": 9408, "unverified": 9324, "atoms": 84}),
     (2, 2, 1, {"checked": 6174, "unverified": 3738, "atoms": 0}),
 ], ids=["k3-dp", "k2-block"])
-def test_state_cap_sends_candidates_to_unverified(ctx372, tmp_path, k, state_cap, workers, expected):
+def test_state_cap_sends_candidates_to_unverified(
+        ctx372, tmp_path, monkeypatch, k, state_cap, workers, expected):
+    # The engine reads its cap at call time, so a lowered cap reaches the k=3
+    # DP and the k=2 walk's atom confirmations.  The pool leg (workers=2)
+    # relies on forked workers inheriting the patched module value; under the
+    # spawn or forkserver start method (macOS, Linux from Python 3.14) they
+    # would scan with the unpatched cap.
+    if workers > 1:
+        assert multiprocessing.get_start_method() == "fork", (
+            "the pool leg needs forked workers to see the patched state cap")
+    monkeypatch.setattr(sequences, "DEFAULT_STATE_CAP", state_cap)
     stratum = Stratum(length=6, k=k)
-    result = atom_search(ctx372, stratum, state_cap=state_cap)
+    result = atom_search(ctx372, stratum)
     counters = result.counters.to_dict()
     assert {key: counters[key] for key in expected} == expected
     assert len(result.atoms) == counters["atoms"]
     assert len(result.unverified) == counters["unverified"]
-    sharded = run_sharded(ctx372, stratum, n_shards=3, workers=workers, state_cap=state_cap)
+    sharded = run_sharded(ctx372, stratum, n_shards=3, workers=workers)
     assert sharded.counters.to_dict() == counters
     assert sharded.unverified == result.unverified
     assert sharded.digest == result.digest
+    # A short interval cuts the capped scan into slices at the checkpoint
+    # boundaries; the sliced run must keep the same verdicts and lists.
+    monkeypatch.setattr(enumeration, "_CHECKPOINT_EVERY", 1000)
+    saves = []
+    save = enumeration.save_checkpoint
+
+    def capture(where, record):
+        saves.append(record["last_rank"])
+        save(where, record)
+
+    monkeypatch.setattr(enumeration, "save_checkpoint", capture)
     path = str(tmp_path / "ckpt.json")
-    atom_search(ctx372, stratum, state_cap=state_cap, checkpoint_path=path, checkpoint_every=1000)
+    sliced = atom_search(ctx372, stratum, checkpoint_path=path)
+    assert saves[:-1] == [1000 * i - 1 for i in range(1, len(saves))] and len(saves) > 2
+    assert (sliced.unverified, sliced.atoms, sliced.digest) == (result.unverified, result.atoms, result.digest)
     record = load_checkpoint(path)
     assert record["complete"] and record["counters"] == counters
     outcome = check_certificate(make_certificate("checkpoint", "3,7,2", record, seed=0))
@@ -393,20 +445,30 @@ def test_k_ge_3_windows_keep_verdicts_and_routes(ctx372, k, lo, expected):
     assert counters["atoms"] == counters["unverified"] == 0
 
 
-def test_degree_route_settles_nonzero_degree_sums(ctx372, tmp_path):
+def test_degree_route_settles_nonzero_degree_sums(ctx372, tmp_path, monkeypatch):
     # Every k=1 candidate has one outer term, so its t-degree sum is nonzero:
-    # none is product-one, and the DP never runs.
-    stratum = Stratum(length=6, k=1, tau_residue=None)
-    path = str(tmp_path / "k1.json")
-    result = atom_search(ctx372, stratum, checkpoint_path=path, checkpoint_every=1000)
-    counters = result.counters
-    assert counters.checked == counters.not_product_one == 3_528
-    assert counters.atoms == counters.non_atoms == counters.unverified == 0
-    assert counters.by_method == {"degree": 3_528}
-    record = load_checkpoint(path)
-    assert record["complete"]
-    outcome = check_certificate(make_certificate("checkpoint", "3,7,2", record, seed=0))
-    assert outcome.ok, outcome.messages
+    # none is product-one, and the scan counts them without building one.
+    # With residue 1 only the outer terms of degree 1 pass: 252 <a>-parts
+    # times 7 of the 14 outer terms.
+    def refuse(*args):
+        raise AssertionError("classify_candidate called by the k=1 scan")
+
+    for residue, checked in ((None, 3_528), (1, 1_764)):
+        stratum = Stratum(length=6, k=1, tau_residue=residue)
+        path = str(tmp_path / f"k1-{residue}.json")
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, "classify_candidate", refuse)
+            result = atom_search(ctx372, stratum, checkpoint_path=path)
+        counters = result.counters
+        assert counters.visited == 3_528 and counters.filtered_out == 3_528 - checked
+        assert counters.checked == counters.not_product_one == checked
+        assert counters.atoms == counters.non_atoms == counters.unverified == 0
+        assert counters.by_method == {"degree": checked}
+        record = load_checkpoint(path)
+        assert record["complete"]
+        assert record == _reference_run(ctx372, stratum)[-1]
+        outcome = check_certificate(make_certificate("checkpoint", "3,7,2", record, seed=0))
+        assert outcome.ok, outcome.messages
     # At k=3 the route takes exactly the nonzero sums, and the engine agrees.
     space = StratumSpace(ctx372, Stratum(length=5, k=3, tau_residue=None))
     rng = random.Random(5)
@@ -561,11 +623,12 @@ def test_block_scan_checkpoints_match_reference(
         save(path, record)
 
     monkeypatch.setattr(enumeration, "save_checkpoint", capture)
+    monkeypatch.setattr(enumeration, "_CHECKPOINT_EVERY", every)
     path = str(tmp_path / "ckpt.json")
     calls = 0
     while True:
         result = atom_search(ctx372, stratum, shard=shard, checkpoint_path=path,
-                             checkpoint_every=every, max_candidates=max_candidates)
+                             max_candidates=max_candidates)
         calls += 1
         if result.complete:
             break
@@ -592,8 +655,9 @@ def test_sharded_k2_stratum_matches_single_run(ctx372):
 
 
 def test_block_scan_builds_only_what_it_must(ctx372, monkeypatch):
-    # The filter runs once per outer part of a shape, and neither k=2 pairs nor
-    # k=0 contents longer than q reach classify_candidate.
+    # The filter runs once per outer pair of a k=2 shape and never for k=1,
+    # and neither k=1 contents, k=2 pairs nor k=0 contents longer than q
+    # reach classify_candidate.
     monkeypatch.setattr(enumeration, "_OUTER_TABLES", {})
     tested = []
     passes = StratumSpace.passes_filters
@@ -601,13 +665,12 @@ def test_block_scan_builds_only_what_it_must(ctx372, monkeypatch):
                         lambda self, content: tested.append(content) or passes(self, content))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("classify_candidate called by the k=2 block scan")
+        raise AssertionError("classify_candidate called by the block scan")
 
     monkeypatch.setattr(enumeration, "classify_candidate", refuse)
     k1 = atom_search(ctx372, Stratum(length=14, k=1))
     assert k1.counters.filtered_out == k1.counters.visited == 119_952
-    assert tested == [(x,) for x in range(7, 21)]
-    tested.clear()
+    assert tested == []
     k2 = atom_search(ctx372, Stratum(length=14, k=2), shard=Shard(0, 1, 0, 20_000))
     assert len(tested) == 105 and k2.counters.checked > 0
     tested.clear()

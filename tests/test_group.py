@@ -215,7 +215,6 @@ def test_generator_pairs(ctx372):
 
 def test_element_text_forms(ctx372):
     assert format_element((1, 3)) == "(1,3)"
-    assert format_element((1, 3), form="word") == "t^1*a^3"
     assert parse_element(ctx372, "(1,3)") == (1, 3)
     assert parse_element(ctx372, "t^1*a^3") == (1, 3)
     with pytest.raises(ValueError):

@@ -1,10 +1,9 @@
 import random
-from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
-from prodone import invariants
+from prodone import invariants, sequences
 from prodone.group import make_group
 
 from prodone.invariants import (
@@ -17,7 +16,7 @@ from prodone.invariants import (
     uk_bounded,
     verify_elasticity_witness,
 )
-from prodone.sequences import Sequence, classify, is_atom, length_set_bounded
+from prodone.sequences import Sequence, classify, is_atom
 
 N_F_372 = 42    # distinct realized extremal multisets at (3,7,2); regression constant
 N_F_3133 = 156  # same at (3,13,3)
@@ -338,12 +337,6 @@ def test_calculator_at_d14():
     assert lam[28] == (4, 4)
 
 
-def test_calculator_with_known_odd_elasticity():
-    table = elasticity_calculator(14, 1, rho_odd_known={1: 16})
-    assert table.lambda_table[16] == (3, 3)
-    assert table.lambda_table[17] == (4, 4)
-
-
 def test_calculator_rejects_bad_parameters():
     with pytest.raises(ValueError):
         elasticity_calculator(13, 1)
@@ -390,7 +383,7 @@ def test_uk_three_reaches_past_even_bound(ctx372):
 
 def test_uk_counts_a_capped_product_as_budget_exhausted(ctx372, monkeypatch):
     # max_products is above the 527 products tried at k=2, so only the state cap exhausts the budget.
-    monkeypatch.setattr(invariants, "length_set_bounded", partial(length_set_bounded, max_states=64))
+    monkeypatch.setattr(sequences, "LENGTH_SET_STATE_CAP", 64)
     result = uk_bounded(ctx372, 2, max_products=10**6)
     assert result.budget_exhausted
     assert sorted(result.values) == [2, 3, 4, 7]

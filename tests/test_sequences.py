@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodone import sequences
 from prodone.group import make_group
 from prodone.oracles import naive_is_atom, naive_pi_set
 from prodone.sequences import (
@@ -146,10 +147,12 @@ def test_identity_term_law(ctx372):
     assert is_atom(ctx372, Sequence.parse(ctx372, "(0,0)")).atom
 
 
-def test_resource_guard(ctx372):
+def test_resource_guard(ctx372, monkeypatch):
+    # 14 distinct terms need 2^14 states; the engine reads its cap at call time.
     wide = Sequence.from_indices(range(1, 15))
+    monkeypatch.setattr(sequences, "DEFAULT_STATE_CAP", 512)
     with pytest.raises(ResourceCapError):
-        pi_set(ctx372, wide, state_cap=512)
+        pi_set(ctx372, wide)
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,13 +235,15 @@ def test_length_set_consistency_bounds(ctx372):
         assert all(is_atom(ctx372, f).atom for f in factors)
 
 
-def test_length_set_budget_fallback(ctx372):
+def test_length_set_budget_fallback(ctx372, monkeypatch):
     seq = Sequence.parse(ctx372, FORMA_372).cat(
         Sequence.parse(ctx372, FORMA_372).inverse(ctx372)
     )
-    # Past max_states the DP fails loudly; with room it is exact and witnessed.
-    with pytest.raises(ResourceCapError):
-        length_set_bounded(ctx372, seq, max_states=64)
+    # Past its state cap the DP fails loudly; with room it is exact and witnessed.
+    with monkeypatch.context() as patch:
+        patch.setattr(sequences, "LENGTH_SET_STATE_CAP", 64)
+        with pytest.raises(ResourceCapError):
+            length_set_bounded(ctx372, seq)
     result = length_set_bounded(ctx372, seq)
     assert {2, 14} <= result.lengths
     for ell in result.lengths:
