@@ -10,7 +10,9 @@ an explicit ``--workers`` above 1 otherwise.  ``search``,
 ``verify-inverse``, ``davenport`` and ``elasticity`` take no seed: their
 verdicts, counters and digests are the same on every run and for every shard
 plan.  ``search`` lists every atom of its rank range; its certificate's atom
-list, counters and digest describe the same scan.  Only ``lemmas --seed``
+list, counters and digest describe the same scan.  ``search --length``
+and ``--max-candidates``, and ``elasticity --k`` and ``--uk-max-products``,
+must be at least 1; ``search --k`` must lie in [0, length].  Only ``lemmas --seed``
 seeds randomized trials, and ``lemmas --trials`` must be non-negative.
 ``elasticity --uk`` factors each product through the one-pass length-set DP
 of ``sequences.length_set_bounded``.
@@ -203,6 +205,12 @@ def _cmd_seq_pi(args) -> int:
 
 def _cmd_search(args) -> int:
     ctx = make_group(args.group)
+    if args.length < 1:
+        raise ValueError(f"--length must be at least 1, got {args.length}")
+    if args.k is not None and not 0 <= args.k <= args.length:
+        raise ValueError(f"--k must be in [0, {args.length}], got {args.k}")
+    if args.max_candidates is not None and args.max_candidates < 1:
+        raise ValueError(f"--max-candidates must be at least 1, got {args.max_candidates}")
     stratum = Stratum(
         length=args.length,
         k=args.k,
@@ -286,6 +294,10 @@ def _cmd_verify_inverse(args) -> int:
 
 def _cmd_elasticity(args) -> int:
     ctx = make_group(args.group)
+    if args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k}")
+    if args.uk_max_products < 1:
+        raise ValueError(f"--uk-max-products must be at least 1, got {args.uk_max_products}")
     started = time.perf_counter()
     table = elasticity_calculator(2 * ctx.q, max(args.k // 2, 1))
     doc: dict = {"calculator": table.to_payload()}

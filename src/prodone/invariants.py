@@ -4,12 +4,12 @@
 DFS (the prune is sound: supersequences of a non-free sequence stay
 non-free).  The walk carries the forbidden set D, the inverses of the sorted
 products: a child g is live iff g is not in D, a child g extends D by
-g^-1 * (D + {e}) (p row rotations, ``GroupCtx.left_shift_plan``), and a
-child is a leaf iff g*h lands in D + {e} for every live h >= g, which is
-settled by one bit per term before D' is computed.  Subtrees that need no
-record check are counted without a walk when they are two-node chains or
-repeat a kept (D, last term) state.  ``extremal_atom`` realizes the
-long-atom shape
+g^-1 * (D + {e}) (p row rotations, ``GroupCtx.left_shift_plan``), and its
+own live children are the node's live set less that image, one mask that
+reads only the image's rows from g's row on (one rotation in the last coset
+row).  Subtrees that need no record check are counted without a walk when
+they are leaves, two-node chains or repeat a kept (D, last term) state.
+``extremal_atom`` realizes the long-atom shape
 
     y^[q-1] . x . y^[q-1] . x^(p-1) y^(s_eff^(p-1)+1)
 
@@ -97,15 +97,22 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
       suffix(g0) & ~D (the terms >= g0 outside D), walked lowest bit first,
       which is the order of an index loop over the children;
     * so the live children of its child g are the live h >= g of the node
-      with h not in g^-1 * (D + {e}), i.e. with g*h not in D + {e}.  A child
-      at depth <= the record needs no record check, and it is a leaf iff
-      g*h is in D + {e} for every live h >= g: one bit test per term
-      against the row of bits 1 << g*h, stopping at the first h that fails.
-      Leaves are counted without a call and without computing D'.
+      with h not in g^-1 * (D + {e}), i.e. with g*h not in D + {e}: the mask
+      kids = live & ~g^-1 * (D + {e}), where live holds g and the node's
+      later live children.  A child at depth <= the record needs no record
+      check, and it is a leaf iff kids = 0.  Leaves are counted without a
+      call.
 
-    D' is computed only for interior children and record candidates, by the
-    left multiplication of ``GroupCtx.left_shift_plan`` (p row rotations,
-    inlined here).
+    g^-1 * (D + {e}) is the left multiplication of
+    ``GroupCtx.left_shift_plan``: p row rotations, inlined here, each moving
+    a whole row of q bits.  If g lies in row i (the coset t^i<a>), every
+    h >= g lies in row i or later, so kids reads only the image's rows i to
+    p-1: p - i rotations.  The other i, which complete
+    D' = D + g^-1 * (D + {e}), run only for children that are not settled as
+    leaves or chains.  In the last row, i = p-1, g^-1 has t-degree 1 and
+    moves row r to row r + 1, so the one rotation reads row p-2 of D + {e}.
+    That row is doubled once per node, and each last-row child rotates it
+    with one shift and mask.
 
     Two more rules count a child's subtree without walking it.  Only a
     record check, which runs at depth > best_len, can cut a subtree short or
@@ -121,7 +128,7 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
       node of its subtree then lies at depth <= best_len, so the walk would
       run no record check there either and would visit the same nodes.
     * Two-node chains.  Let child g, at depth d + 1 with d + 2 <= best_len,
-      have exactly one live child h (the leaf rule's bit tests find it).  The
+      have exactly one live child h (kids is the one bit h).  The
       grandchild's live set is suffix(h) & ~D'' inside suffix(h) & ~D' =
       {h}, and h is in D'' iff h*h is in D' + {e}.  So the subtree of g has
       exactly 2 nodes iff h*h is in D' + {e} = (D + {e}) + g^-1 * (D + {e}),
@@ -132,10 +139,21 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
     with one right shift of P + {e} per child; ``reused`` and ``chains``
     count the subtrees settled by the two rules.
     """
-    n, q = ctx.n, ctx.q
+    n, p, q = ctx.n, ctx.p, ctx.q
     product_bits = [[1 << ctx.mul_idx(g, h) for h in range(n)] for g in range(n)]
     square = [ctx.mul_idx(h, h) for h in range(n)]
-    plans = [ctx.left_shift_plan(ctx.inv_table[g]) for g in range(n)]
+    last = (p - 1) * q  # the last coset row starts here
+    penult = last - q
+    heads = []  # the moves of g^-1 into g's row and later rows: a child's mask
+    tails = []  # the other moves, which complete D'
+    turns = [0] * n  # for g in the last row, the rotation of its one head move
+    for g in range(n):
+        plan = ctx.left_shift_plan(ctx.inv_table[g])
+        start = g - g % q
+        heads.append(tuple(move for move in plan if move[1] >= start))
+        tails.append(tuple(move for move in plan if move[1] < start))
+        if g >= last:
+            ((_, _, turns[g]),) = heads[g]
     row = (1 << q) - 1
     double = 1 | 1 << q
     best_len = 0
@@ -159,40 +177,33 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
             best = list(chosen)
         height = 1 if live else 0
         closed = forbidden | 1
+        doubled = (closed >> penult & row) * double
         while live:
             low = live & -live
             g = low.bit_length() - 1
+            if g >= last:
+                image = (doubled >> turns[g] & row) << last
+            else:
+                image = 0
+                for src, dst, back in heads[g]:
+                    image |= ((closed >> src & row) * double >> back & row) << dst
+            kids = live & ~image
             deep = depth + 1 < best_len
             if depth < best_len:
-                row_g = product_bits[g]
-                rest = live
-                while rest:
-                    h_bit = rest & -rest
-                    if not closed & row_g[h_bit.bit_length() - 1]:
-                        break
-                    rest ^= h_bit
-                else:
+                if not kids:
                     nodes += 1
                     live ^= low
                     continue
-                if deep:
-                    rest ^= h_bit
-                    while rest:
-                        other = rest & -rest
-                        if not closed & row_g[other.bit_length() - 1]:
-                            break
-                        rest ^= other
-                    else:
-                        h2 = square[h_bit.bit_length() - 1]
-                        if closed & (1 << h2 | row_g[h2]):
-                            nodes += 2
-                            chains += 1
-                            if height < 2:
-                                height = 2
-                            live ^= low
-                            continue
-            image = 0
-            for src, dst, back in plans[g]:
+                if deep and not kids & (kids - 1):
+                    h2 = square[kids.bit_length() - 1]
+                    if closed & (1 << h2 | product_bits[g][h2]):
+                        nodes += 2
+                        chains += 1
+                        if height < 2:
+                            height = 2
+                        live ^= low
+                        continue
+            for src, dst, back in tails[g]:
                 image |= ((closed >> src & row) * double >> back & row) << dst
             child = forbidden | image
             key = child * n + g
@@ -207,7 +218,7 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
                     continue
             before, checks_before = nodes, checks
             chosen.append(g)
-            below = extend(live & ~image, child)
+            below = extend(kids, child)
             chosen.pop()
             if checks == checks_before and nodes - before >= _REUSE_MIN_NODES:
                 settled[key] = (nodes - before) << bits | below

@@ -899,6 +899,26 @@ def test_cli_search_rejects_bad_shard_plan(capsys):
         assert "--shard" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--length", "-3"), "--length"),
+    (("--length", "0"), "--length"),
+    (("--length", "6", "--k", "-1"), "--k"),
+    (("--length", "6", "--k", "9"), "--k"),
+    (("--length", "6", "--max-candidates", "0"), "--max-candidates"),
+    (("--length", "6", "--max-candidates", "-5"), "--max-candidates"),
+], ids=["length-negative", "length-zero", "k-negative", "k-above-length",
+        "max-candidates-zero", "max-candidates-negative"])
+def test_cli_search_rejects_bad_bounds(capsys, tmp_path, monkeypatch, argv, flag):
+    # Without the check these exit 0 with a complete certificate over no
+    # ranks, or exit 1 with an empty checkpoint.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "search", "--group", "3,7,2", *argv,
+                             "--checkpoint", "ck.json")
+    assert code == 2
+    assert out == "" and flag in err and "Traceback" not in err
+    assert not (tmp_path / "ck.json").exists()
+
+
 @pytest.mark.parametrize("limit", [("--checkpoint", "ck.json"), ("--max-candidates", "10")],
                          ids=["checkpoint", "max-candidates"])
 def test_cli_search_sharded_run_rejects_limits(capsys, tmp_path, monkeypatch, limit):
@@ -966,6 +986,20 @@ def test_cli_elasticity(capsys, tmp_path):
     assert doc["witness_certificate"]["payload"]["lengths"] == [2, 14]
     code, _, _ = run_cli(capsys, "check-cert", path)
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--k", "0"), "--k"),
+    (("--k", "-3"), "--k"),
+    (("--k", "2", "--uk", "--uk-max-products", "0"), "--uk-max-products"),
+    (("--k", "2", "--uk", "--uk-max-products", "-1"), "--uk-max-products"),
+], ids=["k-zero", "k-negative", "uk-max-products-zero", "uk-max-products-negative"])
+def test_cli_elasticity_rejects_bad_bounds(capsys, argv, flag):
+    # Without the check --k 0 prints the K=1 table and a zero budget prints
+    # an empty union, both with exit 0.
+    code, out, err = run_cli(capsys, "elasticity", "--group", "3,7,2", *argv)
+    assert code == 2
+    assert out == "" and flag in err and "Traceback" not in err
 
 
 def test_worker_count_env_override(monkeypatch):

@@ -132,35 +132,43 @@ def test_small_davenport_rules_respect_failing_record_checks(desc, modulus, thre
 
 
 @pytest.mark.parametrize("ctx_name", ["ctx372", "ctx3133", "ctx5113"])
-def test_leaf_rule_matches_the_forbidden_update(ctx_name, request):
-    """Child g of a node with forbidden set D is a leaf iff g*h is in D + {e} for
-    every live h >= g, tested one h at a time with an early exit; this must agree
-    with suffix(g) & ~D' == 0 for D' = D + g^-1 * (D + {e})."""
+def test_child_live_set_is_one_mask(ctx_name, request):
+    """The live set of child g of a node with forbidden set D is the live h >= g
+    with g*h outside D + {e}; the walk computes it as live & ~g^-1 * (D + {e})
+    from the image's rows at and after g's row, and for g in the last coset row
+    from one rotation of row p-2 of D + {e}."""
     ctx = request.getfixturevalue(ctx_name)
-    n = ctx.n
+    n, p, q = ctx.n, ctx.p, ctx.q
+    last = (p - 1) * q
+    row = (1 << q) - 1
+    turns = {}
+    for g in range(last, n):
+        # g^-1 has t-degree 1: only row p-2 moves into the last row.
+        into_last = [move for move in ctx.left_shift_plan(ctx.inv_table[g]) if move[1] == last]
+        assert len(into_last) == 1 and into_last[0][0] == (p - 2) * q
+        turns[g] = into_last[0][2]
     rng = random.Random(n)
-    rows = [[1 << ctx.mul_idx(g, h) for h in range(n)] for g in range(n)]
     outcomes = set()
     for density in (0.3, 0.6, 0.85, 0.95):
         for _ in range(30):
             forbidden = sum(1 << x for x in range(1, n) if rng.random() < density)
             closed = forbidden | 1
+            doubled = (closed >> (p - 2) * q & row) * (1 | 1 << q)
             for g in range(1, n):
                 if forbidden >> g & 1:
                     continue
-                suffix = ((1 << n) - 1) >> g << g
-                live = suffix & ~forbidden
-                rest = live
-                while rest:
-                    h = rest & -rest
-                    if not closed & rows[g][h.bit_length() - 1]:
-                        break
-                    rest ^= h
-                leaf = not rest
-                image = ctx.left_shift(closed, ctx.left_shift_plan(ctx.inv_table[g]))
-                assert leaf == (suffix & ~(forbidden | image) == 0)
-                outcomes.add(leaf)
-    assert outcomes == {True, False}
+                live = ((1 << n) - 1) >> g << g & ~forbidden
+                plan = ctx.left_shift_plan(ctx.inv_table[g])
+                kids = live & ~ctx.left_shift(closed, plan)
+                head = tuple(move for move in plan if move[1] >= g - g % q)
+                assert kids == live & ~ctx.left_shift(closed, head)
+                by_term = sum(1 << h for h in range(g, n)
+                              if live >> h & 1 and not closed >> ctx.mul_idx(g, h) & 1)
+                assert kids == by_term
+                if g >= last:
+                    assert kids == live & ~((doubled >> turns[g] & row) << last)
+                outcomes.add((g >= last, kids == 0))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 @pytest.mark.parametrize("ctx_name", ["ctx372", "ctx3133", "ctx5113"])
