@@ -10,12 +10,12 @@ an explicit ``--workers`` above 1 otherwise.  ``search``,
 ``verify-inverse``, ``davenport`` and ``elasticity`` take no seed: their
 verdicts, counters and digests are the same on every run and for every shard
 plan.  ``search`` lists every atom of its rank range; its certificate's atom
-list, counters and digest describe the same scan.  ``search --length``
-and ``--max-candidates``, and ``elasticity --k`` and ``--uk-max-products``,
-must be at least 1; ``search --k`` must lie in [0, length].  Only ``lemmas --seed``
-seeds randomized trials, and ``lemmas --trials`` must be non-negative.
-``elasticity --uk`` factors each product through the one-pass length-set DP
-of ``sequences.length_set_bounded``.
+list, counters and digest describe the same scan.  ``search --length`` and
+``--max-candidates``, and ``elasticity --k`` and ``--uk-max-products``, must
+be at least 1; ``search --k`` must lie in [0, length].  Only ``lemmas
+--seed`` seeds randomized trials, and ``lemmas --trials`` must be
+non-negative.  ``elasticity --uk`` factors each product through the one-pass
+length-set DP of ``sequences.length_set_bounded``.
 """
 
 from __future__ import annotations

@@ -909,8 +909,8 @@ def test_cli_search_rejects_bad_shard_plan(capsys):
 ], ids=["length-negative", "length-zero", "k-negative", "k-above-length",
         "max-candidates-zero", "max-candidates-negative"])
 def test_cli_search_rejects_bad_bounds(capsys, tmp_path, monkeypatch, argv, flag):
-    # Without the check these exit 0 with a complete certificate over no
-    # ranks, or exit 1 with an empty checkpoint.
+    # An out-of-range bound must not yield a certificate over no ranks or an
+    # empty checkpoint.
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "search", "--group", "3,7,2", *argv,
                              "--checkpoint", "ck.json")
@@ -995,8 +995,7 @@ def test_cli_elasticity(capsys, tmp_path):
     (("--k", "2", "--uk", "--uk-max-products", "-1"), "--uk-max-products"),
 ], ids=["k-zero", "k-negative", "uk-max-products-zero", "uk-max-products-negative"])
 def test_cli_elasticity_rejects_bad_bounds(capsys, argv, flag):
-    # Without the check --k 0 prints the K=1 table and a zero budget prints
-    # an empty union, both with exit 0.
+    # --k 0 must not print the K=1 table, nor a zero budget an empty union.
     code, out, err = run_cli(capsys, "elasticity", "--group", "3,7,2", *argv)
     assert code == 2
     assert out == "" and flag in err and "Traceback" not in err
