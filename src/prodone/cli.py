@@ -38,9 +38,9 @@ from .enumeration import (
     StratumSpace,
     atom_search,
     checkpoint_record,
-    make_shards,
     resolve_workers,
     run_sharded,
+    shard_at,
 )
 from .group import GroupParamError, make_group
 from .invariants import (
@@ -232,8 +232,7 @@ def _cmd_search(args) -> int:
     workers = resolve_workers(args.workers)
     started = time.perf_counter()
     if args.shard_index is not None:
-        space = StratumSpace(ctx, stratum)
-        shard = make_shards(space.total, args.shards)[args.shard_index]
+        shard = shard_at(StratumSpace(ctx, stratum).total, args.shards, args.shard_index)
         result = atom_search(
             ctx, stratum, shard=shard,
             checkpoint_path=args.checkpoint, max_candidates=args.max_candidates,

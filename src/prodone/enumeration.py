@@ -91,8 +91,8 @@ where y_rank ranks the <a>-part Y and x_rank the outer part X, so the outer
 part varies fastest.  ``StratumSpace.iter_blocks`` cuts a rank range into
 blocks, one Y with a slice [x_lo, x_hi) of outer ranks each, and
 ``iter_range`` is a loop over those blocks.  For k = 2 ``atom_search``
-walks the tree of sorted prefixes of Y instead (fact 8).  Two facts serve
-the k <= 2 scans:
+walks the tree of sorted prefixes of Y instead (fact 8).  Fact 5 serves
+every scan, fact 6 the k = 2 scan:
 
 5. The filter reads the outer part alone.  A term (0, y) of <a> has t-degree
    0, so the t-degree sum of S = Y.X is that of X, and S passes the filter
@@ -161,14 +161,16 @@ and the prefix walk carries the first across whole subtrees:
    walk as ``filtered_count`` (``_count_below``, with exponents for
    degrees), and the scan credits them to ``abelian``.
 
-Every candidate of a k = 0 stratum up to length q is built and goes through
-``classify_candidate``; strata with k >= 3 or k = None keep the loop that
-builds, filters and classifies one candidate at a time.
+The other strata, k = 0 up to length q, k >= 3 and k = None, are scanned
+one candidate at a time (``StratumSpace.one_at_a_time``): each is built,
+skipped when it fails the filter and classified by ``classify_candidate``;
+fact 5 counts the skipped ones in every stratum.
 Counters are sums over ranks and the atom and unverified lists grow in rank
 order, so the state after a range does not depend on how the range was cut
-up; ``atom_search`` cuts its slices where ``max_candidates`` stops and where
-``_CHECKPOINT_EVERY`` writes a checkpoint, and so writes the same records at
-the same ranks as a loop over single candidates.
+up.  With a checkpoint, ``atom_search`` cuts a one-at-a-time scan into
+slices of ``_CHECKPOINT_EVERY`` ranks and writes a record after each, at the
+ranks where a loop over single candidates would; a counted or walked scan
+settles its range in one pass and writes one record, where the call stops.
 """
 
 from __future__ import annotations
@@ -350,6 +352,16 @@ class StratumSpace:
                 yield rank, inner + tuple(x_ground[i] for i in xpos)
                 next_multiset(xpos, len(x_ground))
 
+    @property
+    def one_at_a_time(self) -> bool:
+        """Whether the scan builds and classifies each candidate: k = None, k >= 3, or k = 0 up to length q.
+
+        The other strata (k = 1, k = 2, and k = 0 above length q) are
+        counted or walked; see the module docstring.
+        """
+        k = self.stratum.k
+        return k is None or k >= 3 or k == 0 and self.stratum.length <= self.ctx.q
+
     def passes_filters(self, content: tuple[int, ...]) -> bool:
         residue = self.stratum.tau_residue
         if residue is None:
@@ -467,18 +479,20 @@ class Shard:
         }
 
 
+def shard_at(total: int, n: int, index: int) -> Shard:
+    """Shard ``index`` of ``n`` disjoint covering rank intervals; the first ``total % n`` hold one rank more."""
+    if not 0 <= index < n:
+        raise ValueError(f"shard index must be in [0, {n}), got {index}")
+    base, extra = divmod(total, n)
+    start = index * base + min(index, extra)
+    return Shard(index=index, n_shards=n, start_rank=start, end_rank=start + base + (index < extra))
+
+
 def make_shards(total: int, n: int) -> list[Shard]:
-    """Disjoint covering rank intervals with sizes within one of each other."""
+    """All ``n`` shards of ``shard_at`` in rank order: sizes within one of each other."""
     if n < 1:
         raise ValueError("shard count must be >= 1")
-    base, extra = divmod(total, n)
-    shards = []
-    start = 0
-    for i in range(n):
-        size = base + (1 if i < extra else 0)
-        shards.append(Shard(index=i, n_shards=n, start_rank=start, end_rank=start + size))
-        start += size
-    return shards
+    return [shard_at(total, n, index) for index in range(n)]
 
 
 # -- digests ----------------------------------------------------------------
@@ -829,14 +843,13 @@ def load_checkpoint(path: str) -> dict:
 
 @dataclass
 class _Scan:
-    """What one ``atom_search`` call has found, and the two loops that extend it.
+    """What one ``atom_search`` call has found, and the loop that extends it.
 
-    ``ranks`` builds, filters and classifies one candidate at a time.
-    ``blocks`` takes a stratum with k <= 2: by counts for k = 1 and for k = 0
-    above length q, by the prefix walk (``walk``) for k = 2, and one
-    candidate at a time for k = 0 up to length q (see the module
-    docstring).  Over the same ranks both leave the counters, digest and
-    lists that the per-candidate loop leaves.
+    ``blocks`` settles a rank range of any stratum: by counts for k = 1 and
+    for k = 0 above length q, by the prefix walk (``walk``) for k = 2, and
+    one candidate at a time for the others (``StratumSpace.one_at_a_time``;
+    see the module docstring).  Over the same ranks it leaves the counters,
+    digest and lists that a loop over single candidates leaves.
     """
 
     space: StratumSpace
@@ -865,18 +878,8 @@ class _Scan:
             counters.unverified += 1
             self.unverified.append(Sequence.from_indices(content).format(self.space.ctx))
 
-    def ranks(self, lo: int, hi: int) -> None:
-        space, counters = self.space, self.counters
-        for _, content in space.iter_range(lo, hi):
-            counters.visited += 1
-            if not space.passes_filters(content):
-                counters.filtered_out += 1
-                continue
-            counters.checked += 1
-            self.classify(content)
-
     def blocks(self, lo: int, hi: int) -> None:
-        space, counters = self.space, self.counters
+        space, counters, k = self.space, self.counters, self.space.stratum.k
         filtered = space.filtered_count(lo, hi)
         checked = hi - lo - filtered
         counters.visited += hi - lo
@@ -884,19 +887,20 @@ class _Scan:
         counters.checked += checked
         if not checked:
             return
-        if space.stratum.k == 1:  # one outer term, so a nonzero t-degree sum (fact 1)
+        if space.one_at_a_time:
+            for _, content in space.iter_range(lo, hi):
+                if space.passes_filters(content):
+                    self.classify(content)
+        elif k == 1:  # one outer term, so a nonzero t-degree sum (fact 1)
             counters.not_product_one += checked
             counters.note_method("degree", checked)
-        elif space.stratum.k == 2:
+        elif k == 2:
             self.walk(lo, hi)
-        elif space.stratum.length > space.ctx.q:  # cut D, fact 9; () passes, so all ranks do
+        elif k == 0:  # above length q: cut D, fact 9; () passes, so all ranks do
             product_one = space.zero_sum_count(lo, hi)
             counters.non_atoms += product_one
             counters.not_product_one += checked - product_one
             counters.note_method("abelian", checked)
-        else:
-            for _, content in space.iter_range(lo, hi):
-                self.classify(content)
 
     def walk(self, lo: int, hi: int) -> None:
         """Settle ranks [lo, hi) of a k = 2 stratum by the prefix walk of fact 8."""
@@ -973,10 +977,12 @@ def atom_search(
 
     Every candidate gets an exact verdict; per-candidate resource failures
     are returned in ``unverified`` rather than silently dropped.  With
-    ``checkpoint_path`` the scan resumes after the last completed rank and
-    ``max_candidates`` bounds the work of a single call (the result is then
-    marked incomplete); the checkpoint is also written after every
-    ``_CHECKPOINT_EVERY`` ranks of the call.
+    ``checkpoint_path`` the scan resumes after the last completed rank, which
+    must lie in the shard or just before it, and the checkpoint is written
+    where the call stops; a stratum scanned one candidate at a time
+    (``StratumSpace.one_at_a_time``) also writes it after every
+    ``_CHECKPOINT_EVERY`` ranks of the call.  ``max_candidates`` bounds the
+    work of a single call (the result is then marked incomplete).
     """
     space = StratumSpace(ctx, stratum)
     lo = shard.start_rank if shard else 0
@@ -993,6 +999,8 @@ def atom_search(
         scan.digest = int(record["digest"], 16)
         scan.atoms = list(record["atoms"])
         scan.unverified = list(record["unverified"])
+        if not lo - 1 <= record["last_rank"] < hi:
+            raise ValueError(f"checkpoint last rank {record['last_rank']} is outside [{lo}, {hi})")
         start = record["last_rank"] + 1
     stop = hi if max_candidates is None else max(start, min(hi, start + max_candidates))
     last_rank = start - 1
@@ -1008,13 +1016,13 @@ def atom_search(
             )
 
     # Slices end where the per-candidate loop would write a checkpoint.
-    run = scan.blocks if stratum.k is not None and stratum.k <= 2 else scan.ranks
-    every = _CHECKPOINT_EVERY if checkpoint_path else max(1, stop - start)
+    sliced = bool(checkpoint_path) and space.one_at_a_time
+    every = _CHECKPOINT_EVERY if sliced else max(1, stop - start)
     for first in range(start, stop, every):
         end = min(first + every, stop)
-        run(first, end)
+        scan.blocks(first, end)
         last_rank = end - 1
-        if checkpoint_path and end - first == every:
+        if sliced and end - first == every:
             persist(False)
     complete = stop >= hi
     persist(complete)

@@ -110,18 +110,8 @@ class GroupCtx:
     def coords(self, i: int) -> Element:
         return divmod(i, self.q)
 
-    def elements(self) -> list[Element]:
-        return [divmod(i, self.q) for i in range(self.n)]
-
     def tau_degree_idx(self, i: int) -> int:
         return i // self.q
-
-    def is_commutator_idx(self, i: int) -> bool:
-        return i < self.q
-
-    @property
-    def commutator_indices(self) -> range:
-        return range(self.q)
 
     @property
     def outside_commutator_indices(self) -> range:

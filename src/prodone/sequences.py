@@ -148,10 +148,6 @@ class Sequence:
     def cat(self, other: "Sequence") -> "Sequence":
         return Sequence(self.entries + other.entries)
 
-    def contains(self, sub: "Sequence") -> bool:
-        mine = dict(self.entries)
-        return all(mine.get(i, 0) >= m for i, m in sub.entries)
-
     def remove(self, sub: "Sequence") -> "Sequence":
         mine = dict(self.entries)
         for i, m in sub.entries:
@@ -186,13 +182,6 @@ class ProductSet:
     mask: int
     group_order: int
 
-    @classmethod
-    def from_indices(cls, group_order: int, indices: Iterable[int]) -> "ProductSet":
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return cls(mask, group_order)
-
     def __contains__(self, idx: int) -> bool:
         return bool((self.mask >> idx) & 1)
 
@@ -208,9 +197,6 @@ class ProductSet:
 
     def indices(self) -> tuple[int, ...]:
         return tuple(self)
-
-    def union(self, other: "ProductSet") -> "ProductSet":
-        return ProductSet(self.mask | other.mask, self.group_order)
 
     def product(self, ctx: GroupCtx, other: "ProductSet") -> "ProductSet":
         """The product-set {a*b : a in self, b in other}."""

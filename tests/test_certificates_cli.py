@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from prodone import enumeration
 from prodone.certificates import (
     check_certificate,
     certificate_to_json,
@@ -21,7 +22,9 @@ from prodone.enumeration import (
     digest_add,
     digest_empty,
     digest_hex,
+    make_shards,
 )
+from prodone.group import make_group
 from prodone.invariants import build_rho_witness, extremal_atoms_all, small_davenport
 from prodone.oracles import run_lemma
 from prodone.sequences import Sequence, is_atom
@@ -897,6 +900,52 @@ def test_cli_search_rejects_bad_shard_plan(capsys):
         assert code == 2, plan
         assert out == ""
         assert "--shard" in err and "Traceback" not in err
+
+
+def test_cli_search_shard_index_matches_make_shards(capsys):
+    # The CLI computes one shard's bounds; they must be make_shards' entry.
+    total = StratumSpace(make_group("3,7,2"), Stratum(length=2, k=2)).total
+    for n in range(1, 41):
+        shards = make_shards(total, n)
+        assert sum(s.end_rank - s.start_rank for s in shards) == total
+        for i in range(n):
+            code, out, _ = run_cli(capsys, "search", "--group", "3,7,2", "--length", "2",
+                                   "--k", "2", "--shards", str(n), "--shard-index", str(i))
+            assert code == 0
+            assert json.loads(out)["payload"]["shard"] == shards[i].describe(), (n, i)
+
+
+def test_cli_search_shard_index_builds_no_shard_list(capsys, tmp_path, monkeypatch):
+    # 10**12 shards of the 231 ranks at length 2: shard 3 is rank 3 alone, and
+    # no list of 10**12 records is built to find it.
+    def refuse(*args):
+        raise AssertionError("make_shards called for one shard")
+
+    monkeypatch.setattr(enumeration, "make_shards", refuse)
+    path = str(tmp_path / "shard.json")
+    code, out, err = run_cli(capsys, "search", "--group", "3,7,2", "--length", "2",
+                             "--shards", str(10**12), "--shard-index", "3", "--emit-cert", path)
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert payload["shard"] == {"index": 3, "n_shards": 10**12, "start_rank": 3, "end_rank": 4}
+    assert payload["counters"]["visited"] == 1 and payload["complete"]
+    code, _, _ = run_cli(capsys, "check-cert", path)
+    assert code == 0
+
+
+def test_cli_search_rejects_checkpoint_outside_the_shard(capsys, tmp_path, monkeypatch):
+    # Resuming after rank 10**9 of 31,360 would report ranks it never scanned
+    # as a complete scan.
+    monkeypatch.chdir(tmp_path)
+    search = ("search", "--group", "3,7,2", "--length", "6", "--k", "3", "--checkpoint", "ck.json")
+    code, _, _ = run_cli(capsys, *search, "--max-candidates", "100")
+    assert code == 1
+    record = json.loads((tmp_path / "ck.json").read_text())
+    record["last_rank"] = 10**9
+    (tmp_path / "ck.json").write_text(json.dumps(record))
+    code, out, err = run_cli(capsys, *search)
+    assert code == 2
+    assert out == "" and "last rank" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -347,9 +347,11 @@ def test_checkpoint_resume_equals_uninterrupted(ctx372, tmp_path, monkeypatch):
 
 
 def test_checkpoint_saved_at_every_interval(ctx372, tmp_path, monkeypatch):
-    # The k=2 stratum at length 14 has 649,740 ranks: 25 interval saves and
-    # the final one.  A run stopped at rank 300,000 and resumed writes the
-    # same records at the same ranks and ends as the uninterrupted run.
+    # The k=3 stratum at length 6 is scanned one candidate at a time; its
+    # 31,360 ranks give one interval save and the final one.  The k=2 stratum
+    # at length 14 (649,740 ranks) is walked in one pass and saves once, where
+    # the call stops.  A k=2 run stopped at rank 300,000 and resumed ends as
+    # the uninterrupted run.
     every = enumeration._CHECKPOINT_EVERY
     saved = []
     save = enumeration.save_checkpoint
@@ -359,11 +361,14 @@ def test_checkpoint_saved_at_every_interval(ctx372, tmp_path, monkeypatch):
         save(path, record)
 
     monkeypatch.setattr(enumeration, "save_checkpoint", capture)
+    k3 = Stratum(length=6, k=3)
+    atom_search(ctx372, k3, checkpoint_path=str(tmp_path / "k3.json"))
+    assert [(r["last_rank"], r["complete"]) for r in saved] == [(every - 1, False), (31_359, True)]
+    saved.clear()
     stratum = Stratum(length=14, k=2)
     whole = atom_search(ctx372, stratum, checkpoint_path=str(tmp_path / "whole.json"))
     total = StratumSpace(ctx372, stratum).total
-    assert [r["last_rank"] for r in saved] == [every * i - 1 for i in range(1, 26)] + [total - 1]
-    assert [r["complete"] for r in saved] == [False] * 25 + [True]
+    assert [(r["last_rank"], r["complete"]) for r in saved] == [(total - 1, True)]
     uninterrupted, saved[:] = list(saved), []
     path = str(tmp_path / "resumed.json")
     first = atom_search(ctx372, stratum, checkpoint_path=path, max_candidates=300_000)
@@ -372,8 +377,47 @@ def test_checkpoint_saved_at_every_interval(ctx372, tmp_path, monkeypatch):
     assert resumed.complete
     assert (resumed.digest, resumed.atoms) == (whole.digest, whole.atoms)
     assert resumed.counters.to_dict() == whole.counters.to_dict()
-    # The stop writes rank 299,999 twice: as an interval save and as the call's last.
-    assert saved[11] == saved[12] and saved[:12] + saved[13:] == uninterrupted
+    assert [(r["last_rank"], r["complete"]) for r in saved] == [(299_999, False), (total - 1, True)]
+    assert saved[-1] == uninterrupted[-1]
+
+
+@pytest.mark.parametrize("descriptor", ["3,7,2", "5,11,3", "3,13,3"])
+def test_checkpointed_k2_stratum_saves_once(descriptor, tmp_path, monkeypatch):
+    # The walked k=2 stratum of length 2q runs in one pass whatever its size
+    # (1.46e11 ranks at 3,13,3), so a checkpointed scan writes only its final
+    # record, which is the unsliced run's and passes the checker's re-scan.
+    ctx = make_group(descriptor)
+    saved = []
+    monkeypatch.setattr(enumeration, "save_checkpoint", lambda path, record: saved.append(record))
+    stratum = Stratum(length=2 * ctx.q, k=2)
+    atom_search(ctx, stratum, checkpoint_path=str(tmp_path / "ck.json"))
+    assert len(saved) == 1
+    record = json.loads(json.dumps(saved[0]))
+    assert record["complete"] and record["last_rank"] == StratumSpace(ctx, stratum).total - 1
+    assert record == _block_record(ctx, stratum)
+    outcome = check_certificate(make_certificate("checkpoint", descriptor, record, seed=0))
+    assert outcome.ok, outcome.messages
+
+
+@pytest.mark.parametrize("last_rank,accepted", [
+    (999, True), (1_999, True), (998, False), (2_000, False), (10**9, False),
+], ids=["lo-1", "hi-1", "below-lo-1", "hi", "far-above"])
+def test_checkpoint_last_rank_must_lie_in_the_shard(ctx372, tmp_path, last_rank, accepted):
+    # A resumed scan starts after last_rank, so a rank outside [lo - 1, hi)
+    # would report ranks it never scanned (or scan some twice) as complete.
+    stratum = Stratum(length=6, k=3)
+    shard = Shard(0, 1, 1_000, 2_000)
+    path = str(tmp_path / "ck.json")
+    atom_search(ctx372, stratum, shard=shard, checkpoint_path=path, max_candidates=1)
+    record = load_checkpoint(path)
+    record["last_rank"] = last_rank
+    enumeration.save_checkpoint(path, record)
+    if accepted:
+        result = atom_search(ctx372, stratum, shard=shard, checkpoint_path=path)
+        assert result.complete and result.last_rank == 1_999
+    else:
+        with pytest.raises(ValueError, match="last rank"):
+            atom_search(ctx372, stratum, shard=shard, checkpoint_path=path)
 
 
 def test_checkpoint_rejects_mismatched_search(ctx372, tmp_path):
@@ -384,12 +428,12 @@ def test_checkpoint_rejects_mismatched_search(ctx372, tmp_path):
         atom_search(ctx372, Stratum(length=5, k=1), checkpoint_path=path)
 
 
-@pytest.mark.parametrize("k,state_cap,workers,expected", [
-    (3, 16, 2, {"checked": 9408, "unverified": 9324, "atoms": 84}),
-    (2, 2, 1, {"checked": 6174, "unverified": 3738, "atoms": 0}),
+@pytest.mark.parametrize("k,state_cap,workers,expected,interval_saves", [
+    (3, 16, 2, {"checked": 9408, "unverified": 9324, "atoms": 84}, 31),
+    (2, 2, 1, {"checked": 6174, "unverified": 3738, "atoms": 0}, 0),
 ], ids=["k3-dp", "k2-block"])
 def test_state_cap_sends_candidates_to_unverified(
-        ctx372, tmp_path, monkeypatch, k, state_cap, workers, expected):
+        ctx372, tmp_path, monkeypatch, k, state_cap, workers, expected, interval_saves):
     # The engine reads its cap at call time, so a lowered cap reaches the k=3
     # DP and the k=2 walk's atom confirmations.  The pool leg (workers=2)
     # relies on forked workers inheriting the patched module value; under the
@@ -409,8 +453,9 @@ def test_state_cap_sends_candidates_to_unverified(
     assert sharded.counters.to_dict() == counters
     assert sharded.unverified == result.unverified
     assert sharded.digest == result.digest
-    # A short interval cuts the capped scan into slices at the checkpoint
-    # boundaries; the sliced run must keep the same verdicts and lists.
+    # A short interval cuts the capped k=3 scan into slices at the checkpoint
+    # boundaries, and the k=2 walk runs in one pass and saves once; both must
+    # keep the same verdicts and lists.
     monkeypatch.setattr(enumeration, "_CHECKPOINT_EVERY", 1000)
     saves = []
     save = enumeration.save_checkpoint
@@ -422,7 +467,8 @@ def test_state_cap_sends_candidates_to_unverified(
     monkeypatch.setattr(enumeration, "save_checkpoint", capture)
     path = str(tmp_path / "ckpt.json")
     sliced = atom_search(ctx372, stratum, checkpoint_path=path)
-    assert saves[:-1] == [1000 * i - 1 for i in range(1, len(saves))] and len(saves) > 2
+    total = StratumSpace(ctx372, stratum).total
+    assert saves == [1000 * i - 1 for i in range(1, interval_saves + 1)] + [total - 1]
     assert (sliced.unverified, sliced.atoms, sliced.digest) == (result.unverified, result.atoms, result.digest)
     record = load_checkpoint(path)
     assert record["complete"] and record["counters"] == counters
@@ -610,11 +656,19 @@ def test_block_scan_matches_reference_on_windows(descriptor, seed):
     (14, 1, 0, (3, 5_000), 1_200, 250),
     (10, 0, 0, None, 700, 97),
     (6, 1, None, None, 300, 41),
+    (6, 0, 0, None, 150, 40),
+    (6, 3, 0, (1_000, 4_000), 1_100, 300),
+    (4, None, 0, None, 2_500, 700),
 ])
 def test_block_scan_checkpoints_match_reference(
         ctx372, tmp_path, monkeypatch, length, k, residue, window, max_candidates, every):
+    # Resumed calls stopped by max_candidates write the records of a loop over
+    # single candidates.  Strata scanned one candidate at a time (k = 0 up to
+    # length q, k >= 3, k = None) also write one after every `every` ranks of
+    # a call; the counted and walked strata write one only where a call stops.
     stratum = Stratum(length=length, k=k, tau_residue=residue)
     shard = Shard(0, 1, *window) if window else None
+    one_at_a_time = k is None or k >= 3 or k == 0 and length <= ctx372.q
     written = []
     save = enumeration.save_checkpoint
 
@@ -635,10 +689,11 @@ def test_block_scan_checkpoints_match_reference(
     expected = []
     state = None
     while state is None or not state["complete"]:
-        expected += _reference_run(ctx372, stratum, shard, state,
-                                   max_candidates=max_candidates, every=every)
+        expected += _reference_run(ctx372, stratum, shard, state, max_candidates=max_candidates,
+                                   every=every if one_at_a_time else None)
         state = expected[-1]
     assert calls > 2
+    assert len(expected) > calls if one_at_a_time else len(expected) == calls
     assert written == expected
     assert result.last_rank == expected[-1]["last_rank"]
     assert result.digest_hex == expected[-1]["digest"]

@@ -73,17 +73,17 @@ def test_defining_relation_and_identity(ctx372):
     alpha, tau = (0, 1), (1, 0)
     assert ctx372.mul(alpha, tau) == (1, 2)  # a*t = t*a^s with s = 2
     assert ctx372.mul(alpha, tau) == ctx372.mul(tau, (0, 2))
-    for g in ctx372.elements():
+    for g in map(ctx372.coords, range(ctx372.n)):
         assert ctx372.mul((0, 0), g) == g
         assert ctx372.mul(g, (0, 0)) == g
 
 
 def test_multiplication_matches_affine_representation(ctx372):
     rep = AffineRep(3, 7, 2)
-    maps = {g: rep.as_map(g) for g in ctx372.elements()}
+    maps = {g: rep.as_map(g) for g in map(ctx372.coords, range(ctx372.n))}
     assert len(set(maps.values())) == ctx372.n  # faithful
-    for g in ctx372.elements():
-        for h in ctx372.elements():
+    for g in map(ctx372.coords, range(ctx372.n)):
+        for h in map(ctx372.coords, range(ctx372.n)):
             assert maps[ctx372.mul(g, h)] == rep.compose(g, h)
 
 
@@ -98,7 +98,7 @@ def test_inverse_and_powers(ctx372):
     assert ctx372.order((1, 1)) == 3
     assert ctx372.order((0, 4)) == 7
     assert ctx372.order((0, 0)) == 1
-    for g in ctx372.elements():
+    for g in map(ctx372.coords, range(ctx372.n)):
         assert ctx372.power(g, ctx372.order(g)) == (0, 0)
         assert ctx372.power(g, -1) == ctx372.inv(g)
 
@@ -106,7 +106,7 @@ def test_inverse_and_powers(ctx372):
 def test_power_closed_form(ctx372):
     # For a != 0: (a,b)^n = (a n mod p, b (s^(a n) - 1)/(s^a - 1) mod q).
     p, q, s = 3, 7, 2
-    for g in ctx372.elements():
+    for g in map(ctx372.coords, range(ctx372.n)):
         a, b = g
         if a == 0:
             continue
@@ -176,7 +176,7 @@ def test_subgroup_generated(ctx372):
     gen = generated({(1, 4)})
     assert len(gen) == 3
     assert gen == {(0, 0), (1, 4), (2, 5)}
-    for g in ctx372.elements():
+    for g in map(ctx372.coords, range(ctx372.n)):
         assert len(generated({g})) in (1, 3, 7)
 
 
