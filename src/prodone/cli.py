@@ -6,7 +6,8 @@ JSON document per invocation.  ``search`` and ``verify-inverse`` take a
 worker count for their process pool: ``--workers``, else PRODONE_THREADS; it
 must be a positive integer and is capped at the CPU count.  ``search`` runs
 a pool only with ``--shards`` above 1 and no ``--shard-index``, and rejects
-an explicit ``--workers`` above 1 otherwise.  ``search``,
+an explicit ``--workers`` above 1 otherwise.  Without ``--shard-index``,
+``--shards`` may not exceed a stratum's rank count (or 1).  ``search``,
 ``verify-inverse``, ``davenport`` and ``elasticity`` take no seed: their
 verdicts, counters and digests are the same on every run and for every shard
 plan.  ``search`` lists every atom of its rank range; its certificate's atom

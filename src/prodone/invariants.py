@@ -282,19 +282,15 @@ def extremal_atom(ctx: GroupCtx, x: Element, y: Element) -> ExtremalForm:
 def extremal_atoms_all(ctx: GroupCtx) -> list[ExtremalForm]:
     """Distinct realized multisets over all generator pairs, deduplicated.
 
-    Every distinct multiset is confirmed to be an atom by the engine before
-    it is returned.
+    The engine does not run here.  ``verify_inverse_theorem`` is verified
+    only when its scan lists every form, and the scan confirms each atom it
+    lists, so a form that is not an atom makes the verdict false.
     """
     seen: dict[Sequence, ExtremalForm] = {}
     for x, y, _ in generator_pairs(ctx):
         form = extremal_atom(ctx, x, y)
-        if form.sequence not in seen:
-            seen[form.sequence] = form
-    forms = sorted(seen.values(), key=lambda f: f.sequence)
-    for form in forms:
-        if not is_atom(ctx, form.sequence).atom:
-            raise AssertionError(f"extremal construction failed atom check: {form.sequence.format(ctx)}")
-    return forms
+        seen.setdefault(form.sequence, form)
+    return sorted(seen.values(), key=lambda f: f.sequence)
 
 
 # -- stratified scans -----------------------------------------------------------

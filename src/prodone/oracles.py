@@ -3,10 +3,10 @@
 ``naive_pi_set`` and ``naive_is_atom`` recompute products by explicit
 permutation / full sub-multiset scan and serve as ground truth for the
 optimized engine.  The ``run_lemma`` suites generate hypothesis-satisfying
-instances of the product-set and subsequence facts the search machinery
-leans on, and report any counterexample (these facts are theorems, so a
-counterexample is a falsifiable engine-bug signal, never an expected
-outcome).
+instances of product-set and subsequence facts from the paper's proofs,
+and report any counterexample (these facts are theorems, so a counterexample
+is a falsifiable engine-bug signal, never an expected outcome).  No scan uses
+them; only ``lemmas`` and the ``lemma_report`` checker import this module.
 
 Each randomized lemma is a proposer and a check, paired in ``_SUITES``.
 ``propose(ctx, rng)`` draws one instance from a trial's seeded stream, or

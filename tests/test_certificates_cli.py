@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from prodone import enumeration
+from prodone import certificates, enumeration, invariants
 from prodone.certificates import (
     check_certificate,
     certificate_to_json,
@@ -25,7 +26,12 @@ from prodone.enumeration import (
     make_shards,
 )
 from prodone.group import make_group
-from prodone.invariants import build_rho_witness, extremal_atoms_all, small_davenport
+from prodone.invariants import (
+    build_rho_witness,
+    extremal_atoms_all,
+    small_davenport,
+    verify_inverse_theorem,
+)
 from prodone.oracles import run_lemma
 from prodone.sequences import Sequence, is_atom
 
@@ -636,7 +642,7 @@ def test_k0_verdict_forgeries_are_rejected(ctx372, kind, forge):
         forge(payload["strata"][0])
         outcome = _check_inverse(payload)
     assert not outcome.ok
-    assert any("non_atoms, not_product_one" in m for m in outcome.messages), outcome.messages
+    assert any("non_atoms " in m and " != re-scan " in m for m in outcome.messages), outcome.messages
 
 
 def _move_k2_verdict(record):
@@ -657,8 +663,8 @@ def test_k2_verdict_forgeries_are_rejected(ctx372, kind):
         _move_k2_verdict(payload["strata"][2])
         outcome = _check_inverse(payload)
     assert not outcome.ok
-    assert any("non_atoms, not_product_one" in m and "re-scan" in m
-               for m in outcome.messages), outcome.messages
+    for name in ("non_atoms", "not_product_one"):
+        assert any(f"{name} " in m and " != re-scan " in m for m in outcome.messages), outcome.messages
 
 
 @pytest.mark.parametrize("kind", ["inverse_report", "checkpoint"])
@@ -706,6 +712,83 @@ def test_k2_checkpoint_is_scanned_again(ctx372):
     outcome = _check_checkpoint(payload)
     assert not outcome.ok
     assert any("atom list differs" in m for m in outcome.messages), outcome.messages
+
+
+def _float_counter(record):
+    counters = record["counters"]
+    counters["atoms"] = float(counters["atoms"])  # 42.0 in the inverse report's k=2 stratum
+
+
+def _true_counter(record):
+    # In the one-rank checkpoint the genuine value is 1, which a == comparison accepts.
+    record["counters"]["visited"] = True
+
+
+def _extra_counter(record):
+    record["counters"]["bonus"] = 0
+
+
+@pytest.mark.parametrize("forge", [_float_counter, _true_counter, _extra_counter],
+                         ids=["float", "true", "extra-key"])
+@pytest.mark.parametrize("target", ["checkpoint-k2", "inverse-k0", "inverse-k2"])
+def test_k_le_2_counters_are_compared_type_exactly(ctx372, target, forge):
+    if target == "checkpoint-k2":
+        payload = _checkpoint_payload(ctx372, max_candidates=1)
+        assert payload["counters"]["visited"] == 1
+        forge(payload)
+        outcome = _check_checkpoint(payload)
+    else:
+        payload = _inverse_payload(ctx372)
+        forge(payload["strata"][0 if target == "inverse-k0" else 2])
+        outcome = _check_inverse(payload)
+    assert not outcome.ok
+    assert any(" != re-scan " in m for m in outcome.messages), outcome.messages
+
+
+def test_k_le_2_claim_runs_the_engine_once_per_atom(ctx372, ctx5113, monkeypatch):
+    # Verifying confirms each listed atom once, in the scan; checking confirms
+    # it once more, in the re-scan.
+    calls = []
+    real = is_atom
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (enumeration, invariants, certificates):
+        monkeypatch.setattr(module, "is_atom", counted)
+    for ctx, n_f in ((ctx372, 42), (ctx5113, 220)):
+        calls.clear()
+        report = verify_inverse_theorem(ctx, "k_le_2")
+        assert report.n_f == report.matched == n_f and report.verified
+        assert len(calls) == n_f
+        calls.clear()
+        cert = make_certificate("inverse_report", ctx.params.descriptor(), report.to_payload(),
+                                seed=report.seed)
+        outcome = check_certificate(cert)
+        assert outcome.ok, outcome.messages
+        assert len(calls) == n_f
+
+
+def test_verify_inverse_reports_a_non_atom_form_as_unverified(capsys, monkeypatch):
+    # The realized family is not confirmed before the scan: a form that is not
+    # an atom is never listed by the scan, so the claim fails with exit 1.
+    real = invariants.extremal_atom
+
+    def forged(ctx, x, y):
+        form = real(ctx, x, y)
+        if (x, y) != ((1, 0), (0, 1)):
+            return form
+        # y^[2q-2] . x . x has t-degree 2, so it is not product-one.
+        seq = Sequence([(ctx.idx(y), 2 * ctx.q - 2), (ctx.idx(x), 2)])
+        assert not is_atom(ctx, seq).atom
+        return dataclasses.replace(form, sequence=seq)
+
+    monkeypatch.setattr(invariants, "extremal_atom", forged)
+    code, out, err = run_cli(capsys, "verify-inverse", "--group", "3,7,2", "--workers", "1")
+    assert code == 1, err
+    assert json.loads(out)["payload"]["verified"] is False
+    assert "Traceback" not in err
 
 
 def _window_payload(ctx, k):
@@ -778,7 +861,7 @@ def test_checkpoint_unverified_list_must_match_counter(ctx372):
     )
     outcome = check_certificate(make_certificate("checkpoint", "3,7,2", payload, seed=0))
     assert not outcome.ok
-    assert any("unverified list" in m for m in outcome.messages)
+    assert "unverified 1 != re-scan 0" in outcome.messages, outcome.messages
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -900,6 +983,29 @@ def test_cli_search_rejects_bad_shard_plan(capsys):
         assert code == 2, plan
         assert out == ""
         assert "--shard" in err and "Traceback" not in err
+
+
+def test_cli_sharded_scan_has_at_most_one_shard_per_rank(capsys):
+    # No shard may be empty: total + 1 shards are refused before any is built,
+    # and total shards of one rank each merge to the one-shard scan.
+    total = StratumSpace(make_group("3,7,2"), Stratum(length=2)).total
+    search = ("search", "--group", "3,7,2", "--length", "2", "--workers", "1")
+    code, out, err = run_cli(capsys, *search, "--shards", str(total + 1))
+    assert code == 2 and out == ""
+    assert "--shards" in err and "Traceback" not in err
+    payloads = []
+    for n in (1, total):
+        code, out, err = run_cli(capsys, *search, "--shards", str(n))
+        assert code == 0, err
+        payloads.append(json.loads(out)["payload"])
+    one, many = payloads
+    assert many["counters"] == one["counters"] and many["digest"] == one["digest"]
+    assert many["atoms"] == one["atoms"]
+    # verify-inverse shards each stratum by the same rule; its k=0 stratum has 11,628 ranks.
+    code, out, err = run_cli(capsys, "verify-inverse", "--group", "3,7,2", "--workers", "1",
+                             "--shards", "11629")
+    assert code == 2 and out == ""
+    assert "--shards" in err and "Traceback" not in err
 
 
 def test_cli_search_shard_index_matches_make_shards(capsys):
