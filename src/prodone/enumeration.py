@@ -1078,11 +1078,11 @@ def run_sharded(
     Aggregation is associative and commutative, and the shards are merged in
     rank order, so the merged result equals one ``atom_search`` over the
     whole stratum, whatever the shard plan and worker schedule.  A shard
-    count above ``max(1, total)`` would leave shards empty and raises.
+    count outside [1, max(1, total)] raises: above it, shards would be empty.
     """
     space = StratumSpace(ctx, stratum)
-    if n_shards > max(1, space.total):
-        raise ValueError(f"--shards {n_shards} exceeds the stratum's {space.total} ranks")
+    if not 1 <= n_shards <= max(1, space.total):
+        raise ValueError(f"--shards must be in [1, {max(1, space.total)}], got {n_shards}")
     shards = make_shards(space.total, n_shards)
     workers = resolve_workers(workers)
     jobs = []

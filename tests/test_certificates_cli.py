@@ -770,7 +770,7 @@ def test_k_le_2_claim_runs_the_engine_once_per_atom(ctx372, ctx5113, monkeypatch
         assert len(calls) == n_f
 
 
-def test_verify_inverse_reports_a_non_atom_form_as_unverified(capsys, monkeypatch):
+def test_verify_inverse_reports_a_non_atom_form_as_not_verified(capsys, monkeypatch):
     # The realized family is not confirmed before the scan: a form that is not
     # an atom is never listed by the scan, so the claim fails with exit 1.
     real = invariants.extremal_atom
@@ -1002,10 +1002,11 @@ def test_cli_sharded_scan_has_at_most_one_shard_per_rank(capsys):
     assert many["counters"] == one["counters"] and many["digest"] == one["digest"]
     assert many["atoms"] == one["atoms"]
     # verify-inverse shards each stratum by the same rule; its k=0 stratum has 11,628 ranks.
-    code, out, err = run_cli(capsys, "verify-inverse", "--group", "3,7,2", "--workers", "1",
-                             "--shards", "11629")
-    assert code == 2 and out == ""
-    assert "--shards" in err and "Traceback" not in err
+    for n in ("0", "11629"):
+        code, out, err = run_cli(capsys, "verify-inverse", "--group", "3,7,2", "--workers", "1",
+                                 "--shards", n)
+        assert code == 2 and out == ""
+        assert "--shards" in err and "Traceback" not in err
 
 
 def test_cli_search_shard_index_matches_make_shards(capsys):
@@ -1022,7 +1023,7 @@ def test_cli_search_shard_index_matches_make_shards(capsys):
 
 
 def test_cli_search_shard_index_builds_no_shard_list(capsys, tmp_path, monkeypatch):
-    # 10**12 shards of the 231 ranks at length 2: shard 3 is rank 3 alone, and
+    # 10**12 shards of the 210 ranks at length 2: shard 3 is rank 3 alone, and
     # no list of 10**12 records is built to find it.
     def refuse(*args):
         raise AssertionError("make_shards called for one shard")
