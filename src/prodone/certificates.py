@@ -2,14 +2,18 @@
 
 Every certificate is UTF-8 JSON with sorted keys, a schema version, and a
 digest over the canonical payload (timing excluded, so identical inputs and
-seed reproduce identical digests).  ``check_certificate`` re-verifies claims
-using only engine-level recomputation: atoms are re-checked, multiset
-equalities re-summed, digests recomputed.  Scans of strata with at most two
-terms outside <a> settle whole rank ranges by arithmetic, so the checker
-runs them again and requires the record to equal the re-scan as canonical
-JSON.  What cannot be re-checked without re-running a longer search
-(exhaustiveness of a k >= 3 scan, absence of counterexamples) is stated as
-a caveat in the verdict rather than silently assumed.
+seed reproduce identical digests).  ``check_certificate`` holds every kind
+to one rule: it builds the expected payload with its producer's own builder
+and requires the claim to equal it leaf by leaf as canonical JSON
+(``_compare``).  The builder's inputs are what the checker re-derives
+(engine verdicts, stratum sizes, the scan of every stratum with at most two
+terms outside <a>, which settles whole rank ranges by arithmetic, the
+extremal matches, the seeded or exhaustive lemma suites) plus the claimed
+fields it cannot re-derive, after the checks those fields admit.  The
+certificate's own ``seed`` must be its payload's for the kinds that record
+one, and null otherwise.  Two claims stay caveats in the verdict: the
+exhaustiveness of a k >= 3 scan, and the small Davenport DFS node count,
+which only a second DFS run could recount.
 """
 
 from __future__ import annotations
@@ -22,7 +26,15 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
+from .enumeration import (
+    SearchCounters, Shard, Stratum, StratumSpace, atom_search, checkpoint_record, digest_add,
+    digest_empty, digest_hex,
+)
 from .group import GroupParamError, make_group
+from .invariants import (
+    ElasticityWitness, SmallDavenportResult, StratumReport, inverse_report, scope_ks,
+    verify_elasticity_witness,
+)
 from .sequences import Sequence, classify, is_atom
 
 SCHEMA = "prodone-cert/1"
@@ -137,36 +149,63 @@ _COUNTER_NAMES = (
     "visited", "filtered_out", "checked", "atoms", "non_atoms", "not_product_one", "unverified",
 )
 
+#: Kinds whose certificate ``seed`` is the payload's; every other kind records none.
+_SEEDED = ("lemma_report", "checkpoint", "inverse_report")
 
-def _check_scan(space, lo: int, last_rank: int, record: dict, where: str, fail) -> None:
-    """A scan of ranks [lo, last_rank] of ``space`` as ``record`` reports it.
 
-    A k <= 2 stratum is scanned again: every counter, ``by_method`` included,
-    the atom and unverified lists and the digest must equal the re-scan's as
-    canonical JSON, so 42.0 is not 42.  Other strata: counter identities,
-    visit and filter counts, listed sequences in the stratum, exhibited atoms
-    and findings digest.
+def atom_payload(ctx, seq: Sequence) -> dict:
+    """The payload of ``seq``'s atom or non-atom certificate: the engine's verdict, and
+    for a non-atom its split into two product-one parts."""
+    verdict = is_atom(ctx, seq)
+    return {
+        "sequence": seq.format(ctx),
+        "length": len(seq),
+        "verdict": {"product_one": verdict.product_one, "atom": verdict.atom},
+        "witness": [part.format(ctx) for part in verdict.witness] if verdict.witness else None,
+    }
+
+
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def _compare(where: str, claimed, expected, fail) -> None:
+    """Fail once per leaf where ``claimed`` and ``expected`` differ as canonical JSON.
+
+    Dicts are compared key by key and lists of one length entry by entry;
+    anything else, a list of another length included, is one leaf.  So 42.0
+    is not 42, true is not 1, and an extra or missing key fails.
     """
-    from .enumeration import Shard, atom_search, digest_add, digest_empty, digest_hex
+    if type(claimed) is dict and type(expected) is dict:
+        for key in sorted(set(claimed) | set(expected), key=str):
+            path = f"{where}.{key}" if where else str(key)
+            if key not in claimed or key not in expected:
+                have = _canonical(claimed[key]) if key in claimed else "(absent)"
+                want = _canonical(expected[key]) if key in expected else "(absent)"
+                fail(f"{path}: {have} != re-derived {want}")
+            else:
+                _compare(path, claimed[key], expected[key], fail)
+    elif type(claimed) is list and type(expected) is list and len(claimed) == len(expected):
+        for index, (have, want) in enumerate(zip(claimed, expected)):
+            _compare(f"{where}[{index}]", have, want, fail)
+    elif _canonical(claimed) != _canonical(expected):
+        fail(f"{where}: {_canonical(claimed)} != re-derived {_canonical(expected)}")
 
-    ctx, stratum, counters = space.ctx, space.stratum, record["counters"]
+
+def _check_scan(space, lo: int, last_rank: int, record: dict, where: str, fail):
+    """The counters, digest, atom and unverified lists of ranks [lo, last_rank] of ``space``.
+
+    A k <= 2 stratum is scanned again, and the re-scan's fields are returned.
+    Other strata return ``record``'s, after the checks they admit: counter
+    identities, visit and filter counts, listed sequences in the stratum,
+    exhibited atoms and findings digest.
+    """
+    ctx, stratum = space.ctx, space.stratum
     if stratum.k is not None and stratum.k <= 2:
         rescan = atom_search(ctx, stratum, shard=Shard(0, 1, lo, last_rank + 1))
-        expected = rescan.counters.to_dict()
-        fields = [(name, counters.get(name), expected.get(name))
-                  for name in sorted(set(counters) | set(expected))]
-        fields += [
-            ("atom list differs from the re-scan's:", record["atoms"],
-             [seq.format(ctx) for seq in rescan.atoms]),
-            ("unverified list differs from the re-scan's:", record["unverified"],
-             [seq.format(ctx) for seq in rescan.unverified]),
-            ("digest", record["digest"], rescan.digest_hex),
-        ]
-        for name, claimed, found in fields:
-            claimed, found = (json.dumps(value, sort_keys=True) for value in (claimed, found))
-            if claimed != found:
-                fail(f"{where}{name} {claimed} != re-scan {found}")
-        return
+        return (rescan.counters, rescan.digest, [seq.format(ctx) for seq in rescan.atoms],
+                [seq.format(ctx) for seq in rescan.unverified])
+    counters = record["counters"]
     methods = counters["by_method"]
     values = [counters[name] for name in _COUNTER_NAMES] + list(methods.values())
     if any(type(value) is not int or value < 0 for value in values):
@@ -192,22 +231,30 @@ def _check_scan(space, lo: int, last_rank: int, record: dict, where: str, fail) 
     filtered = space.filtered_count(lo, last_rank + 1)
     if counters["filtered_out"] != filtered:
         fail(f"{where}filtered_out {counters['filtered_out']} != recomputed {filtered}")
-    for text in record["atoms"] + record["unverified"]:
-        seq = Sequence.parse(ctx, text)
+    listed = {text: Sequence.parse(ctx, text) for text in record["atoms"] + record["unverified"]}
+    for text, seq in listed.items():
         outside = sum(idx >= ctx.q for idx in seq.indices())
         if len(seq) != stratum.length or stratum.k not in (None, outside):
             fail(f"{where}listed sequence {text} is not in the stratum")
     digest = digest_empty()
     for text in record["atoms"]:
-        if not is_atom(ctx, Sequence.parse(ctx, text)).atom:
+        if not is_atom(ctx, listed[text]).atom:
             fail(f"{where}exhibited atom fails re-check: {text}")
         digest = digest_add(digest, text)
     if digest_hex(digest) != record["digest"]:
         fail(f"{where}findings digest does not recompute")
+    atoms, unverified = ([listed[text].format(ctx) for text in record[name]]
+                         for name in ("atoms", "unverified"))
+    return SearchCounters.from_dict(counters), int(record["digest"], 16), atoms, unverified
 
 
 def check_certificate(cert: Certificate) -> CheckResult:
-    """Re-verify a certificate from its fields alone."""
+    """Re-verify a certificate from its fields alone.
+
+    The payload must equal, leaf by leaf as canonical JSON, the one its
+    producer's own builder gives from what the checker re-derives, plus the
+    claimed fields it cannot re-derive, after the checks those fields admit.
+    """
     result = CheckResult(ok=True, kind=cert.kind)
 
     def fail(message: str) -> None:
@@ -230,20 +277,14 @@ def check_certificate(cert: Certificate) -> CheckResult:
 
     payload = cert.payload
     try:
+        _compare("certificate seed", cert.seed,
+                 payload["seed"] if cert.kind in _SEEDED else None, fail)
         if cert.kind in ("atom", "non_atom"):
             seq = Sequence.parse(ctx, payload["sequence"])
-            if payload["length"] != len(seq):
-                fail(f"length {payload['length']!r} is not the sequence's length {len(seq)}")
-            verdict = is_atom(ctx, seq)
-            claimed = payload["verdict"]
-            if verdict.product_one != claimed["product_one"]:
-                fail("product-one flag does not re-verify")
-            if verdict.atom != claimed["atom"]:
-                fail("atom flag does not re-verify")
-            if cert.kind == "atom" and not claimed["atom"]:
-                fail("atom certificate claims a non-atom")
-            if cert.kind == "non_atom" and claimed["atom"]:
-                fail("non-atom certificate claims an atom")
+            expected = atom_payload(ctx, seq)
+            if cert.kind != ("atom" if expected["verdict"]["atom"] else "non_atom"):
+                fail(f"{cert.kind} certificate for a sequence whose re-derived verdict is "
+                     f"{_canonical(expected['verdict'])}")
             witness = payload.get("witness")
             if witness is not None:
                 if type(witness) is not list or len(witness) != 2:
@@ -256,151 +297,100 @@ def check_certificate(cert: Certificate) -> CheckResult:
                         fail(f"witness part {part.format(ctx)} is not product-one")
         elif cert.kind == "davenport_small":
             seq = Sequence.parse(ctx, payload["extremal"])
-            if len(seq) != payload["value"]:
-                fail("extremal example length differs from the claimed value")
-            flags = classify(ctx, seq)
-            if not flags.product_one_free:
-                fail("extremal example is not product-one free")
-            if payload.get("refuted_length") != payload["value"] + 1:
-                fail("refuted length is not value + 1")
             nodes = payload["nodes"]
             if type(nodes) is not int or nodes < 1:
                 fail(f"DFS node count {nodes!r} is not a positive int")
+            expected = SmallDavenportResult(len(seq), seq, nodes).to_payload(ctx)
+            if not classify(ctx, seq).product_one_free:
+                fail("extremal example is not product-one free")
             # a^(q-1) t^(p-1) is product-one free: a product-one part has t-degree
             # 0 mod p, so it holds no t, and a^i is not e for 0 < i < q.
             floor = Sequence.from_indices([1] * (ctx.q - 1) + [ctx.q] * (ctx.p - 1))
             if not classify(ctx, floor).product_one_free:
                 fail("a^(q-1) t^(p-1) does not re-verify as product-one free")
-            elif payload["value"] < len(floor):
+            elif len(seq) < len(floor):
                 fail(
-                    f"value {payload['value']} is below {len(floor)}, the length of the "
+                    f"value {len(seq)} is below {len(floor)}, the length of the "
                     "product-one-free a^(q-1) t^(p-1)"
                 )
             result.caveats.append(
                 "exhaustive refutation of longer sequences requires re-running the DFS"
             )
         elif cert.kind == "inverse_report":
-            from .enumeration import Stratum, StratumSpace
-            from .invariants import extremal_atoms_all
-
-            forms = {f.sequence.format(ctx) for f in extremal_atoms_all(ctx)}
-            if payload["n_f"] != len(forms):
-                fail(f"recomputed extremal count {len(forms)} != recorded {payload['n_f']}")
-            length = payload["length"]
-            if length != 2 * ctx.q:
-                fail(f"length {length} is not 2q = {2 * ctx.q}")
-            scope_ks = {"k_le_2": [0, 1, 2], "full": list(range(length + 1))}
-            if payload["scope"] not in scope_ks:
-                fail(f"unknown scope {payload['scope']!r}")
-            elif sorted(st["k"] for st in payload["strata"]) != scope_ks[payload["scope"]]:
-                fail(f"strata do not cover exactly the k-set of scope {payload['scope']!r}")
-            matched = 0
-            n_atoms = 0
-            unverified = 0
-            for stratum in payload["strata"]:
-                space = StratumSpace(ctx, Stratum(length=length, k=stratum["k"]))
-                if stratum["total"] != space.total:
-                    fail(f"stratum k={stratum['k']}: total {stratum['total']} != stratum size "
-                         f"{space.total}")
-                _check_scan(space, 0, space.total - 1, stratum, f"stratum k={stratum['k']}: ", fail)
-                for text in stratum["atoms"]:
-                    if stratum["k"] == 2 and text in forms:
-                        matched += 1
-                    else:
-                        fail(f"stratum k={stratum['k']}: atom outside the extremal set: {text}")
-                n_atoms += len(stratum["atoms"])
-                unverified += len(stratum["unverified"])
-            if payload["matched"] != matched:
-                fail(f"recomputed matched count {matched} != recorded {payload['matched']}")
-            if payload["atoms_found"] != n_atoms:
-                fail(f"recomputed atom count {n_atoms} != recorded {payload['atoms_found']}")
-            verified = (
-                not payload["exceptions"] and not unverified
-                and matched == len(forms) == n_atoms
-            )
-            if payload["verified"] != verified:
-                fail(f"recomputed verified flag {verified} != recorded {payload['verified']}")
-            if payload["exceptions"]:
-                fail(f"report lists {len(payload['exceptions'])} exceptions")
-            if any(st["k"] > 2 for st in payload["strata"]):
+            # k <= 2 strata are scanned again; a k >= 3 record is taken from the
+            # claim at its place in the scope's order, after its partial checks.
+            length = 2 * ctx.q
+            strata = []
+            for index, k in enumerate(scope_ks(payload["scope"], length)):
+                if k > 2 and index >= len(payload["strata"]):
+                    break
+                space = StratumSpace(ctx, Stratum(length=length, k=k))
+                record = payload["strata"][index] if k > 2 else None
+                counters, digest, atoms, unverified = _check_scan(
+                    space, 0, space.total - 1, record, f"stratum k={k}: ", fail)
+                strata.append(StratumReport(k, space.total, counters.to_dict(), atoms,
+                                            unverified, digest_hex(digest)))
+            expected = inverse_report(ctx, payload["scope"], strata).to_payload()
+            if any(rep.k > 2 for rep in strata):
                 result.caveats.append(
                     "exhaustiveness of the k >= 3 scans requires re-running the search"
                 )
         elif cert.kind == "elasticity_witness":
-            from .invariants import ElasticityWitness, verify_elasticity_witness
-
             witness = ElasticityWitness(
                 product=Sequence.parse(ctx, payload["product"]),
                 factors_short=tuple(Sequence.parse(ctx, t) for t in payload["factors_short"]),
                 factors_long=tuple(Sequence.parse(ctx, t) for t in payload["factors_long"]),
             )
-            if list(witness.lengths) != payload["lengths"]:
-                fail("recorded factorization lengths are wrong")
+            expected = witness.to_payload(ctx)
             for problem in verify_elasticity_witness(ctx, witness):
                 fail(problem)
         elif cert.kind == "lemma_report":
-            from .oracles import LEMMA_IDS, check_cyclic_extremal, check_record
+            # Every suite is seeded or exhaustive, so running it again is the check.
+            # Imported here, as only this kind runs a suite.
+            from .oracles import LEMMA_IDS, run_lemma
 
-            lemma = payload["lemma"]
+            lemma, trials, seed = payload["lemma"], payload["trials"], payload["seed"]
             if lemma not in LEMMA_IDS:
                 raise ValueError(f"unknown lemma {lemma!r}")
-            counts = {key: payload[key] for key in
-                      ("trials", "trials_run", "generation_failures", "failures")}
-            bad = [key for key, value in counts.items() if type(value) is not int or value < 0]
-            if bad:
-                raise ValueError(f"{', '.join(bad)} not a non-negative int")
-            if counts["trials_run"] + counts["generation_failures"] > counts["trials"]:
-                fail(f"{counts['trials_run']} trials run and {counts['generation_failures']} "
-                     f"generation failures exceed the {counts['trials']} trials")
-            record = payload.get("counterexample")
-            # Every suite stops at its first counterexample.
-            if counts["failures"] != (record is not None):
-                fail(f"{counts['failures']} failures reported with "
-                     f"{'a' if record is not None else 'no'} counterexample")
+            if type(trials) is not int or trials < 0:
+                raise ValueError(f"trials {trials!r} is not a non-negative int")
+            if type(seed) is not int:
+                raise ValueError(f"seed {seed!r} is not an int")
+            cyclic = {}
             if lemma == "cyclic-extremal":
-                # An exhaustive scan over C_n, named in the payload's group as
-                # C_n:mode, so the whole report is re-derived.
+                # An exhaustive scan over C_n, named in the payload's group as C_n:mode.
                 match = re.fullmatch(r"C_(\d+):(multiplicity|extremal)", str(payload["group"]))
                 if match is None:
-                    fail(f"payload group {payload['group']!r} is not C_n:mode")
-                elif check_cyclic_extremal(int(match[1]), match[2]).to_payload() != payload:
-                    fail("cyclic-extremal report does not re-derive")
-            else:
-                if payload["group"] != cert.group:
-                    fail(f"payload group {payload['group']!r} is not the certificate's "
-                         f"{cert.group!r}")
-                if record is not None:
-                    # The lemma's own check, run on the recorded instance; a
-                    # ValueError (hypotheses not met) fails the certificate.
-                    if check_record(ctx, lemma, record) != record:
-                        fail("counterexample does not re-verify")
-                else:
-                    result.caveats.append(
-                        "absence of counterexamples re-verifiable only by re-running the trials"
-                    )
+                    raise ValueError(f"payload group {payload['group']!r} is not C_n:mode")
+                cyclic = {"n": int(match[1]), "mode": match[2]}
+            expected = run_lemma(ctx, lemma, trials, seed, **cyclic).to_payload()
         elif cert.kind == "checkpoint":
-            from .enumeration import Stratum, StratumSpace
-
-            space = StratumSpace(ctx, Stratum.from_dict(payload["stratum"]))
-            total = space.total
-            shard = payload["shard"]
-            lo, hi = (shard["start_rank"], shard["end_rank"]) if shard else (0, total)
+            stratum = Stratum.from_dict(payload["stratum"])
+            space = StratumSpace(ctx, stratum)
+            shard = None if payload["shard"] is None else Shard(**payload["shard"])
+            if shard is not None and not (
+                    all(type(value) is int for value in vars(shard).values())
+                    and 0 <= shard.index < shard.n_shards):
+                raise ValueError(f"shard {payload['shard']!r} is not four ints with index in "
+                                 "[0, n_shards)")
+            lo, hi = (shard.start_rank, shard.end_rank) if shard else (0, space.total)
             last_rank = payload["last_rank"]
-            complete = payload.get("complete", False)
-            if not 0 <= lo <= hi <= total:
-                fail(f"rank interval [{lo}, {hi}) is not inside the stratum's {total} ranks")
-            elif complete and last_rank != hi - 1:
-                fail(f"complete scan of [{lo}, {hi}) ends at rank {last_rank}")
-            elif not lo - 1 <= last_rank < hi:
-                fail(f"last rank {last_rank} is outside [{lo}, {hi})")
-            else:
-                _check_scan(space, lo, last_rank, payload, "", fail)
-            if not complete:
+            if not 0 <= lo <= hi <= space.total:
+                raise ValueError(f"rank interval [{lo}, {hi}) is not inside the stratum's "
+                                 f"{space.total} ranks")
+            if type(last_rank) is not int or not lo - 1 <= last_rank < hi:
+                raise ValueError(f"last rank {last_rank!r} is not an int in [{lo - 1}, {hi})")
+            expected = checkpoint_record(
+                ctx, stratum, shard, 0, *_check_scan(space, lo, last_rank, payload, "", fail),
+                last_rank, last_rank == hi - 1,
+            )
+            if last_rank != hi - 1:
                 result.caveats.append("checkpoint covers a partial scan")
-            if space.stratum.k is None or space.stratum.k > 2:
+            if stratum.k is None or stratum.k > 2:
                 result.caveats.append(
                     "coverage of the rank interval requires re-running the shard"
                 )
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        _compare("", payload, expected, fail)
+    except (KeyError, ValueError, TypeError, AttributeError, IndexError) as exc:
         fail(f"malformed payload: {exc}")
     return result

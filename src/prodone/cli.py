@@ -15,8 +15,9 @@ list, counters and digest describe the same scan.  ``search --length`` and
 ``--max-candidates``, and ``elasticity --k`` and ``--uk-max-products``, must
 be at least 1; ``search --k`` must lie in [0, length].  Only ``lemmas
 --seed`` seeds randomized trials, and ``lemmas --trials`` must be
-non-negative.  ``elasticity --uk`` factors each product through the one-pass
-length-set DP of ``sequences.length_set_bounded``.
+non-negative; its certificate records the report's seed (0 for the
+exhaustive ``cyclic-extremal``).  ``elasticity --uk`` factors each product
+through the one-pass length-set DP of ``sequences.length_set_bounded``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import time
 
 from . import __version__
 from .certificates import (
+    atom_payload,
     check_certificate,
     certificate_to_json,
     make_certificate,
@@ -53,7 +55,7 @@ from .invariants import (
     verify_inverse_theorem,
 )
 from .oracles import LEMMA_IDS, run_lemma
-from .sequences import ResourceCapError, Sequence, classify, is_atom, pi_set, subproducts_set
+from .sequences import ResourceCapError, Sequence, classify, pi_set, subproducts_set
 
 
 def _emit(doc: dict) -> None:
@@ -166,18 +168,12 @@ def _cmd_group(args) -> int:
 def _emit_atom_certificate(ctx, seq: Sequence, path: str | None) -> bool:
     """Classify ``seq``, emit its atom or non-atom certificate, and return whether it is an atom."""
     started = time.perf_counter()
-    verdict = is_atom(ctx, seq)
-    payload = {
-        "sequence": seq.format(ctx),
-        "length": len(seq),
-        "verdict": {"product_one": verdict.product_one, "atom": verdict.atom},
-        "witness": [part.format(ctx) for part in verdict.witness] if verdict.witness else None,
-    }
-    kind = "atom" if verdict.atom else "non_atom"
-    cert = make_certificate(kind, ctx.params.descriptor(), payload,
+    payload = atom_payload(ctx, seq)
+    atom = payload["verdict"]["atom"]
+    cert = make_certificate("atom" if atom else "non_atom", ctx.params.descriptor(), payload,
                             wall_s=time.perf_counter() - started)
     _emit_certificate(cert, path)
-    return verdict.atom
+    return atom
 
 
 def _cmd_seq_check(args) -> int:
@@ -335,7 +331,7 @@ def _cmd_lemmas(args) -> int:
     report = run_lemma(ctx, args.lemma, args.trials, args.seed, n=args.n, mode=args.mode)
     cert = make_certificate(
         "lemma_report", ctx.params.descriptor(), report.to_payload(),
-        seed=args.seed, wall_s=time.perf_counter() - started,
+        seed=report.seed, wall_s=time.perf_counter() - started,
     )
     _emit_certificate(cert, args.emit_cert)
     return 0 if report.ok else 1

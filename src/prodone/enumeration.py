@@ -272,12 +272,17 @@ class Stratum:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Stratum":
-        return cls(
+        """The stratum ``describe`` gave; a field of another JSON type raises ValueError."""
+        stratum = cls(
             length=data["length"],
             k=data.get("k"),
             exclude_identity=data.get("exclude_identity", True),
             tau_residue=data.get("tau_residue", 0),
         )
+        if not (type(stratum.length) is int and type(stratum.exclude_identity) is bool
+                and all(v is None or type(v) is int for v in (stratum.k, stratum.tau_residue))):
+            raise ValueError(f"stratum fields of the wrong type: {data!r}")
+        return stratum
 
 
 # (outer parts, ranks of the passing ones, k = 2 target rows, k = 2 zero-target prefix counts);

@@ -369,6 +369,38 @@ class InverseReport:
         }
 
 
+def scope_ks(scope: str, length: int) -> list[int]:
+    """The k of every stratum that ``scope`` covers at ``length``."""
+    if scope == "k_le_2":
+        return [0, 1, 2]
+    if scope == "full":
+        return list(range(length + 1))
+    raise ValueError(f"unknown scope {scope!r}")
+
+
+def inverse_report(ctx: GroupCtx, scope: str, strata: list[StratumReport]) -> InverseReport:
+    """The report on the scanned ``strata`` of length 2q: their atoms matched against
+    the realized extremal set, every other atom listed as an exception."""
+    forms = {form.sequence.format(ctx) for form in extremal_atoms_all(ctx)}
+    matched = 0
+    exceptions: list[str] = []
+    for rep in strata:
+        for text in rep.atoms:
+            if text in forms and rep.k == 2:
+                matched += 1
+            else:
+                exceptions.append(text)
+    return InverseReport(
+        group=ctx.params.descriptor(),
+        length=2 * ctx.q,
+        scope=scope,
+        n_f=len(forms),
+        strata=strata,
+        matched=matched,
+        exceptions=exceptions,
+    )
+
+
 def verify_inverse_theorem(
     ctx: GroupCtx,
     scope: str = "k_le_2",
@@ -381,21 +413,13 @@ def verify_inverse_theorem(
 
     ``k_le_2`` covers the strata with at most two terms outside the
     commutator subgroup; ``full`` covers every stratum (extended runtime).
-    The extremal multiset count is computed and recorded before the search.
     Each stratum is scanned by ``run_sharded`` in ``n_shards`` shards
     (default: one per worker), with one checkpoint directory per stratum
-    under ``checkpoint_dir``.
+    under ``checkpoint_dir``; ``inverse_report`` then matches the atoms.
     """
-    if scope not in ("k_le_2", "full"):
-        raise ValueError(f"unknown scope {scope!r}")
     length = 2 * ctx.q
-    forms = extremal_atoms_all(ctx)
-    form_set = {form.sequence.format(ctx) for form in forms}
-    ks = [0, 1, 2] if scope == "k_le_2" else list(range(length + 1))
     strata: list[StratumReport] = []
-    matched = 0
-    exceptions: list[str] = []
-    for k in ks:
+    for k in scope_ks(scope, length):
         stratum = Stratum(length=length, k=k)
         stratum_dir = None
         if checkpoint_dir is not None:
@@ -406,31 +430,17 @@ def verify_inverse_theorem(
             n_shards=n_shards if n_shards is not None else max(1, workers),
             workers=workers, checkpoint_dir=stratum_dir,
         )
-        atoms = [seq.format(ctx) for seq in result.atoms]
-        for text in atoms:
-            if text in form_set and k == 2:
-                matched += 1
-            else:
-                exceptions.append(text)
         strata.append(
             StratumReport(
                 k=k,
                 total=StratumSpace(ctx, stratum).total,
                 counters=result.counters.to_dict(),
-                atoms=atoms,
+                atoms=[seq.format(ctx) for seq in result.atoms],
                 unverified=[seq.format(ctx) for seq in result.unverified],
                 digest=result.digest_hex,
             )
         )
-    return InverseReport(
-        group=ctx.params.descriptor(),
-        length=length,
-        scope=scope,
-        n_f=len(forms),
-        strata=strata,
-        matched=matched,
-        exceptions=exceptions,
-    )
+    return inverse_report(ctx, scope, strata)
 
 
 # -- elasticity witnesses ---------------------------------------------------------

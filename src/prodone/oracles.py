@@ -15,10 +15,9 @@ returns None when its retry loop runs out (a generation failure).
 lemma's hypotheses; otherwise it returns None, or the counterexample record:
 the instance in text plus the values it measured.  A proposer retries on the
 same predicate its check requires.  ``run_lemma`` runs the proposer and then
-the check on every trial, and ``check_record`` runs the same check on the
-instance a record names, so a certificate's counterexample is accepted only
-when the check reproduces it exactly.  ``cyclic-extremal`` is an exhaustive
-scan, re-derived whole.
+the check on every trial.  Each trial draws from a stream keyed by the seed,
+and ``cyclic-extremal`` is an exhaustive scan, so the ``lemma_report``
+checker runs the suite again and requires the same report.
 
 Lemma ids:
 
@@ -515,16 +514,3 @@ def run_lemma(
         generation_failures=generation_failures,
         seed=seed,
     )
-
-
-def check_record(ctx: GroupCtx, lemma_id: str, record: dict) -> dict | None:
-    """Run the check of a randomized lemma on the instance a counterexample record names."""
-    if lemma_id not in _SUITES:
-        raise ValueError(f"{lemma_id!r} is not a randomized lemma")
-    if lemma_id == "cauchy-davenport":
-        instance = set(record["A"]), set(record["B"])
-    elif lemma_id == "closed-product-chain":
-        instance = [Sequence.parse(ctx, text) for text in record["factors"]]
-    else:
-        instance = Sequence.parse(ctx, record["sequence"])
-    return _SUITES[lemma_id][1](ctx, instance)

@@ -201,9 +201,7 @@ def test_criterion_7_elasticity_witnesses(ctx372):
     assert table.rho_odd_bounds == (16, 20)
     # Independent re-checker: certificate round trip through the validator.
     for witness in (rho2, rho3):
-        cert = make_certificate(
-            "elasticity_witness", "3,7,2", witness.to_payload(ctx372), seed=0
-        )
+        cert = make_certificate("elasticity_witness", "3,7,2", witness.to_payload(ctx372))
         outcome = check_certificate(cert)
         assert outcome.ok, outcome.messages
     _report(7, "rho witnesses (2,14) and (3,16); odd bound 16 <= rho_3 <= 20", started, 5.0)
@@ -261,7 +259,6 @@ def test_criterion_9_infrastructure(ctx372, inverse_report_372, tmp_path, monkey
         "atom", "3,7,2",
         {"sequence": seq.format(ctx372), "length": 14,
          "verdict": {"product_one": True, "atom": True}, "witness": None},
-        seed=0,
     )
     pair_seq = Sequence.parse(ctx372, "(1,0),(2,0),(0,1),(0,6)")
     pair_verdict = is_atom(ctx372, pair_seq)
@@ -270,17 +267,16 @@ def test_criterion_9_infrastructure(ctx372, inverse_report_372, tmp_path, monkey
         {"sequence": pair_seq.format(ctx372), "length": 4,
          "verdict": {"product_one": True, "atom": False},
          "witness": [part.format(ctx372) for part in pair_verdict.witness]},
-        seed=0,
     )
     certs["davenport_small"] = make_certificate(
-        "davenport_small", "3,7,2", small_davenport(ctx372).to_payload(ctx372), seed=0
+        "davenport_small", "3,7,2", small_davenport(ctx372).to_payload(ctx372)
     )
     certs["inverse_report"] = make_certificate(
         "inverse_report", "3,7,2", inverse_report_372[0].to_payload(), seed=0
     )
     certs["elasticity_witness"] = make_certificate(
         "elasticity_witness", "3,7,2",
-        build_rho_witness(ctx372, "rho2").to_payload(ctx372), seed=0,
+        build_rho_witness(ctx372, "rho2").to_payload(ctx372),
     )
     certs["lemma_report"] = make_certificate(
         "lemma_report", "3,7,2",

@@ -54,7 +54,7 @@ def test_atom_certificate_round_trip(ctx372, tmp_path):
         "verdict": {"product_one": verdict.product_one, "atom": verdict.atom},
         "witness": None,
     }
-    cert = make_certificate("atom", "3,7,2", payload, seed=0)
+    cert = make_certificate("atom", "3,7,2", payload)
     path = str(tmp_path / "atom.json")
     write_certificate(cert, path)
     loaded = read_certificate(path)
@@ -108,7 +108,7 @@ def test_wrong_claim_is_rejected(ctx372):
     cert = make_certificate("atom", "3,7,2", payload, seed=0)
     result = check_certificate(cert)
     assert not result.ok
-    assert any("re-verify" in m for m in result.messages)
+    assert any("re-derived" in m for m in result.messages)
 
 
 def test_non_atom_certificate_with_witness(ctx372):
@@ -120,7 +120,7 @@ def test_non_atom_certificate_with_witness(ctx372):
         "verdict": {"product_one": True, "atom": False},
         "witness": [part.format(ctx372) for part in verdict.witness],
     }
-    cert = make_certificate("non_atom", "3,7,2", payload, seed=0)
+    cert = make_certificate("non_atom", "3,7,2", payload)
     assert check_certificate(cert).ok
 
 
@@ -162,13 +162,13 @@ NON_ATOM_TEXT = "(1,0),(2,0),(0,1),(0,6)"
 def test_atom_certificate_forgeries_are_rejected(ctx372, kind, text, forge):
     payload = _atom_payload(ctx372, text)
     forge(payload)
-    assert not check_certificate(make_certificate(kind, "3,7,2", payload, seed=0)).ok
+    assert not check_certificate(make_certificate(kind, "3,7,2", payload)).ok
 
 
 def test_atom_certificate_matrix_baselines_pass(ctx372):
     for kind, text in (("atom", ATOM_TEXT), ("non_atom", NON_ATOM_TEXT)):
         payload = _atom_payload(ctx372, text)
-        outcome = check_certificate(make_certificate(kind, "3,7,2", payload, seed=0))
+        outcome = check_certificate(make_certificate(kind, "3,7,2", payload))
         assert outcome.ok, outcome.messages
 
 
@@ -193,12 +193,12 @@ def _drop_long_factor(pl):
 def test_elasticity_witness_forgeries_are_rejected(ctx372, forge):
     payload = build_rho_witness(ctx372, "rho3").to_payload(ctx372)
     forge(payload)
-    assert not check_certificate(make_certificate("elasticity_witness", "3,7,2", payload, seed=0)).ok
+    assert not check_certificate(make_certificate("elasticity_witness", "3,7,2", payload)).ok
 
 
 def test_davenport_small_certificate(ctx372):
     result = small_davenport(ctx372)
-    cert = make_certificate("davenport_small", "3,7,2", result.to_payload(ctx372), seed=0)
+    cert = make_certificate("davenport_small", "3,7,2", result.to_payload(ctx372))
     outcome = check_certificate(cert)
     assert outcome.ok
     assert any("re-running" in c for c in outcome.caveats)
@@ -229,14 +229,14 @@ def _shift_value(payload, delta):
 def test_davenport_small_forgeries_are_rejected(ctx372, forge):
     payload = small_davenport(ctx372).to_payload(ctx372)
     forge(payload)
-    assert not check_certificate(make_certificate("davenport_small", "3,7,2", payload, seed=0)).ok
+    assert not check_certificate(make_certificate("davenport_small", "3,7,2", payload)).ok
 
 
 def test_davenport_small_understated_value_is_rejected(ctx372):
     # Consistent in itself: a product-one-free sequence of the claimed length,
     # refuted length value + 1; but a^6 t is shorter than a^6 t^2.
     payload = {"value": 7, "extremal": "(0,1)^6,(1,0)", "nodes": 33222, "refuted_length": 8}
-    outcome = check_certificate(make_certificate("davenport_small", "3,7,2", payload, seed=0))
+    outcome = check_certificate(make_certificate("davenport_small", "3,7,2", payload))
     assert not outcome.ok
     assert any("below 8" in m for m in outcome.messages)
 
@@ -245,7 +245,7 @@ def test_davenport_small_genuine_values_pass_the_lower_bound():
     # The 3,13,3 payload as small_davenport emits it (5,498,712 DFS nodes).
     payload = {"value": 14, "extremal": "(0,1)^12,(1,0)^2", "nodes": 5_498_712,
                "refuted_length": 15}
-    outcome = check_certificate(make_certificate("davenport_small", "3,13,3", payload, seed=0))
+    outcome = check_certificate(make_certificate("davenport_small", "3,13,3", payload))
     assert outcome.ok, outcome.messages
 
 
@@ -257,7 +257,7 @@ def test_davenport_small_forged_extremal_is_product_one(ctx372):
 
 def test_elasticity_certificate(ctx372):
     witness = build_rho_witness(ctx372, "rho3")
-    cert = make_certificate("elasticity_witness", "3,7,2", witness.to_payload(ctx372), seed=0)
+    cert = make_certificate("elasticity_witness", "3,7,2", witness.to_payload(ctx372))
     assert check_certificate(cert).ok
 
 
@@ -266,7 +266,7 @@ def test_lemma_certificate(ctx372):
     cert = make_certificate("lemma_report", "3,7,2", report.to_payload(), seed=1)
     outcome = check_certificate(cert)
     assert outcome.ok
-    assert outcome.caveats  # absence of counterexamples needs a re-run
+    assert outcome.caveats == []  # the checker runs the seeded trials again
 
 
 def _cauchy_davenport_payload(ctx372):
@@ -371,8 +371,9 @@ _UNIT_CHAIN_CLAIM = {"factors": ["(0,1),(0,6)"], "chain_size": 1, "total_terms":
 ])
 def test_lemma_report_forgeries_are_rejected(ctx372, make_payload, forge):
     payload = make_payload(ctx372)
+    seed = payload["seed"]
     forge(payload)
-    assert not check_certificate(make_certificate("lemma_report", "3,7,2", payload, seed=1)).ok
+    assert not check_certificate(make_certificate("lemma_report", "3,7,2", payload, seed=seed)).ok
 
 
 @pytest.mark.parametrize("make_payload", [_cauchy_davenport_payload, _cyclic_extremal_payload] + [
@@ -382,10 +383,10 @@ def test_lemma_report_forgeries_are_rejected(ctx372, make_payload, forge):
 ])
 def test_lemma_report_matrix_baselines_pass(ctx372, make_payload):
     payload = make_payload(ctx372)
-    outcome = check_certificate(make_certificate("lemma_report", "3,7,2", payload))
+    outcome = check_certificate(make_certificate("lemma_report", "3,7,2", payload,
+                                                 seed=payload["seed"]))
     assert outcome.ok, outcome.messages
-    if payload["lemma"] != "cyclic-extremal":
-        assert any("re-running the trials" in c for c in outcome.caveats)
+    assert outcome.caveats == []  # the checker runs the suite again
 
 
 def test_lemma_counterexample_from_the_check_re_verifies(ctx372, monkeypatch):
@@ -491,8 +492,9 @@ def test_inverse_report_forged_stratum_size_is_rejected(ctx372):
     payload["strata"] = [_stratum_record(2, 42, payload["strata"][2]["atoms"], 0)]
     outcome = _check_inverse(payload)
     assert not outcome.ok
-    assert any("stratum size" in m for m in outcome.messages)
-    assert any("k-set" in m for m in outcome.messages)
+    # The k=0, 1 and 2 strata the full scope starts with are re-derived, so the
+    # one-stratum list differs from them.
+    assert any(m.startswith("strata: ") and " != re-derived " in m for m in outcome.messages)
 
 
 def _grow_k0_stratum(payload):
@@ -642,7 +644,7 @@ def test_k0_verdict_forgeries_are_rejected(ctx372, kind, forge):
         forge(payload["strata"][0])
         outcome = _check_inverse(payload)
     assert not outcome.ok
-    assert any("non_atoms " in m and " != re-scan " in m for m in outcome.messages), outcome.messages
+    assert any("non_atoms: " in m and " != re-derived " in m for m in outcome.messages), outcome.messages
 
 
 def _move_k2_verdict(record):
@@ -664,7 +666,7 @@ def test_k2_verdict_forgeries_are_rejected(ctx372, kind):
         outcome = _check_inverse(payload)
     assert not outcome.ok
     for name in ("non_atoms", "not_product_one"):
-        assert any(f"{name} " in m and " != re-scan " in m for m in outcome.messages), outcome.messages
+        assert any(f"{name}: " in m and " != re-derived " in m for m in outcome.messages), outcome.messages
 
 
 @pytest.mark.parametrize("kind", ["inverse_report", "checkpoint"])
@@ -687,7 +689,7 @@ def test_k2_non_atom_listed_as_unverified_is_rejected(ctx372, kind):
         _list_unverified(payload["strata"][2], text)
         outcome = _check_inverse(payload)
     assert not outcome.ok
-    assert any("re-scan" in m for m in outcome.messages), outcome.messages
+    assert any("unverified: " in m and " != re-derived " in m for m in outcome.messages), outcome.messages
 
 
 def test_k2_checkpoint_is_scanned_again(ctx372):
@@ -711,7 +713,7 @@ def test_k2_checkpoint_is_scanned_again(ctx372):
                                 result.last_rank, True)
     outcome = _check_checkpoint(payload)
     assert not outcome.ok
-    assert any("atom list differs" in m for m in outcome.messages), outcome.messages
+    assert any(m.startswith("atoms: ") and " != re-derived " in m for m in outcome.messages), outcome.messages
 
 
 def _float_counter(record):
@@ -742,7 +744,7 @@ def test_k_le_2_counters_are_compared_type_exactly(ctx372, target, forge):
         forge(payload["strata"][0 if target == "inverse-k0" else 2])
         outcome = _check_inverse(payload)
     assert not outcome.ok
-    assert any(" != re-scan " in m for m in outcome.messages), outcome.messages
+    assert any(" != re-derived " in m for m in outcome.messages), outcome.messages
 
 
 def test_k_le_2_claim_runs_the_engine_once_per_atom(ctx372, ctx5113, monkeypatch):
@@ -843,6 +845,30 @@ def test_checkpoint_window_forgeries_are_rejected(ctx372, k, forge, message):
     assert any(message in m for m in outcome.messages), outcome.messages
 
 
+@pytest.mark.parametrize("part,field,value", [
+    ("stratum", "length", 14.0),
+    ("stratum", "k", 2.0),
+    ("stratum", "exclude_identity", 1),
+    ("stratum", "tau_residue", 0.0),
+    ("shard", "index", 1.0),
+    ("shard", "n_shards", 3.0),
+    ("shard", "start_rank", 1_000.0),
+    ("shard", "end_rank", 4_000.0),
+    ("shard", "index", 3),
+    ("shard", "index", -1),
+])
+def test_checkpoint_stratum_and_shard_fields_are_typed(ctx372, part, field, value):
+    # The checker takes these fields from the claim, so each must have the
+    # JSON type describe() writes: 2.0 scans like 2 and 1 like true, and the
+    # re-derived record would echo the claimed value back.
+    payload = _checkpoint_payload(ctx372)
+    payload[part][field] = value
+    outcome = _check_checkpoint(payload)
+    assert not outcome.ok
+    assert any(m.startswith("malformed payload: ") and part in m for m in outcome.messages), (
+        outcome.messages)
+
+
 def test_checkpoint_forged_partial_record_is_rejected(ctx372):
     payload = _checkpoint_payload(ctx372, max_candidates=1_234)
     payload["complete"] = True
@@ -861,7 +887,7 @@ def test_checkpoint_unverified_list_must_match_counter(ctx372):
     )
     outcome = check_certificate(make_certificate("checkpoint", "3,7,2", payload, seed=0))
     assert not outcome.ok
-    assert "unverified 1 != re-scan 0" in outcome.messages, outcome.messages
+    assert "counters.unverified: 1 != re-derived 0" in outcome.messages, outcome.messages
 
 
 # -- CLI ------------------------------------------------------------------------
