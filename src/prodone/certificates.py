@@ -149,9 +149,6 @@ _COUNTER_NAMES = (
     "visited", "filtered_out", "checked", "atoms", "non_atoms", "not_product_one", "unverified",
 )
 
-#: Kinds whose certificate ``seed`` is the payload's; every other kind records none.
-_SEEDED = ("lemma_report", "checkpoint", "inverse_report")
-
 
 def atom_payload(ctx, seq: Sequence) -> dict:
     """The payload of ``seq``'s atom or non-atom certificate: the engine's verdict, and
@@ -277,8 +274,9 @@ def check_certificate(cert: Certificate) -> CheckResult:
 
     payload = cert.payload
     try:
-        _compare("certificate seed", cert.seed,
-                 payload["seed"] if cert.kind in _SEEDED else None, fail)
+        # The kinds that record a seed carry it in the payload; the others record none.
+        seeded = cert.kind in ("lemma_report", "checkpoint", "inverse_report")
+        _compare("certificate seed", cert.seed, payload["seed"] if seeded else None, fail)
         if cert.kind in ("atom", "non_atom"):
             seq = Sequence.parse(ctx, payload["sequence"])
             expected = atom_payload(ctx, seq)
