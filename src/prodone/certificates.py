@@ -169,9 +169,9 @@ def _canonical(value) -> str:
 def _compare(where: str, claimed, expected, fail) -> None:
     """Fail once per leaf where ``claimed`` and ``expected`` differ as canonical JSON.
 
-    Dicts are compared key by key and lists of one length entry by entry;
-    anything else, a list of another length included, is one leaf.  So 42.0
-    is not 42, true is not 1, and an extra or missing key fails.
+    Dicts are compared key by key, lists by length and then entry by entry
+    over their common prefix; anything else is one leaf.  So 42.0 is not 42,
+    true is not 1, and an extra or missing key or entry fails.
     """
     if type(claimed) is dict and type(expected) is dict:
         for key in sorted(set(claimed) | set(expected), key=str):
@@ -182,7 +182,9 @@ def _compare(where: str, claimed, expected, fail) -> None:
                 fail(f"{path}: {have} != re-derived {want}")
             else:
                 _compare(path, claimed[key], expected[key], fail)
-    elif type(claimed) is list and type(expected) is list and len(claimed) == len(expected):
+    elif type(claimed) is list and type(expected) is list:
+        if len(claimed) != len(expected):
+            fail(f"{where}: {len(claimed)} entries != re-derived {len(expected)}")
         for index, (have, want) in enumerate(zip(claimed, expected)):
             _compare(f"{where}[{index}]", have, want, fail)
     elif _canonical(claimed) != _canonical(expected):
@@ -317,10 +319,13 @@ def check_certificate(cert: Certificate) -> CheckResult:
         elif cert.kind == "inverse_report":
             # k <= 2 strata are scanned again; a k >= 3 record is taken from the
             # claim at its place in the scope's order, after its partial checks.
+            # Every k of the scope needs a record.
             length = 2 * ctx.q
             strata = []
             for index, k in enumerate(scope_ks(payload["scope"], length)):
                 if k > 2 and index >= len(payload["strata"]):
+                    fail(f"strata do not cover the k-set of scope {payload['scope']!r}: "
+                         f"no record for k={k}")
                     break
                 space = StratumSpace(ctx, Stratum(length=length, k=k))
                 record = payload["strata"][index] if k > 2 else None

@@ -493,8 +493,9 @@ def test_inverse_report_forged_stratum_size_is_rejected(ctx372):
     outcome = _check_inverse(payload)
     assert not outcome.ok
     # The k=0, 1 and 2 strata the full scope starts with are re-derived, so the
-    # one-stratum list differs from them.
+    # one-stratum list differs from them, and no record covers k=3.
     assert any(m.startswith("strata: ") and " != re-derived " in m for m in outcome.messages)
+    assert any("k-set" in m for m in outcome.messages)
 
 
 def _grow_k0_stratum(payload):
@@ -511,9 +512,20 @@ def _hide_unverified(payload):
     counters["filtered_out"] -= 1
 
 
+def _full_cut_after_k3(payload):
+    # A "full" report whose strata stop after a k=3 record that passes its
+    # partial checks.
+    space = StratumSpace(make_group(payload["group"]), Stratum(length=payload["length"], k=3))
+    payload["scope"] = "full"
+    payload["strata"].append(
+        _stratum_record(3, space.total, [], space.filtered_count(0, space.total)))
+
+
 @pytest.mark.parametrize("forge", [
     lambda pl: pl.update(length=pl["length"] + 2),
     lambda pl: pl.update(scope="k_le_1"),
+    lambda pl: pl.update(scope="full"),
+    _full_cut_after_k3,
     lambda pl: pl["strata"].pop(1),
     _grow_k0_stratum,
     lambda pl: pl.update(matched=pl["matched"] - 1),
@@ -521,8 +533,8 @@ def _hide_unverified(payload):
     lambda pl: pl.update(verified=False),
     _hide_unverified,
     lambda pl: pl["strata"][0]["unverified"].append("(0,1)^14"),
-], ids=["length", "scope", "missing-stratum", "total", "matched", "atoms_found",
-        "verified", "unverified-counter", "unverified-list"])
+], ids=["length", "scope", "full-scope", "full-cut-after-k3", "missing-stratum", "total",
+        "matched", "atoms_found", "verified", "unverified-counter", "unverified-list"])
 def test_inverse_report_forgeries_are_rejected(ctx372, forge):
     payload = _inverse_payload(ctx372)
     forge(payload)
