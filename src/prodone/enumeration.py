@@ -91,8 +91,9 @@ where y_rank ranks the <a>-part Y and x_rank the outer part X, so the outer
 part varies fastest.  ``StratumSpace.iter_blocks`` cuts a rank range into
 blocks, one Y with a slice [x_lo, x_hi) of outer ranks each, and
 ``iter_range`` is a loop over those blocks.  For k = 2 ``atom_search``
-walks the tree of sorted prefixes of Y instead (fact 8).  Fact 5 serves
-every scan, fact 6 the k = 2 scan:
+settles the <a>-parts by the lemma of fact 9 or walks the tree of their
+sorted prefixes (fact 8) instead.  Fact 5 serves every scan, fact 6 the
+k = 2 scan:
 
 5. The filter reads the outer part alone.  A term (0, y) of <a> has t-degree
    0, so the t-degree sum of S = Y.X is that of X, and S passes the filter
@@ -120,8 +121,8 @@ every scan, fact 6 the k = 2 scan:
    product-one are only counted; an atom is built and confirmed by the
    engine, in rank order.
 
-Two cuts settle whole rank ranges by arithmetic, with no per-candidate work,
-and the prefix walk carries the first across whole subtrees:
+Two cuts settle whole rank ranges by arithmetic, with no per-candidate work;
+the prefix walk and a lemma carry the first across whole subtrees:
 
 7. Cut A, a full split mask.  If R is all of Z_q, then so is P (R lies in
    P), and a pair's verdict reads whether its target bit is 0: a nonzero
@@ -147,19 +148,39 @@ and the prefix walk carries the first across whole subtrees:
    skipped unbuilt; a child with a full R is settled by cut A over the part
    of its interval in the range, however little of it that is; a full-length
    Y with R not full has its pairs settled as in 6; any other child is
-   walked.  At 3,7,2 the walk of the whole k = 2 stratum builds 1,934
-   prefix profiles and reaches the pair loop with 6 of 6,188 <a>-parts.
-9. Cut D, k = 0 and length above q.  A product-one S over the cyclic <a>
-   with more than q terms is never an atom: S without its first term has
-   at least q terms y_1 .. y_m, and two of the m + 1 prefix sums y_1 + ... +
-   y_i (i = 0 .. m) agree mod q by pigeonhole, so a nonempty block of them
-   sums to 0.  It misses the first term, and its complement sums to 0 as
-   well, so S splits into two product-one parts.  So the verdicts of a
-   rank range are counts of multisets by their sum mod q: those with sum 0
-   are non-atoms and the others are not product-one.
-   ``StratumSpace.zero_sum_count`` reads them off the same table and rank
-   walk as ``filtered_count`` (``_count_below``, with exponents for
-   degrees), and the scan credits them to ``abelian``.
+   walked.  At 3,7,2 the walk of the whole k = 2 stratum of length 13
+   builds 1,898 prefix profiles and reaches the pair loop with 12 of 4,368
+   <a>-parts.  It serves the strata where fact 9 does not hold.
+9. The lemma (k = 2, no identity term, |Y| >= 2q - 2).  Let Y be a sequence
+   over Z_q without 0, with |Y| >= 2q - 2.  Then R is all of Z_q unless Y
+   is a constant y^(2q - 2).
+   * Y not constant.  Take q terms of Y, two of them distinct.  They hold a
+     nonempty Z with ΣZ = 0, since D(C_q) = q, and a minimal such Z has
+     |Z| <= q - 1: a minimal zero-sum sequence of length q over C_q is a
+     constant g^q.  So Y without Z keeps at least q - 1 terms, all nonzero,
+     and by the Cauchy-Davenport theorem (q is prime) the sums of their
+     sub-multisets B, the empty one included, cover Z_q.  Each lies in R.
+   * Y = y^m.  y is a unit, so ΣZ = 0 makes Z = y^(jq) with j >= 1, and
+     R = {0, y, .., (m - q).y}.  This is all of Z_q iff m >= 2q - 1.
+   So when the identity is not in the ground set and |Y| >= 2q - 2, the
+   scan cuts [lo, hi) at the blocks of the q - 1 constant parts y^(2q - 2)
+   (none when |Y| > 2q - 2), whose y-ranks are one ``rank_multiset`` call
+   each.  Cut A's two prefix counts settle each gap between them, and the
+   pair loop of 6 each of their blocks.  At 3,7,2 the length-14 stratum
+   builds 72 profiles (6 parts of 12 terms) where the walk built 1,934.
+   Below 2q - 2 terms many non-constant parts have R not full, and terms 0
+   add no sums (0^(2q - 2) has R = {0}), so those strata are walked.
+10. Cut D, k = 0 and length above q.  A product-one S over the cyclic <a>
+    with more than q terms is never an atom: S without its first term has
+    at least q terms y_1 .. y_m, and two of the m + 1 prefix sums y_1 + ... +
+    y_i (i = 0 .. m) agree mod q by pigeonhole, so a nonempty block of them
+    sums to 0.  It misses the first term, and its complement sums to 0 as
+    well, so S splits into two product-one parts.  So the verdicts of a
+    rank range are counts of multisets by their sum mod q: those with sum 0
+    are non-atoms and the others are not product-one.
+    ``StratumSpace.zero_sum_count`` reads them off the same table and rank
+    walk as ``filtered_count`` (``_count_below``, with exponents for
+    degrees), and the scan credits them to ``abelian``.
 
 The other strata, k = 0 up to length q, k >= 3 and k = None, are scanned
 one candidate at a time (``StratumSpace.one_at_a_time``): each is built,
@@ -418,7 +439,7 @@ class StratumSpace:
         return failing_below(hi) - failing_below(lo)
 
     def zero_sum_count(self, lo: int, hi: int) -> int:
-        """Ranks in [lo, hi) of a k = 0 stratum whose terms sum to 0 mod q (fact 9 of the module docstring)."""
+        """Ranks in [lo, hi) of a k = 0 stratum whose terms sum to 0 mod q (fact 10 of the module docstring)."""
         values, size = tuple(self.y_ground), self.y_size
         return (_count_below(values, size, self.ctx.q, 0, hi)
                 - _count_below(values, size, self.ctx.q, 0, lo))
@@ -633,8 +654,9 @@ def _inner_profile(q: int, inner: tuple[int, ...]) -> tuple[int, int, int]:
 
     Bit b of P is set when some sub-multiset B of Y has ΣB = b; bit b of R
     when some B is disjoint from a nonempty Z of Y with ΣZ = 0.  It folds
-    ``_profile_step`` over Y for ``classify_candidate``; the k = 2 scan
-    builds its profiles in the prefix walk instead.  The one cached entry
+    ``_profile_step`` over Y for ``classify_candidate`` and for the
+    constant parts of fact 9; the prefix walk of fact 8 builds its
+    profiles one step per prefix instead.  The one cached entry
     serves a run of candidates with the same <a>-part, which a loop over
     the ranks of a fixed-k stratum meets, since the outer part varies
     fastest.
@@ -851,7 +873,8 @@ class _Scan:
     """What one ``atom_search`` call has found, and the loop that extends it.
 
     ``blocks`` settles a rank range of any stratum: by counts for k = 1 and
-    for k = 0 above length q, by the prefix walk (``walk``) for k = 2, and
+    for k = 0 above length q, by the lemma or the prefix walk
+    (``settle_k2``) for k = 2, and
     one candidate at a time for the others (``StratumSpace.one_at_a_time``;
     see the module docstring).  Over the same ranks it leaves the counters,
     digest and lists that a loop over single candidates leaves.
@@ -900,15 +923,15 @@ class _Scan:
             counters.not_product_one += checked
             counters.note_method("degree", checked)
         elif k == 2:
-            self.walk(lo, hi)
-        elif k == 0:  # above length q: cut D, fact 9; () passes, so all ranks do
+            self.settle_k2(lo, hi)
+        elif k == 0:  # above length q: cut D, fact 10; () passes, so all ranks do
             product_one = space.zero_sum_count(lo, hi)
             counters.non_atoms += product_one
             counters.not_product_one += checked - product_one
             counters.note_method("abelian", checked)
 
-    def walk(self, lo: int, hi: int) -> None:
-        """Settle ranks [lo, hi) of a k = 2 stratum by the prefix walk of fact 8."""
+    def settle_k2(self, lo: int, hi: int) -> None:
+        """Settle ranks [lo, hi) of a k = 2 stratum: by the lemma of fact 9 where it holds, else by the prefix walk of fact 8."""
         space, ctx = self.space, self.space.ctx
         q, x_count, values, size = ctx.q, space.x_count, space.y_ground, space.y_size
         outer, passing, targets, zeros = space.outer_table
@@ -922,24 +945,34 @@ class _Scan:
             i = bisect_left(passing, x)
             return y * n_pass + i, y * zeros[-1] + zeros[i]
 
+        def cut_a(a: int, b: int) -> None:
+            """Settle ranks [a, b), whose every <a>-part has a full R (cut A, fact 7)."""
+            nonlocal not_product_one, non_atoms
+            (pass_a, zero_a), (pass_b, zero_b) = below(a), below(b)
+            not_product_one += zero_b - zero_a
+            non_atoms += pass_b - pass_a - zero_b + zero_a
+
+        def pairs(y_rank: int, inner: tuple[int, ...], profile: tuple[int, int, int]) -> None:
+            """Fact 6: the passing pairs of the <a>-part ``inner``, of y-rank ``y_rank``, inside [lo, hi)."""
+            nonlocal not_product_one, non_atoms
+            total, sums, split = profile
+            split &= full
+            i = bisect_left(passing, lo - y_rank * x_count)
+            j = bisect_left(passing, hi - y_rank * x_count)
+            for x, target in targets[total][i:j]:
+                if not sums & target:
+                    not_product_one += 1
+                elif split & target:
+                    non_atoms += 1
+                else:
+                    content = inner + outer[x]
+                    kind, _ = _confirm_atom(ctx, content, "outer_pair")
+                    self.add(content, kind, "outer_pair")
+
         def visit(depth: int, first: int, y_rank: int, profile: tuple[int, int, int]) -> None:
             """The subtree of the ``depth``-term prefix ``prefix``, whose first y-rank is ``y_rank``."""
-            nonlocal not_product_one, non_atoms
-            if depth == size:  # fact 6: the passing pairs of Y = prefix inside [lo, hi)
-                total, sums, split = profile
-                split &= full
-                i = bisect_left(passing, lo - y_rank * x_count)
-                j = bisect_left(passing, hi - y_rank * x_count)
-                inner = tuple(prefix)
-                for x, target in targets[total][i:j]:
-                    if not sums & target:
-                        not_product_one += 1
-                    elif split & target:
-                        non_atoms += 1
-                    else:
-                        content = inner + outer[x]
-                        kind, _ = _confirm_atom(ctx, content, "outer_pair")
-                        self.add(content, kind, "outer_pair")
+            if depth == size:
+                pairs(y_rank, tuple(prefix), profile)
                 return
             for v in range(first, len(values)):
                 count = multiset_count(len(values) - v, size - depth - 1)
@@ -948,17 +981,29 @@ class _Scan:
                     return
                 if b > lo:
                     child = _profile_step(q, profile, values[v])
-                    if child[2] & full == full:  # cut A, fact 7, over the whole subtree
-                        (pass_a, zero_a), (pass_b, zero_b) = below(max(a, lo)), below(min(b, hi))
-                        not_product_one += zero_b - zero_a
-                        non_atoms += pass_b - pass_a - zero_b + zero_a
+                    if child[2] & full == full:  # cut A over the whole subtree
+                        cut_a(max(a, lo), min(b, hi))
                     else:
                         prefix.append(values[v])
                         visit(depth + 1, v, y_rank, child)
                         prefix.pop()
                 y_rank += count
 
-        visit(0, 0, 0, _EMPTY_PROFILE)
+        if 0 in values or size < 2 * q - 2:
+            visit(0, 0, 0, _EMPTY_PROFILE)
+        else:  # fact 9: only the constant parts y^(2q - 2) have R not full
+            start = lo
+            for v in range(len(values)) if size == 2 * q - 2 else ():
+                y_rank = rank_multiset((v,) * size, len(values))
+                a, b = y_rank * x_count, (y_rank + 1) * x_count
+                if a >= hi:
+                    break
+                if b > lo:
+                    cut_a(start, max(a, lo))
+                    inner = (values[v],) * size
+                    pairs(y_rank, inner, _inner_profile(q, inner))
+                    start = min(b, hi)
+            cut_a(start, hi)
         counters = self.counters
         counters.not_product_one += not_product_one
         counters.non_atoms += non_atoms

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from prodone import enumeration
+from prodone import enumeration, make_group
 from prodone.certificates import check_certificate, make_certificate
 from prodone.enumeration import (
     Stratum,
@@ -121,7 +121,7 @@ def test_criterion_4_inverse_theorem_stratum_scope(ctx372, inverse_report_372):
     _report(4, "length-14 atoms exist only in the k=2 stratum and all match", started, 600.0)
 
 
-def _check_k_le_2_claim(ctx, n_f: int) -> None:
+def _check_k_le_2_claim(ctx, n_f: int):
     started = time.perf_counter()
     descriptor = ctx.params.descriptor()
     report = verify_inverse_theorem(ctx, "k_le_2")
@@ -132,16 +132,25 @@ def _check_k_le_2_claim(ctx, n_f: int) -> None:
     assert outcome.ok, outcome.messages
     assert outcome.caveats == []  # the checker scans every k<=2 stratum again
     _report(4, f"k<=2 inverse theorem at ({descriptor}), certificate re-checked", started, 60.0)
+    return report
 
 
 def test_inverse_theorem_k_le_2_at_5_11_3(ctx5113):
-    # 9.9e9 ranks of k=2 and 2.0e7 of k=0, settled by the prefix walk and cut D.
+    # 9.9e9 ranks of k=2 and 2.0e7 of k=0, settled by the lemma of fact 9 and cut D.
     _check_k_le_2_claim(ctx5113, 220)
 
 
 def test_inverse_theorem_k_le_2_at_3_13_3(ctx3133):
     # 1.5e11 ranks of k=2, of which the pair loop sees the blocks of 12 <a>-parts.
     _check_k_le_2_claim(ctx3133, 156)
+
+
+def test_inverse_theorem_k_le_2_at_3_19_7():
+    # The k=2 stratum has 1.2e16 passing candidates; the pair loop sees the
+    # blocks of its 18 constant <a>-parts.
+    report = _check_k_le_2_claim(make_group("3,19,7"), 342)
+    k2 = next(rep for rep in report.strata if rep.k == 2)
+    assert (k2.counters["atoms"], k2.counters["non_atoms"]) == (342, 11_663_470_612_291_793)
 
 
 @pytest.mark.extended

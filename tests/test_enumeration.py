@@ -824,13 +824,50 @@ def test_split_mask_only_grows_on_samples(descriptor, seed):
 
 
 def test_prefix_walk_builds_few_profiles(ctx372, monkeypatch):
-    # The whole k=2 stratum at 3,7,2 builds 1,934 prefix profiles (fact 8),
-    # against 6,188 <a>-parts of 12 terms each.
+    # At length 14 = 2q the lemma (fact 9) leaves the pair loop the 6 constant
+    # <a>-parts 1^12 .. 6^12, 72 profile steps in all; the walk built 1,934
+    # prefix profiles there.  At length 13 the walk (fact 8) still runs: 1,898
+    # prefix profiles against 4,368 <a>-parts of 11 terms each.
     steps = []
     step = enumeration._profile_step
     monkeypatch.setattr(enumeration, "_profile_step", lambda *args: steps.append(1) or step(*args))
-    result = atom_search(ctx372, Stratum(length=14, k=2))
-    assert len(steps) == 1_934 and len(result.atoms) == 42
+    for length, built, atoms in ((14, 72, 42), (13, 1_898, 126)):
+        steps.clear()
+        result = atom_search(ctx372, Stratum(length=length, k=2))
+        assert (len(steps), len(result.atoms)) == (built, atoms), length
+
+
+def test_split_mask_is_full_unless_the_part_is_constant():
+    # The lemma of fact 9, brute-forced over every <a>-part without the
+    # identity: at 2q - 2 terms R is full iff the part is not constant (165
+    # parts at q = 5, 6,188 at q = 7), and at 2q - 1 terms it is always full.
+    for q, size in ((5, 8), (7, 12), (5, 9)):
+        full, parts = (1 << q) - 1, 0
+        for inner in itertools.combinations_with_replacement(range(1, q), size):
+            constant = size == 2 * q - 2 and inner[0] == inner[-1]
+            assert (enumeration._inner_profile(q, inner)[2] == full) != constant, inner
+            parts += 1
+        assert parts == multiset_count(q - 1, size)
+
+
+@pytest.mark.parametrize("length,exclude_identity", [(13, True), (14, True), (15, True), (14, False)])
+def test_k2_dispatch_matches_reference_around_constant_blocks(ctx372, length, exclude_identity):
+    # Windows across the first and last rank of each constant <a>-part's
+    # block: length 13 and the identity in the ground set take the walk
+    # (fact 8); length 14 takes the lemma with the constant parts as
+    # exceptions and length 15 the lemma with none (fact 9).  The last
+    # window spans the blocks of the last two constant parts and the gap
+    # between them.
+    for residue in (0, 1, None):
+        stratum = Stratum(length=length, k=2, exclude_identity=exclude_identity, tau_residue=residue)
+        space = StratumSpace(ctx372, stratum)
+        m, x_count = len(space.y_ground), space.x_count
+        firsts = [rank_multiset((v,) * space.y_size, m) * x_count for v in range(m)]
+        windows = [(first + end - 20, first + end + 20) for first in firsts for end in (0, x_count)]
+        windows.append((firsts[-2] + 50, firsts[-1] + 50))
+        for lo, hi in windows:
+            shard = Shard(0, 1, max(lo, 0), min(hi, space.total))
+            assert _block_record(ctx372, stratum, shard) == _reference_run(ctx372, stratum, shard)[-1], shard
 
 
 def _settled_subtrees(ctx, stratum, depth, rng, count):
