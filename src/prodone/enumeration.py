@@ -167,7 +167,7 @@ the prefix walk and a lemma carry the first across whole subtrees:
    (none when |Y| > 2q - 2), whose y-ranks are one ``rank_multiset`` call
    each.  Cut A's two prefix counts settle each gap between them, and the
    pair loop of 6 each of their blocks.  At 3,7,2 the length-14 stratum
-   builds 72 profiles (6 parts of 12 terms) where the walk built 1,934.
+   builds 72 profiles (6 parts of 12 terms); the walk would build 1,934.
    Below 2q - 2 terms many non-constant parts have R not full, and terms 0
    add no sums (0^(2q - 2) has R = {0}), so those strata are walked.
 10. Cut D, k = 0 and length above q.  A product-one S over the cyclic <a>

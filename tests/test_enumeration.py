@@ -824,10 +824,10 @@ def test_split_mask_only_grows_on_samples(descriptor, seed):
 
 
 def test_prefix_walk_builds_few_profiles(ctx372, monkeypatch):
-    # At length 14 = 2q the lemma (fact 9) leaves the pair loop the 6 constant
-    # <a>-parts 1^12 .. 6^12, 72 profile steps in all; the walk built 1,934
-    # prefix profiles there.  At length 13 the walk (fact 8) still runs: 1,898
-    # prefix profiles against 4,368 <a>-parts of 11 terms each.
+    # At length 14 = 2q the lemma (fact 9) leaves the pair loop the 6
+    # constant <a>-parts 1^12 .. 6^12, 72 profile steps in all; the walk
+    # would build 1,934 prefix profiles there.  At length 13 the walk (fact 8)
+    # still runs: 1,898 prefix profiles against 4,368 <a>-parts of 11 terms.
     steps = []
     step = enumeration._profile_step
     monkeypatch.setattr(enumeration, "_profile_step", lambda *args: steps.append(1) or step(*args))
@@ -838,8 +838,8 @@ def test_prefix_walk_builds_few_profiles(ctx372, monkeypatch):
 
 
 def test_split_mask_is_full_unless_the_part_is_constant():
-    # The lemma of fact 9, brute-forced over every <a>-part without the
-    # identity: at 2q - 2 terms R is full iff the part is not constant (165
+    # The lemma of fact 9, checked part by part over every <a>-part without
+    # the identity: at 2q - 2 terms R is full iff the part is not constant (165
     # parts at q = 5, 6,188 at q = 7), and at 2q - 1 terms it is always full.
     for q, size in ((5, 8), (7, 12), (5, 9)):
         full, parts = (1 << q) - 1, 0
