@@ -8,12 +8,11 @@ and requires the claim to equal it leaf by leaf as canonical JSON
 (``_compare``).  The builder's inputs are what the checker re-derives
 (engine verdicts, stratum sizes, the scan of every stratum with at most two
 terms outside <a>, which settles whole rank ranges by arithmetic, the
-extremal matches, the seeded or exhaustive lemma suites) plus the claimed
-fields it cannot re-derive, after the checks those fields admit.  The
-certificate's own ``seed`` must be its payload's for the kinds that record
-one, and null otherwise.  Two claims stay caveats in the verdict: the
-exhaustiveness of a k >= 3 scan, and the small Davenport DFS node count,
-which only a second DFS run could recount.
+extremal matches, the seeded or exhaustive lemma suites, the small Davenport
+DFS) plus the claimed fields it cannot re-derive, after the checks those
+fields admit.  The certificate's own ``seed`` must be its payload's for the
+kinds that record one, and null otherwise.  One claim stays a caveat in the
+verdict: the exhaustiveness of a k >= 3 scan.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .enumeration import (
 )
 from .group import GroupParamError, make_group
 from .invariants import (
-    ElasticityWitness, SmallDavenportResult, StratumReport, inverse_report, scope_ks,
+    ElasticityWitness, StratumReport, inverse_report, scope_ks, small_davenport,
     verify_elasticity_witness,
 )
 from .sequences import Sequence, classify, is_atom
@@ -296,26 +295,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
                     if not classify(ctx, part).product_one:
                         fail(f"witness part {part.format(ctx)} is not product-one")
         elif cert.kind == "davenport_small":
-            seq = Sequence.parse(ctx, payload["extremal"])
-            nodes = payload["nodes"]
-            if type(nodes) is not int or nodes < 1:
-                fail(f"DFS node count {nodes!r} is not a positive int")
-            expected = SmallDavenportResult(len(seq), seq, nodes).to_payload(ctx)
-            if not classify(ctx, seq).product_one_free:
-                fail("extremal example is not product-one free")
-            # a^(q-1) t^(p-1) is product-one free: a product-one part has t-degree
-            # 0 mod p, so it holds no t, and a^i is not e for 0 < i < q.
-            floor = Sequence.from_indices([1] * (ctx.q - 1) + [ctx.q] * (ctx.p - 1))
-            if not classify(ctx, floor).product_one_free:
-                fail("a^(q-1) t^(p-1) does not re-verify as product-one free")
-            elif len(seq) < len(floor):
-                fail(
-                    f"value {len(seq)} is below {len(floor)}, the length of the "
-                    "product-one-free a^(q-1) t^(p-1)"
-                )
-            result.caveats.append(
-                "exhaustive refutation of longer sequences requires re-running the DFS"
-            )
+            expected = small_davenport(ctx).to_payload(ctx)
         elif cert.kind == "inverse_report":
             # k <= 2 strata are scanned again; a k >= 3 record is taken from the
             # claim at its place in the scope's order, after its partial checks.

@@ -7,8 +7,14 @@ products: a child g is live iff g is not in D, a child g extends D by
 g^-1 * (D + {e}) (p row rotations, ``GroupCtx.left_shift_plan``), and its
 own live children are the node's live set less that image, one mask that
 reads only the image's rows from g's row on (one rotation in the last coset
-row).  Subtrees that need no record check are counted without a walk when
-they are leaves, two-node chains or repeat a kept (D, last term) state.
+row).  Sorted order puts the terms in <a> first, so a node is A.R with A
+over <a> and R over the other cosets, and A.R is sorted-free iff A is
+zero-sum-free, R is sorted-free and no subset sum of A cancels the
+<a>-coordinate of a sorted product of R that lies in <a> (the split lemma,
+proved at ``small_davenport``).  ``CosetTails`` walks every such R once
+and tallies it by row 0 of its forbidden set, those coordinates negated; the
+walk takes the count of a prefix A's tails from the tally whenever no record
+check could run among them.
 ``extremal_atom`` realizes the long-atom shape
 
     y^[q-1] . x . y^[q-1] . x^(p-1) y^(s_eff^(p-1)+1)
@@ -41,25 +47,21 @@ from .sequences import (
 
 # -- small Davenport constant -------------------------------------------------
 
-# Settled DFS subtrees with fewer nodes than this are not kept for reuse (see
-# ``small_davenport``).  At 3,13,3 the value 300 keeps 5,462 subtrees, about
-# 0.6 MB; 150 keeps 2.7 times as many for no clear gain, 1,000 reuses less.
-_REUSE_MIN_NODES = 300
-
 
 @dataclass
 class SmallDavenportResult:
     """Exact maximum length of a product-one-free sequence, with certificate data.
 
-    ``reused`` and ``chains`` count the subtrees the walk settled without
-    visiting them (see ``small_davenport``); the payload leaves them out.
+    ``tabled`` and ``walked`` count the <a>-prefixes whose coset tails the
+    walk took from the tally and walked (see ``small_davenport``); the
+    payload leaves them out.
     """
 
     value: int
     extremal: Sequence
     nodes: int
-    reused: int = 0
-    chains: int = 0
+    tabled: int = 0
+    walked: int = 0
 
     def to_payload(self, ctx: GroupCtx) -> dict:
         return {
@@ -68,6 +70,96 @@ class SmallDavenportResult:
             "nodes": self.nodes,
             "refuted_length": self.value + 1,
         }
+
+
+def _child_moves(ctx: GroupCtx):
+    """The row moves of g^-1 * (D + {e}) for each term g, split at g's row.
+
+    ``heads[g]`` moves into g's row and the later rows, which a child's live
+    set reads; ``tails[g]`` are the other moves, which complete D'.  For g in
+    the last row, ``turns[g]`` is the rotation of its one head move.
+    """
+    q, last = ctx.q, (ctx.p - 1) * ctx.q
+    heads, tails, turns = [], [], [0] * ctx.n
+    for g in range(ctx.n):
+        plan = ctx.left_shift_plan(ctx.inv_table[g])
+        start = g - g % q
+        heads.append(tuple(move for move in plan if move[1] >= start))
+        tails.append(tuple(move for move in plan if move[1] < start))
+        if g >= last:
+            ((_, _, turns[g]),) = heads[g]
+    return heads, tails, turns
+
+
+class CosetTails:
+    """The sorted-free R over the cosets t^i<a>, i >= 1, tallied once per group.
+
+    The walk is ``small_davenport``'s without record checks.  Each R counts
+    under row 0 of its forbidden set D_R, the negated <a>-coordinates of its
+    sorted products in <a>, as (number of such R, greatest length); the
+    empty R counts under 0.  A leaf needs only that row: one rotation.
+    """
+
+    def __init__(self, ctx: GroupCtx):
+        n, p, q = ctx.n, ctx.p, ctx.q
+        heads, tails, turns = _child_moves(ctx)
+        last = (p - 1) * q
+        penult = last - q
+        row = (1 << q) - 1
+        double = 1 | 1 << q
+        into_row0 = {g: move for g in range(q, n) for move in tails[g] if move[1] == 0}
+        found = {0: [1, 0]}  # row 0 of D_R -> [count, greatest length]
+
+        def walk(live: int, forbidden: int, depth: int) -> None:
+            closed = forbidden | 1
+            doubled = (closed >> penult & row) * double
+            depth += 1
+            while live:
+                low = live & -live
+                g = low.bit_length() - 1
+                if g >= last:
+                    image = (doubled >> turns[g] & row) << last
+                else:
+                    image = 0
+                    for src, dst, back in heads[g]:
+                        image |= ((closed >> src & row) * double >> back & row) << dst
+                kids = live & ~image
+                if kids:
+                    for src, dst, back in tails[g]:
+                        image |= ((closed >> src & row) * double >> back & row) << dst
+                    walk(kids, forbidden | image, depth)
+                else:
+                    src, _, back = into_row0[g]
+                    image = (closed >> src & row) * double >> back
+                entry = found.get((forbidden | image) & row)
+                if entry is None:
+                    found[(forbidden | image) & row] = [1, depth]
+                else:
+                    entry[0] += 1
+                    if entry[1] < depth:
+                        entry[1] = depth
+                live ^= low
+
+        walk(((1 << n) - 1) >> q << q, 0, 0)
+        del walk  # the closure refers to itself: let ``found`` go with the tally
+        self.q = q
+        self._tally = found
+        self._settled: dict[int, tuple[int, int]] = {}
+
+    def settle(self, zero_row: int) -> tuple[int, int]:
+        """(number, greatest length) of the R, the empty R included, that
+        extend a zero-sum-free A whose D_A + {e} has row 0 ``zero_row``."""
+        entry = self._settled.get(zero_row)
+        if entry is None:
+            q = self.q
+            sums = sum(1 << -c % q for c in range(q) if zero_row >> c & 1)  # Sigma*(A)
+            count = height = 0
+            for mask, (total, longest) in self._tally.items():
+                if not mask & sums:
+                    count += total
+                    height = max(height, longest)
+            entry = self._settled[zero_row] = (count, height)
+        return entry
 
 
 def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
@@ -107,80 +199,84 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
     ``GroupCtx.left_shift_plan``: p row rotations, inlined here, each moving
     a whole row of q bits.  If g lies in row i (the coset t^i<a>), every
     h >= g lies in row i or later, so kids reads only the image's rows i to
-    p-1: p - i rotations.  The other i, which complete
-    D' = D + g^-1 * (D + {e}), run only for children that are not settled as
-    leaves or chains.  In the last row, i = p-1, g^-1 has t-degree 1 and
-    moves row r to row r + 1, so the one rotation reads row p-2 of D + {e}.
-    That row is doubled once per node, and each last-row child rotates it
-    with one shift and mask.
+    p-1: p - i rotations.  The other i, which complete D', run only for
+    children that are walked.  In the last row, i = p-1, g^-1 has t-degree 1
+    and moves row r to row r + 1, so the one rotation reads row p-2 of
+    D + {e}.  That row is doubled once per node, and each last-row child
+    rotates it with one shift and mask.
 
-    Two more rules count a child's subtree without walking it.  Only a
+    Split lemma.  Row 0 is <a>, and (0, u) * (0, c) = (0, u + c).  Sorted
+    order puts the terms of row 0 first, so a node is A.R: A is the terms in
+    <a> \\ {e}, R the terms in the cosets t^i<a>, i >= 1.  Let Sigma*(A) be
+    the subset sums of A, 0 included, and C_R the <a>-coordinates of the
+    sorted products of R that lie in <a>.  Then A.R is sorted-free iff A is
+    zero-sum-free, R is sorted-free and u + c != 0 mod q for all u in
+    Sigma*(A) and c in C_R.  Proof: a sub-multiset of A.R is U.V with U in
+    A and V in R, and its sorted product is (0, u) * pi(V) with u the sum of
+    U, pi(V) the sorted product of V and pi of the empty V equal to e.  That
+    is e iff pi(V) = (0, -u).  With V empty this says u = 0 for some U that
+    is not empty; with U empty, pi(V) = e for some V that is not empty; with
+    both not empty, u + c = 0 for some u in Sigma*(A) \\ {0} and c in C_R.
+    The pairs with u = 0 and c in C_R add nothing, as 0 is not in C_R when
+    R is sorted-free.
+
+    So the sorted-free R that extend a zero-sum-free A, and with them their
+    number and greatest length, depend on A only through Sigma*(A).
+    ``CosetTails`` walks every sorted-free R once and tallies it by row 0 of
+    D_R, which is -C_R, so R extends A iff that row misses Sigma*(A).  D_A
+    holds the inverses (0, -u) of A's products, so Sigma*(A) is the negated
+    row 0 of D_A + {e}.  The number of extensions of A, the empty R
+    included, and their greatest length h are a sum and a maximum over the
+    rows that miss it, kept for the prefixes that share it.
+
+    The walk runs the prefixes A with their record checks.  The children of
+    A run in index order, so its children in <a> and their subtrees come
+    before its first coset child; from there, the rest of A's subtree is the
+    A.R with R not empty, at depths d+1 to d+h for A at depth d.  Only a
     record check, which runs at depth > best_len, can cut a subtree short or
-    change the record, and best_len never decreases.
-
-    * Subtree reuse.  A node's live set is suffix(g0) & ~D and each child's
-      (D', g) follows from (D, g0), so (D, g0) fixes the node's subtree.  A
-      subtree that ran no record check was walked whole: its node count and
-      height (the depth of its deepest node below it) are functions of
-      (D, g0).  Such subtrees of at least ``_REUSE_MIN_NODES`` nodes are kept
-      under the key D*n + g0.  A later node at depth d with that key and a
-      kept height h is counted from the table when d + h <= best_len: every
-      node of its subtree then lies at depth <= best_len, so the walk would
-      run no record check there either and would visit the same nodes.
-    * Two-node chains.  Let child g, at depth d + 1 with d + 2 <= best_len,
-      have exactly one live child h (kids is the one bit h).  The
-      grandchild's live set is suffix(h) & ~D'' inside suffix(h) & ~D' =
-      {h}, and h is in D'' iff h*h is in D' + {e}.  So the subtree of g has
-      exactly 2 nodes iff h*h is in D' + {e} = (D + {e}) + g^-1 * (D + {e}),
-      i.e. iff h*h or g*h*h is in D + {e}: two bit tests, no call and no D'.
-      Neither node runs a record check, as both lie at depth <= best_len.
-
-    Walk order, node count, value and extremal are those of the walk over P
-    with one right shift of P + {e} per child; ``reused`` and ``chains``
-    count the subtrees settled by the two rules.
+    change the record, and best_len never decreases.  So if d + h <=
+    best_len, no node of those tails runs a check, and the walk would visit
+    every one of them: the tally counts them (``tabled``).  Otherwise the
+    walk visits them, checks and all (``walked``).  Walk order, record
+    checks, node count, value and extremal are those of the walk over P
+    with one right shift of P + {e} per child.
     """
     n, p, q = ctx.n, ctx.p, ctx.q
-    product_bits = [[1 << ctx.mul_idx(g, h) for h in range(n)] for g in range(n)]
-    square = [ctx.mul_idx(h, h) for h in range(n)]
-    last = (p - 1) * q  # the last coset row starts here
+    heads, tails, turns = _child_moves(ctx)
+    last = (p - 1) * q
     penult = last - q
-    heads = []  # the moves of g^-1 into g's row and later rows: a child's mask
-    tails = []  # the other moves, which complete D'
-    turns = [0] * n  # for g in the last row, the rotation of its one head move
-    for g in range(n):
-        plan = ctx.left_shift_plan(ctx.inv_table[g])
-        start = g - g % q
-        heads.append(tuple(move for move in plan if move[1] >= start))
-        tails.append(tuple(move for move in plan if move[1] < start))
-        if g >= last:
-            ((_, _, turns[g]),) = heads[g]
     row = (1 << q) - 1
     double = 1 | 1 << q
+    tails_of = CosetTails(ctx).settle
     best_len = 0
     best: list[int] = []
-    nodes = checks = reused = chains = 0
-    settled: dict[int, int] = {}  # D*n + g0 -> count << bits | height
-    bits = n.bit_length()  # a node's depth is below n: each term adds a product
-    height_mask = (1 << bits) - 1
+    nodes = tabled = walked = 0
     chosen: list[int] = []
 
-    def extend(live: int, forbidden: int) -> int:
-        """Walk the subtree of the node ``chosen``; return its height."""
-        nonlocal best_len, best, nodes, checks, reused, chains
+    def extend(live: int, forbidden: int) -> None:
+        """Walk the subtree of the node ``chosen``."""
+        nonlocal best_len, best, nodes, tabled, walked
         nodes += 1
         depth = len(chosen)
         if depth > best_len:
-            checks += 1
             if not classify(ctx, Sequence.from_indices(chosen)).product_one_free:
-                return 0
+                return
             best_len = depth
             best = list(chosen)
-        height = 1 if live else 0
         closed = forbidden | 1
         doubled = (closed >> penult & row) * double
+        prefix = not chosen or chosen[-1] < q
         while live:
             low = live & -live
             g = low.bit_length() - 1
+            if prefix and g >= q:  # the first coset child of the prefix A
+                prefix = False
+                count, height = tails_of(closed & row)
+                if depth + height <= best_len:
+                    nodes += count - 1
+                    tabled += 1
+                    break
+                walked += 1
             if g >= last:
                 image = (doubled >> turns[g] & row) << last
             else:
@@ -188,52 +284,25 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
                 for src, dst, back in heads[g]:
                     image |= ((closed >> src & row) * double >> back & row) << dst
             kids = live & ~image
-            deep = depth + 1 < best_len
-            if depth < best_len:
-                if not kids:
-                    nodes += 1
-                    live ^= low
-                    continue
-                if deep and not kids & (kids - 1):
-                    h2 = square[kids.bit_length() - 1]
-                    if closed & (1 << h2 | product_bits[g][h2]):
-                        nodes += 2
-                        chains += 1
-                        if height < 2:
-                            height = 2
-                        live ^= low
-                        continue
+            if depth < best_len and not kids:
+                nodes += 1
+                live ^= low
+                continue
             for src, dst, back in tails[g]:
                 image |= ((closed >> src & row) * double >> back & row) << dst
-            child = forbidden | image
-            key = child * n + g
-            if deep:
-                entry = settled.get(key, -1)
-                if entry >= 0 and depth + 1 + (entry & height_mask) <= best_len:
-                    nodes += entry >> bits
-                    reused += 1
-                    if height <= entry & height_mask:
-                        height = (entry & height_mask) + 1
-                    live ^= low
-                    continue
-            before, checks_before = nodes, checks
             chosen.append(g)
-            below = extend(kids, child)
+            extend(kids, forbidden | image)
             chosen.pop()
-            if checks == checks_before and nodes - before >= _REUSE_MIN_NODES:
-                settled[key] = (nodes - before) << bits | below
-            if height <= below:
-                height = below + 1
             live ^= low
-        return height
 
     extend((1 << n) - 2, 0)
+    del extend  # as in ``CosetTails``: let the tally go with the walk
     return SmallDavenportResult(
         value=best_len,
         extremal=Sequence.from_indices(best),
         nodes=nodes,
-        reused=reused,
-        chains=chains,
+        tabled=tabled,
+        walked=walked,
     )
 
 

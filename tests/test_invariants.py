@@ -99,26 +99,24 @@ def _walk_with_checks(ctx, monkeypatch, check=classify):
 
 @pytest.mark.parametrize("desc", ["3,7,2", "3,7,4"])
 def test_small_davenport_matches_the_product_walk(desc, monkeypatch):
-    # The record checks must match too: a rule that skipped one keeps the
+    # The record checks must match too: a tally that skipped one keeps the
     # node count whenever the skipped check would have failed.
     ctx = make_group(desc)
     walk, result = _walk_with_checks(ctx, monkeypatch)
     assert walk == reference_small_davenport(ctx)
     assert result.value == ctx.p + ctx.q - 2
-    assert result.reused > 0 and result.chains > 0  # both counting rules fire
+    assert result.tabled > 0 and result.walked > 0  # both branches run
 
 
 @pytest.mark.parametrize("desc", ["3,7,2", "3,7,4"])
-@pytest.mark.parametrize("modulus", [2, 5])
-@pytest.mark.parametrize("threshold", [1, invariants._REUSE_MIN_NODES])
-def test_small_davenport_rules_respect_failing_record_checks(desc, modulus, threshold, monkeypatch):
+@pytest.mark.parametrize("modulus", [2, 3, 5])
+def test_small_davenport_rules_respect_failing_record_checks(desc, modulus, monkeypatch):
     # With the true check, every record check at these groups passes and no
-    # node lies deeper than the record, so the rules' depth conditions are
+    # node lies deeper than the record, so the tally's depth condition is
     # never tested.  A stand-in check that also rejects some free sequences
     # (by their index sum) makes checks fail and records come late; both
     # walks use it and must still agree.
     ctx = make_group(desc)
-    monkeypatch.setattr(invariants, "_REUSE_MIN_NODES", threshold)
 
     def sometimes_free(ctx, seq):
         free = classify(ctx, seq).product_one_free
@@ -128,7 +126,49 @@ def test_small_davenport_rules_respect_failing_record_checks(desc, modulus, thre
     reference = reference_small_davenport(ctx, sometimes_free)
     assert walk == reference
     assert reference[3] > reference[0]  # some record check failed
-    assert result.reused > 0 and result.chains > 0
+    assert result.tabled > 0 and result.walked > 0
+
+
+def _walk_tails(ctx, prefix):
+    """(number, greatest length) of the sorted-free A.R with R over the cosets
+    t^i<a>, i >= 1, the empty R included, by the walk over the sorted products."""
+    products = 0
+    for g in prefix:
+        products |= ctx.shift_mask(products | 1, ctx.right_shift_table(g))
+    count = height = 0
+
+    def extend(start, products, length):
+        nonlocal count, height
+        count += 1
+        height = max(height, length)
+        for g in range(start, ctx.n):
+            if not products >> ctx.inv_table[g] & 1:
+                extend(g, products | ctx.shift_mask(products | 1, ctx.right_shift_table(g)),
+                       length + 1)
+
+    extend(ctx.q, products, 0)
+    return count, height
+
+
+@pytest.mark.parametrize("desc", ["3,7,2", "3,7,4"])
+def test_coset_tails_settle_every_prefix(desc):
+    """For every zero-sum-free A over <a>, the tally settles the sorted-free
+    A.R: their number, the empty R included, and greatest length |R|."""
+    ctx = make_group(desc)
+    q = ctx.q
+    tails = invariants.CosetTails(ctx)
+    prefixes, seen = [[]], set()
+    while prefixes:
+        prefix = prefixes.pop()
+        sums = {0}
+        for y in prefix:
+            sums |= {(u + y) % q for u in sums}
+        zero_row = sum(1 << -u % q for u in sums)  # row 0 of D_A + {e}
+        assert tails.settle(zero_row) == _walk_tails(ctx, prefix), prefix
+        seen.add(len(prefix))
+        prefixes += [prefix + [y] for y in range(prefix[-1] if prefix else 1, q)
+                     if -y % q not in sums]  # A.y stays zero-sum-free
+    assert seen == set(range(q))  # A of every length up to q - 1
 
 
 @pytest.mark.parametrize("ctx_name", ["ctx372", "ctx3133", "ctx5113"])
