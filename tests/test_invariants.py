@@ -110,17 +110,20 @@ def test_small_davenport_matches_the_product_walk(desc, monkeypatch):
 
 @pytest.mark.parametrize("desc", ["3,7,2", "3,7,4"])
 @pytest.mark.parametrize("modulus", [2, 3, 5])
-def test_small_davenport_rules_respect_failing_record_checks(desc, modulus, monkeypatch):
+@pytest.mark.parametrize("rejected", [1, 300])
+def test_small_davenport_rules_respect_failing_record_checks(desc, modulus, rejected, monkeypatch):
     # With the true check, every record check at these groups passes and no
     # node lies deeper than the record, so the tally's depth condition is
-    # never tested.  A stand-in check that also rejects some free sequences
-    # (by their index sum) makes checks fail and records come late; both
-    # walks use it and must still agree.
+    # never tested.  A stand-in check that also rejects the free sequences
+    # whose index sum is congruent to ``rejected`` (1, or 300: 0 mod 2, 3
+    # and 5) makes checks fail and records come late; both walks use it and
+    # must still agree.
     ctx = make_group(desc)
 
     def sometimes_free(ctx, seq):
         free = classify(ctx, seq).product_one_free
-        return SimpleNamespace(product_one_free=free and sum(seq.indices()) % modulus != 1)
+        rejects = (sum(seq.indices()) - rejected) % modulus == 0
+        return SimpleNamespace(product_one_free=free and not rejects)
 
     walk, result = _walk_with_checks(ctx, monkeypatch, sometimes_free)
     reference = reference_small_davenport(ctx, sometimes_free)
