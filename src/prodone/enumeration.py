@@ -39,7 +39,21 @@ counts candidates per route:
 
 Atom verdicts of the abelian and outer-pair routes are confirmed by the
 engine, which attaches the ``AtomVerdict``; an atom of either route that the
-engine rejects raises instead of being returned.
+engine rejects raises instead of being returned.  The atoms of the extremal
+family, of length 2q with two outer terms, are confirmed once per orbit:
+
+* the family is the union of (p - 1)/2 orbits under Aut, each expanded from
+  a representative R (``invariants.extremal_family``);
+* each map of ``group.automorphisms`` passes a generator check that makes
+  it an automorphism phi;
+* phi maps the product-one orderings of a sequence, and its splits into two
+  product-one parts, to those of the image, and phi^-1 maps them back, so
+  phi(R) is an atom iff R is.
+
+So a member of R's orbit takes the engine's verdict on R, and a scan runs
+the engine once per orbit it meets (``_confirm_atom``).  A representative
+that the engine rejects, or caps, confirms nothing: its orbit's members go
+to the engine one by one.
 
 The outer-pair closed form.  Elements are (i, j) = t^i a^j with
 (i1, j1)(i2, j2) = (i1 + i2, j1 s^i2 + j2).  Write a candidate as
@@ -692,16 +706,49 @@ def _outer_pair_verdict(ctx: GroupCtx, inner: list[int], x1: int, x2: int) -> st
     return "non_atom" if split & target else "atom"
 
 
-def _confirm_atom(ctx: GroupCtx, content: tuple[int, ...], method: str) -> tuple[str, AtomVerdict | None]:
-    """Confirm a closed-form atom with the engine.
+def _representative(ctx: GroupCtx, seq: Sequence) -> Sequence | None:
+    """The Aut-orbit representative of ``seq`` in the extremal family, built on first use; None outside it."""
+    family = ctx._extremal_family
+    if family is None:
+        from .invariants import extremal_family  # invariants imports this module
 
-    Returns ("atom", verdict), or ("unverified", None) when the engine hits
-    its state cap; raises when the engine finds no atom.
-    """
+        family = extremal_family(ctx)
+    return family.representative.get(seq)
+
+
+def _engine_verdict(ctx: GroupCtx, seq: Sequence) -> AtomVerdict | None:
+    """``is_atom``, or None when the engine hits its state cap."""
     try:
-        verdict = is_atom(ctx, Sequence.from_indices(content))
+        return is_atom(ctx, seq)
     except ResourceCapError:
-        return "unverified", None
+        return None
+
+
+def _confirm_atom(
+    ctx: GroupCtx, content: tuple[int, ...], method: str, verdicts: dict | None = None
+) -> tuple[str, AtomVerdict | None]:
+    """Confirm a closed-form atom with the engine, once per orbit of the extremal family.
+
+    A length-2q ``outer_pair`` atom in the extremal family takes the verdict
+    on its orbit's representative, which ``verdicts`` (a scan's memo, keyed
+    by representative) keeps; a representative that the engine rejects, or
+    caps, confirms nothing.  Every other atom goes to the engine.  Returns
+    ("atom", verdict), or ("unverified", None) when the engine hits its state
+    cap; raises when the engine finds no atom.
+    """
+    seq = Sequence.from_indices(content)
+    verdict = None
+    if method == "outer_pair" and len(content) == 2 * ctx.q:
+        rep = _representative(ctx, seq)
+        if rep is not None:
+            verdicts = {} if verdicts is None else verdicts
+            if rep not in verdicts:
+                verdicts[rep] = _engine_verdict(ctx, rep)
+            verdict = verdicts[rep]
+    if verdict is None or not verdict.atom:
+        verdict = _engine_verdict(ctx, seq)
+        if verdict is None:
+            return "unverified", None
     if not verdict.atom:
         raise RuntimeError(
             f"{method} verdict 'atom' contradicts the engine for {content} "
@@ -759,7 +806,9 @@ def _ordering_witness(ctx: GroupCtx, content: tuple[int, ...]) -> bool:
     return False
 
 
-def classify_candidate(ctx: GroupCtx, content: tuple[int, ...]) -> tuple[str, str, AtomVerdict | None]:
+def classify_candidate(
+    ctx: GroupCtx, content: tuple[int, ...], verdicts: dict | None = None
+) -> tuple[str, str, AtomVerdict | None]:
     """Classify one candidate multiset: (kind, method, verdict-for-atoms).
 
     Kinds: ``atom``, ``non_atom``, ``not_product_one``, ``unverified``.
@@ -768,7 +817,8 @@ def classify_candidate(ctx: GroupCtx, content: tuple[int, ...]) -> tuple[str, st
     exactly two, otherwise ``degree`` when the t-degree sum is nonzero mod p
     and ``ordering`` or ``dp`` when it is zero.  Every route is exact.
     Atom verdicts are confirmed by the engine, and ``unverified`` means the
-    engine hit its state cap, ``sequences.DEFAULT_STATE_CAP``.
+    engine hit its state cap, ``sequences.DEFAULT_STATE_CAP``.  A scan
+    passes its memo of orbit verdicts as ``verdicts`` (``_confirm_atom``).
     """
     inner = [idx for idx in content if idx < ctx.q]
     outer = [idx for idx in content if idx >= ctx.q]
@@ -779,7 +829,7 @@ def classify_candidate(ctx: GroupCtx, content: tuple[int, ...]) -> tuple[str, st
             method, kind = "abelian", _abelian_verdict(ctx, content)
         if kind != "atom":
             return kind, method, None
-        kind, verdict = _confirm_atom(ctx, content, method)
+        kind, verdict = _confirm_atom(ctx, content, method, verdicts)
         return kind, method, verdict
     if sum(idx // ctx.q for idx in outer) % ctx.p:
         return "not_product_one", "degree", None
@@ -885,9 +935,10 @@ class _Scan:
     digest: int = field(default_factory=digest_empty)
     atoms: list[str] = field(default_factory=list)
     unverified: list[str] = field(default_factory=list)
+    verdicts: dict = field(default_factory=dict)  # extremal orbit representative -> engine verdict
 
     def classify(self, content: tuple[int, ...]) -> None:
-        kind, method, _ = classify_candidate(self.space.ctx, content)
+        kind, method, _ = classify_candidate(self.space.ctx, content, self.verdicts)
         self.add(content, kind, method)
 
     def add(self, content: tuple[int, ...], kind: str, method: str) -> None:
@@ -966,7 +1017,7 @@ class _Scan:
                     non_atoms += 1
                 else:
                     content = inner + outer[x]
-                    kind, _ = _confirm_atom(ctx, content, "outer_pair")
+                    kind, _ = _confirm_atom(ctx, content, "outer_pair", self.verdicts)
                     self.add(content, kind, "outer_pair")
 
         def visit(depth: int, first: int, y_rank: int, profile: tuple[int, int, int]) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 Element = tuple[int, int]
 
@@ -101,6 +102,7 @@ class GroupCtx:
         self._shift_tables: dict[int, list[int]] = {}
         self._automorphisms: list[tuple[int, ...]] | None = None
         self._conjugacy_classes: list[frozenset[int]] | None = None
+        self._extremal_family = None  # built by ``invariants.extremal_family``
 
     # -- coordinates ---------------------------------------------------
 
@@ -312,37 +314,51 @@ def make_group(params: GroupParams | tuple[int, int, int] | str) -> GroupCtx:
     return GroupCtx(params)
 
 
-def automorphisms(ctx: GroupCtx) -> list[tuple[int, ...]]:
-    """The full automorphism group as index permutations.
+def extends_to_automorphism(ctx: GroupCtx, t_image: Element, a_image: Element) -> bool:
+    """The generator check: whether t -> ``t_image``, a -> ``a_image`` is an automorphism.
 
-    Candidate generator images (t -> order-p element, a -> order-q element)
-    are kept when the induced coordinate map respects the defining relation
-    and permutes the group.  The result contains the identity map and is
-    closed under composition.
+    It asks that ``t_image`` have order p, ``a_image`` order q, and
+    a_image * t_image = t_image * a_image^s.  By von Dyck's theorem the
+    defining relations then hold for the images, so t^d a^j ->
+    t_image^d a_image^j is a homomorphism.  Its image holds an element of
+    order p and one of order q, so it has order pq: it is onto, hence
+    bijective.
     """
-    if ctx._automorphisms is not None:
-        return ctx._automorphisms
-    order_p = [i for i in range(ctx.n) if ctx.order_table[i] == ctx.p]
-    order_q = [i for i in range(ctx.n) if ctx.order_table[i] == ctx.q]
-    result = []
-    for ft in order_p:
-        ft_el = ctx.coords(ft)
-        for fa in order_q:
-            fa_el = ctx.coords(fa)
-            lhs = ctx.mul(fa_el, ft_el)
-            rhs = ctx.mul(ft_el, ctx.power(fa_el, ctx.s))
-            if lhs != rhs:
-                continue
-            pow_t = [ctx.idx(ctx.power(ft_el, i)) for i in range(ctx.p)]
-            pow_a = [ctx.idx(ctx.power(fa_el, j)) for j in range(ctx.q)]
-            image = [0] * ctx.n
-            for a in range(ctx.p):
-                for b in range(ctx.q):
-                    image[a * ctx.q + b] = ctx.mul_idx(pow_t[a], pow_a[b])
-            if len(set(image)) == ctx.n:
-                result.append(tuple(image))
-    ctx._automorphisms = result
-    return result
+    return (
+        ctx.order(t_image) == ctx.p
+        and ctx.order(a_image) == ctx.q
+        and ctx.mul(a_image, t_image) == ctx.mul(t_image, ctx.power(a_image, ctx.s))
+    )
+
+
+def automorphisms(ctx: GroupCtx) -> list[tuple[int, ...]]:
+    """The automorphism group as index permutations, the identity first.
+
+    Every element outside <a> has order p, so an automorphism sends a to some
+    (0, u), u != 0, and t to some (e, v); the relation reads
+    (e, u*s^e + v) = (e, v + u*s), so s^(e-1) = 1 and e = 1.  The q(q-1)
+    pairs t -> (1, v), a -> (0, u) are kept when they pass
+    ``extends_to_automorphism``.  As (1, v)^d = (d, v*sigma_d) with
+    sigma_d = 1 + s + ... + s^(d-1), the map is the closed form
+    (d, j) -> (d, u*j + v*sigma_d): its row d is that of v = 0 rotated by
+    v*sigma_d/u, one slice of the doubled row.
+    """
+    if ctx._automorphisms is None:
+        p, q = ctx.p, ctx.q
+        sigma = list(accumulate(ctx.spow[:-1], initial=0))
+        result = []
+        for u in range(1, q):
+            u_inv = pow(u, -1, q)
+            rows = [[d * q + u * j % q for j in range(q)] * 2 for d in range(p)]
+            for v in range(q):
+                if extends_to_automorphism(ctx, (1, v), (0, u)):
+                    table: list[int] = []
+                    for d in range(p):
+                        k = v * sigma[d] * u_inv % q
+                        table += rows[d][k:k + q]
+                    result.append(tuple(table))
+        ctx._automorphisms = result
+    return ctx._automorphisms
 
 
 def generator_pairs(ctx: GroupCtx) -> list[tuple[Element, Element, int]]:

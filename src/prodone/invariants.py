@@ -19,10 +19,13 @@ check could run among them.
 
     y^[q-1] . x . y^[q-1] . x^(p-1) y^(s_eff^(p-1)+1)
 
-for a generator pair (x, y), and ``verify_inverse_theorem`` checks by
+for a generator pair (x, y); ``extremal_family`` builds them all as
+(p - 1)/2 orbits under Aut, and ``verify_inverse_theorem`` checks by
 stratified exhaustive search that these are the only atoms of length 2q.
 The verifier depends only on the search and the sequence engine, never on
-the statements it is checking, so the verification is not circular.
+the statements it is checking, so the verification is not circular.  It
+confirms the family's atoms once per Aut orbit, through maps that pass a
+generator check; that an automorphism maps atoms to atoms holds in any group.
 
 The elasticity section builds explicit common multisets with two
 factorizations into atoms (witnesses re-checkable from scratch), plus the
@@ -35,7 +38,7 @@ import os
 from dataclasses import dataclass
 
 from .enumeration import Stratum, StratumSpace, run_sharded
-from .group import Element, GroupCtx, generator_pairs
+from .group import Element, GroupCtx, automorphisms
 from .sequences import (
     ResourceCapError,
     Sequence,
@@ -98,6 +101,9 @@ class CosetTails:
     under row 0 of its forbidden set D_R, the negated <a>-coordinates of its
     sorted products in <a>, as (number of such R, greatest length); the
     empty R counts under 0.  A leaf needs only that row: one rotation.
+    ``entries`` holds the tally as (C_R, number, greatest length), the
+    row negated back once per key, so R extends A iff C_R misses -Sigma*(A),
+    row 0 of D_A + {e}.
     """
 
     def __init__(self, ctx: GroupCtx):
@@ -142,24 +148,25 @@ class CosetTails:
 
         walk(((1 << n) - 1) >> q << q, 0, 0)
         del walk  # the closure refers to itself: let ``found`` go with the tally
-        self.q = q
-        self._tally = found
-        self._settled: dict[int, tuple[int, int]] = {}
+        self.entries = []
+        while found:  # popped as the entries grow, so the tally is never held twice
+            mask, (count, longest) = found.popitem()
+            self.entries.append((sum(1 << -c % q for c in range(q) if mask >> c & 1), count, longest))
 
-    def settle(self, zero_row: int) -> tuple[int, int]:
-        """(number, greatest length) of the R, the empty R included, that
-        extend a zero-sum-free A whose D_A + {e} has row 0 ``zero_row``."""
-        entry = self._settled.get(zero_row)
-        if entry is None:
-            q = self.q
-            sums = sum(1 << -c % q for c in range(q) if zero_row >> c & 1)  # Sigma*(A)
-            count = height = 0
-            for mask, (total, longest) in self._tally.items():
-                if not mask & sums:
-                    count += total
-                    height = max(height, longest)
-            entry = self._settled[zero_row] = (count, height)
-        return entry
+    @staticmethod
+    def narrow(entries: list, zero_row: int) -> list:
+        """The entries of the R that extend a zero-sum-free A whose D_A + {e} has row 0 ``zero_row``.
+
+        ``entries`` must hold them all: the tally's for the empty A, else
+        those of A's parent prefix.  The parent's row lies in A's, so only
+        A's new subset sums drop an entry.
+        """
+        return [entry for entry in entries if not entry[0] & zero_row]
+
+    @staticmethod
+    def settle(entries: list) -> tuple[int, int]:
+        """(number, greatest length) of the R of ``entries``, as ``narrow`` left them."""
+        return sum(entry[1] for entry in entries), max(entry[2] for entry in entries)
 
 
 def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
@@ -225,9 +232,11 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
     ``CosetTails`` walks every sorted-free R once and tallies it by row 0 of
     D_R, which is -C_R, so R extends A iff that row misses Sigma*(A).  D_A
     holds the inverses (0, -u) of A's products, so Sigma*(A) is the negated
-    row 0 of D_A + {e}.  The number of extensions of A, the empty R
-    included, and their greatest length h are a sum and a maximum over the
-    rows that miss it, kept for the prefixes that share it.
+    row 0 of D_A + {e}; equally, R extends A iff C_R misses that row.  The
+    number of extensions of A, the empty R included, and their greatest
+    length h are a sum and a maximum over the tally entries whose C_R
+    misses it.  Sigma*(A) only grows along a path of prefixes, so each
+    prefix filters its parent's entries (``CosetTails.narrow``).
 
     The walk runs the prefixes A with their record checks.  The children of
     A run in index order, so its children in <a> and their subtrees come
@@ -247,14 +256,16 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
     penult = last - q
     row = (1 << q) - 1
     double = 1 | 1 << q
-    tails_of = CosetTails(ctx).settle
+    coset_tails = CosetTails(ctx)
+    narrow, settle = coset_tails.narrow, coset_tails.settle
     best_len = 0
     best: list[int] = []
     nodes = tabled = walked = 0
     chosen: list[int] = []
 
-    def extend(live: int, forbidden: int) -> None:
-        """Walk the subtree of the node ``chosen``."""
+    def extend(live: int, forbidden: int, entries: list | None) -> None:
+        """Walk the subtree of the node ``chosen``; ``entries`` narrow the
+        tally to its coset tails when it is an <a>-prefix, else are None."""
         nonlocal best_len, best, nodes, tabled, walked
         nodes += 1
         depth = len(chosen)
@@ -265,13 +276,13 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
             best = list(chosen)
         closed = forbidden | 1
         doubled = (closed >> penult & row) * double
-        prefix = not chosen or chosen[-1] < q
+        prefix = entries is not None
         while live:
             low = live & -live
             g = low.bit_length() - 1
             if prefix and g >= q:  # the first coset child of the prefix A
                 prefix = False
-                count, height = tails_of(closed & row)
+                count, height = settle(entries)
                 if depth + height <= best_len:
                     nodes += count - 1
                     tabled += 1
@@ -291,11 +302,12 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
             for src, dst, back in tails[g]:
                 image |= ((closed >> src & row) * double >> back & row) << dst
             chosen.append(g)
-            extend(kids, forbidden | image)
+            child = forbidden | image
+            extend(kids, child, narrow(entries, (child | 1) & row) if prefix else None)
             chosen.pop()
             live ^= low
 
-    extend((1 << n) - 2, 0)
+    extend((1 << n) - 2, 0, coset_tails.entries)
     del extend  # as in ``CosetTails``: let the tally go with the walk
     return SmallDavenportResult(
         value=best_len,
@@ -348,18 +360,61 @@ def extremal_atom(ctx: GroupCtx, x: Element, y: Element) -> ExtremalForm:
     return ExtremalForm(x=x, y=y, s_eff=s_eff, sequence=seq)
 
 
-def extremal_atoms_all(ctx: GroupCtx) -> list[ExtremalForm]:
-    """Distinct realized multisets over all generator pairs, deduplicated.
+@dataclass(frozen=True)
+class ExtremalFamily:
+    """The realized extremal atoms of one group, as orbits under Aut.
 
-    The engine does not run here.  ``verify_inverse_theorem`` is verified
-    only when its scan lists every form, and the scan confirms each atom it
-    lists, so a form that is not an atom makes the verdict false.
+    ``forms`` are sorted by sequence; ``representative`` maps each member to
+    the representative of its orbit.
     """
-    seen: dict[Sequence, ExtremalForm] = {}
-    for x, y, _ in generator_pairs(ctx):
-        form = extremal_atom(ctx, x, y)
-        seen.setdefault(form.sequence, form)
-    return sorted(seen.values(), key=lambda f: f.sequence)
+
+    forms: tuple[ExtremalForm, ...]
+    representative: dict[Sequence, Sequence]
+
+
+def extremal_family(ctx: GroupCtx) -> ExtremalFamily:
+    """The extremal family of ``ctx``, built once per context; the engine does not run here.
+
+    An automorphism maps the form of a pair (x, y) to that of its image.  The
+    maps of ``automorphisms`` take ((d, 0), (0, 1)) to ((d, v*sigma_d), (0, u)),
+    and sigma_d is a unit mod q, so ``extremal_atom(ctx, (d, 0), (0, 1))``,
+    d = 1 .. p-1, reach every form.  The closer of degree p - d forms the
+    same sequence with y, so d and p - d share an orbit: the first of each
+    is kept and expanded by Aut, and an orbit with fewer than |Aut| members
+    raises.  A member's form takes its lower outer term as x, as the first
+    of its two generator pairs does, and s_eff = s^d for x of degree d.
+    """
+    family = ctx._extremal_family
+    if family is None:
+        auts = automorphisms(ctx)
+        representative: dict[Sequence, Sequence] = {}
+        for d in range(1, ctx.p):
+            rep = extremal_atom(ctx, (d, 0), (0, 1)).sequence
+            if rep in representative:
+                continue
+            orbit = {rep.map_indices(table) for table in auts}
+            if len(orbit) != len(auts):
+                raise AssertionError(
+                    f"the orbit of {rep.format(ctx)} has {len(orbit)} members, not |Aut| = {len(auts)}"
+                )
+            representative.update(dict.fromkeys(orbit, rep))
+        forms = []
+        for seq in sorted(representative):
+            (y, _), *outer = seq.entries
+            x = outer[0][0]
+            forms.append(ExtremalForm(ctx.coords(x), ctx.coords(y), ctx.spow[x // ctx.q], seq))
+        family = ctx._extremal_family = ExtremalFamily(tuple(forms), representative)
+    return family
+
+
+def extremal_atoms_all(ctx: GroupCtx) -> list[ExtremalForm]:
+    """The distinct realized forms of all generator pairs, sorted by sequence.
+
+    ``verify_inverse_theorem`` is verified only when its scan lists every
+    form, and the scan confirms each atom it lists, so a form that is not an
+    atom makes the verdict false.
+    """
+    return list(extremal_family(ctx).forms)
 
 
 # -- stratified scans -----------------------------------------------------------

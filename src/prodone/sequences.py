@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .group import Element, GroupCtx
+from .group import Element, GroupCtx, format_element, parse_element
 
 #: Caps on DP states, read at call time: the engine functions' and that of
 #: ``length_set_bounded``, which keeps a length set per state.  A sequence of
@@ -69,8 +69,6 @@ class Sequence:
     @classmethod
     def parse(cls, ctx: GroupCtx, text: str) -> "Sequence":
         """Parse the comma-separated term format, e.g. "(0,1)^12,(1,0),(2,5)"."""
-        from .group import parse_element
-
         text = text.strip()
         if not text:
             return cls.empty()
@@ -101,8 +99,6 @@ class Sequence:
         return cls(terms)
 
     def format(self, ctx: GroupCtx) -> str:
-        from .group import format_element
-
         parts = []
         for idx, mult in self.entries:
             base = format_element(ctx.coords(idx))

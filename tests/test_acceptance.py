@@ -153,6 +153,13 @@ def test_inverse_theorem_k_le_2_at_3_19_7():
     assert (k2.counters["atoms"], k2.counters["non_atoms"]) == (342, 11_663_470_612_291_793)
 
 
+@pytest.mark.parametrize("descriptor, n_f", [("5,31,2", 1_860), ("7,29,16", 2_436)])
+def test_inverse_theorem_k_le_2_at_q_near_30(descriptor, n_f):
+    # n_f = q(q - 1)(p - 1)/2 atoms, confirmed by the engine once per Aut
+    # orbit, (p - 1)/2 times, on each side.
+    _check_k_le_2_claim(make_group(descriptor), n_f)
+
+
 @pytest.mark.extended
 @pytest.mark.skipif(not EXTENDED, reason="multi-hour run; set PRODONE_EXTENDED=1")
 def test_criterion_5_inverse_theorem_full_scope(ctx372):

@@ -761,8 +761,9 @@ def test_k_le_2_counters_are_compared_type_exactly(ctx372, target, forge):
 
 
 def test_k_le_2_claim_runs_the_engine_once_per_atom(ctx372, ctx5113, monkeypatch):
-    # Verifying confirms each listed atom once, in the scan; checking confirms
-    # it once more, in the re-scan.
+    # Verifying confirms each listed atom by the engine's verdict on its Aut
+    # orbit's representative, one call per orbit, (p - 1)/2 in all; checking
+    # does the same in the re-scan, on a context of its own.
     calls = []
     real = is_atom
 
@@ -772,17 +773,17 @@ def test_k_le_2_claim_runs_the_engine_once_per_atom(ctx372, ctx5113, monkeypatch
 
     for module in (enumeration, invariants, certificates):
         monkeypatch.setattr(module, "is_atom", counted)
-    for ctx, n_f in ((ctx372, 42), (ctx5113, 220)):
+    for ctx, n_f, orbits in ((ctx372, 42, 1), (ctx5113, 220, 2)):
         calls.clear()
         report = verify_inverse_theorem(ctx, "k_le_2")
         assert report.n_f == report.matched == n_f and report.verified
-        assert len(calls) == n_f
+        assert len(calls) == orbits
         calls.clear()
         cert = make_certificate("inverse_report", ctx.params.descriptor(), report.to_payload(),
                                 seed=report.seed)
         outcome = check_certificate(cert)
         assert outcome.ok, outcome.messages
-        assert len(calls) == n_f
+        assert len(calls) == orbits
 
 
 def test_verify_inverse_reports_a_non_atom_form_as_not_verified(capsys, monkeypatch):

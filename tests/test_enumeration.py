@@ -30,8 +30,8 @@ from prodone.enumeration import (
     unrank_multiset,
 )
 from prodone.group import automorphisms, make_group
-from prodone.invariants import extremal_atoms_all
-from prodone.sequences import Sequence, is_atom
+from prodone.invariants import extremal_atoms_all, extremal_family
+from prodone.sequences import AtomVerdict, Sequence, is_atom
 
 EXTENDED = bool(os.environ.get("PRODONE_EXTENDED"))
 
@@ -954,3 +954,34 @@ def test_extremal_orbit_size_divides_aut_order(ctx372):
     seq = Sequence.parse(ctx372, "(0,1)^12,(1,0),(2,5)")
     size = len({seq.map_indices(table) for table in auts})
     assert len(auts) % size == 0
+
+
+def test_orbit_members_take_their_representatives_verdict(monkeypatch):
+    # A family member is confirmed by its representative's engine verdict,
+    # kept in the scan's memo; a representative that the engine rejected
+    # confirms nothing, so the member goes to the engine, and so does an atom
+    # outside the family.
+    ctx = make_group("3,7,2")
+    calls = []
+
+    def counted(c, seq):
+        calls.append(seq)
+        return is_atom(c, seq)
+
+    monkeypatch.setattr(enumeration, "is_atom", counted)
+    family = extremal_family(ctx)
+    member = family.forms[5].sequence
+    rep = family.representative[member]
+    assert member != rep
+    content, verdicts = member.indices(), {}
+    assert classify_candidate(ctx, content, verdicts) == ("atom", "outer_pair", AtomVerdict(True, True))
+    assert calls == [rep] and verdicts == {rep: AtomVerdict(True, True)}
+    assert classify_candidate(ctx, content, verdicts)[0] == "atom"
+    assert calls == [rep]
+    verdicts[rep] = AtomVerdict(True, False)
+    assert classify_candidate(ctx, content, verdicts)[0] == "atom"
+    assert calls == [rep, member]
+    short = Sequence.parse(ctx, "(0,1)^11,(1,0),(2,2)")  # an atom of length 13
+    calls.clear()
+    assert classify_candidate(ctx, short.indices(), verdicts)[0] == "atom"
+    assert calls == [short]

@@ -7,6 +7,7 @@ from prodone.group import (
     GroupParamError,
     GroupParams,
     automorphisms,
+    extends_to_automorphism,
     format_element,
     generator_pairs,
     make_group,
@@ -197,6 +198,48 @@ def test_automorphisms(ctx372):
     first, second = auts[1], auts[2]
     composed = tuple(second[first[g]] for g in range(ctx372.n))
     assert composed in aut_set
+
+
+def _brute_force_automorphisms(ctx):
+    """Oracle: every pair of images (order p, order q) that respects the
+    relation and whose induced coordinate map permutes the group."""
+    order_p = [i for i in range(ctx.n) if ctx.order_table[i] == ctx.p]
+    order_q = [i for i in range(ctx.n) if ctx.order_table[i] == ctx.q]
+    result = []
+    for ft in order_p:
+        ft_el = ctx.coords(ft)
+        for fa in order_q:
+            fa_el = ctx.coords(fa)
+            if ctx.mul(fa_el, ft_el) != ctx.mul(ft_el, ctx.power(fa_el, ctx.s)):
+                continue
+            pow_t = [ctx.idx(ctx.power(ft_el, i)) for i in range(ctx.p)]
+            pow_a = [ctx.idx(ctx.power(fa_el, j)) for j in range(ctx.q)]
+            image = tuple(ctx.mul_idx(pow_t[a], pow_a[b])
+                          for a in range(ctx.p) for b in range(ctx.q))
+            if len(set(image)) == ctx.n:
+                result.append(image)
+    return result
+
+
+@pytest.mark.parametrize("descriptor", ["3,7,2", "3,7,4", "5,11,3", "3,13,3"])
+def test_closed_form_automorphisms_match_the_brute_force_oracle(descriptor):
+    ctx = make_group(descriptor)
+    auts = automorphisms(ctx)
+    assert auts[0] == tuple(range(ctx.n))
+    assert len(auts) == len(set(auts)) == ctx.q * (ctx.q - 1)
+    assert set(auts) == set(_brute_force_automorphisms(ctx))
+    # Each map is the one its generator images determine, and they pass the check.
+    for table in auts:
+        assert extends_to_automorphism(ctx, ctx.coords(table[ctx.q]), ctx.coords(table[1]))
+
+
+def test_broken_generator_images_are_rejected(ctx372):
+    assert extends_to_automorphism(ctx372, (1, 3), (0, 2))
+    # t -> (2, 0) has order 3, but (0,1)(2,0) = (2,4) != (2,0)(0,1)^2 = (2,2).
+    assert not extends_to_automorphism(ctx372, (2, 0), (0, 1))
+    assert not extends_to_automorphism(ctx372, (1, 0), (1, 1))  # a -> an element of order 3
+    assert not extends_to_automorphism(ctx372, (0, 1), (0, 1))  # t -> an element of order 7
+    assert not extends_to_automorphism(ctx372, (1, 0), (0, 0))  # a -> the identity
 
 
 def test_generator_pairs(ctx372):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from prodone import invariants, sequences
-from prodone.group import make_group
+from prodone.group import generator_pairs, make_group
 
 from prodone.invariants import (
     atoms_ladder,
@@ -12,6 +12,7 @@ from prodone.invariants import (
     elasticity_calculator,
     extremal_atom,
     extremal_atoms_all,
+    extremal_family,
     small_davenport,
     uk_bounded,
     verify_elasticity_witness,
@@ -155,21 +156,23 @@ def _walk_tails(ctx, prefix):
 
 @pytest.mark.parametrize("desc", ["3,7,2", "3,7,4"])
 def test_coset_tails_settle_every_prefix(desc):
-    """For every zero-sum-free A over <a>, the tally settles the sorted-free
-    A.R: their number, the empty R included, and greatest length |R|."""
+    """For every zero-sum-free A over <a>, the tally narrowed from A's parent
+    prefix, as the DFS narrows it, settles the sorted-free A.R: their number,
+    the empty R included, and greatest length |R|."""
     ctx = make_group(desc)
     q = ctx.q
     tails = invariants.CosetTails(ctx)
-    prefixes, seen = [[]], set()
+    prefixes, seen = [([], tails.entries)], set()
     while prefixes:
-        prefix = prefixes.pop()
+        prefix, parent_entries = prefixes.pop()
         sums = {0}
         for y in prefix:
             sums |= {(u + y) % q for u in sums}
         zero_row = sum(1 << -u % q for u in sums)  # row 0 of D_A + {e}
-        assert tails.settle(zero_row) == _walk_tails(ctx, prefix), prefix
+        entries = tails.narrow(parent_entries, zero_row)
+        assert tails.settle(entries) == _walk_tails(ctx, prefix), prefix
         seen.add(len(prefix))
-        prefixes += [prefix + [y] for y in range(prefix[-1] if prefix else 1, q)
+        prefixes += [(prefix + [y], entries) for y in range(prefix[-1] if prefix else 1, q)
                      if -y % q not in sums]  # A.y stays zero-sum-free
     assert seen == set(range(q))  # A of every length up to q - 1
 
@@ -214,37 +217,6 @@ def test_child_live_set_is_one_mask(ctx_name, request):
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
-@pytest.mark.parametrize("ctx_name", ["ctx372", "ctx3133", "ctx5113"])
-def test_chain_rule_matches_the_grandchild(ctx_name, request):
-    """If child g of a node with forbidden set D has the one live child h, the
-    subtree of g has two nodes iff h*h or g*h*h is in D + {e}; this must agree
-    with the grandchild's live set suffix(h) & ~D'' computed from D''."""
-    ctx = request.getfixturevalue(ctx_name)
-    n = ctx.n
-    rng = random.Random(n + 1)
-    outcomes = set()
-    for density in (0.6, 0.85, 0.95):
-        for _ in range(40):
-            forbidden = sum(1 << x for x in range(1, n) if rng.random() < density)
-            closed = forbidden | 1
-            for g in range(1, n):
-                if forbidden >> g & 1:
-                    continue
-                image = ctx.left_shift(closed, ctx.left_shift_plan(ctx.inv_table[g]))
-                child = forbidden | image
-                live = ((1 << n) - 1) >> g << g & ~child
-                if live == 0 or live & (live - 1):
-                    continue
-                h = live.bit_length() - 1
-                h2 = ctx.mul_idx(h, h)
-                two_nodes = bool(closed >> h2 & 1 or closed >> ctx.mul_idx(g, h2) & 1)
-                image_h = ctx.left_shift(child | 1, ctx.left_shift_plan(ctx.inv_table[h]))
-                grandchild = ((1 << n) - 1) >> h << h & ~(child | image_h)
-                assert two_nodes == (grandchild == 0)
-                outcomes.add(two_nodes)
-    assert outcomes == {True, False}
-
-
 def test_alpha_tau_extremal_example(ctx372):
     seq = Sequence.parse(ctx372, "(0,1)^6,(1,0)^2")
     assert classify(ctx372, seq).product_one_free
@@ -275,6 +247,32 @@ def test_extremal_enumeration_counts(ctx372, ctx3133):
     assert len(forms) == N_F_372
     assert len({f.sequence for f in forms}) == N_F_372
     assert len(extremal_atoms_all(ctx3133)) == N_F_3133
+
+
+@pytest.mark.parametrize("descriptor", ["3,7,2", "3,7,4", "5,11,3", "3,13,3"])
+def test_extremal_family_equals_the_generator_pair_construction(descriptor):
+    # The orbit expansion gives the forms that realizing every generator pair
+    # and keeping the first pair of each sequence gives, in the same order.
+    ctx = make_group(descriptor)
+    seen = {}
+    for x, y, _ in generator_pairs(ctx):
+        form = extremal_atom(ctx, x, y)
+        seen.setdefault(form.sequence, form)
+    assert extremal_atoms_all(ctx) == sorted(seen.values(), key=lambda f: f.sequence)
+    family = extremal_family(ctx)
+    assert len(family.forms) == ctx.q * (ctx.q - 1) * (ctx.p - 1) // 2
+    # The representatives of d and p - d share an orbit; the first is kept.
+    assert set(family.representative.values()) == {
+        extremal_atom(ctx, (d, 0), (0, 1)).sequence for d in range(1, (ctx.p + 1) // 2)}
+    assert extremal_family(ctx) is family
+
+
+def test_extremal_family_rejects_an_orbit_smaller_than_aut(monkeypatch):
+    ctx = make_group("3,7,2")
+    identity = tuple(range(ctx.n))
+    monkeypatch.setattr(invariants, "automorphisms", lambda ctx: [identity, identity])
+    with pytest.raises(AssertionError, match="1 members, not"):
+        extremal_family(ctx)
 
 
 def test_extremal_multiset_statistics(ctx372):
