@@ -201,8 +201,7 @@ def _check_scan(space, lo: int, last_rank: int, record: dict, where: str, fail):
     ctx, stratum = space.ctx, space.stratum
     if stratum.k is not None and stratum.k <= 2:
         rescan = atom_search(ctx, stratum, shard=Shard(0, 1, lo, last_rank + 1))
-        return (rescan.counters, rescan.digest, [seq.format(ctx) for seq in rescan.atoms],
-                [seq.format(ctx) for seq in rescan.unverified])
+        return rescan.counters, rescan.digest, rescan.atom_texts, rescan.unverified_texts
     counters = record["counters"]
     methods = counters["by_method"]
     values = [counters[name] for name in _COUNTER_NAMES] + list(methods.values())

@@ -244,14 +244,12 @@ def _cmd_search(args) -> int:
     payload = checkpoint_record(
         ctx, stratum, result.shard,
         0, result.counters, result.digest,
-        [seq.format(ctx) for seq in result.atoms],
-        [seq.format(ctx) for seq in result.unverified],
-        result.last_rank, result.complete,
+        result.atom_texts, result.unverified_texts, result.last_rank, result.complete,
     )
     cert = make_certificate("checkpoint", ctx.params.descriptor(), payload,
                             seed=payload["seed"], wall_s=time.perf_counter() - started)
     _emit_certificate(cert, args.emit_cert)
-    return 0 if result.complete and not result.unverified else 1
+    return 0 if result.complete and not result.unverified_texts else 1
 
 
 def _cmd_davenport(args) -> int:

@@ -119,21 +119,23 @@ k = 2 scan:
    outer part of x as ``rank_multiset`` does (``_count_below``), so it
    counts the failures of any rank range at every k, and no filtered
    candidate is built.  The k = 2 scan lists F (``StratumSpace.outer_table``,
-   x_count entries, at most C(n - q + 1, 2), built once per group and outer
-   shape).  With k = 1 the one outer term has nonzero degree, so by fact 1
-   no candidate is product-one: the passing ranks of a range are counted as
-   ``not_product_one`` under the ``degree`` route, and none is built.
+   one filter test for each of the x_count outer pairs, at most
+   C(n - q + 1, 2), once per group and outer shape).  With k = 1 the one
+   outer term has nonzero degree, so by fact 1 no candidate is product-one:
+   the passing ranks of a range are counted as ``not_product_one`` under
+   the ``degree`` route, and none is built.
 6. For k = 2 the target reads the pair and ΣY alone.  By 2, the verdict of
    S = Y.x1.x2 compares the bit 1 << c with the profile of Y, and c depends
    on x1, x2 and ΣY mod q only (``_pair_target``).  When d1 + d2 is
    nonzero mod p the bit is 0, no mask holds it, and the verdict is
    ``not_product_one``, as 1 requires.
    So a Y settles its passing pairs from its one profile: it takes their
-   target bits from the row for its ΣY value (one of q rows kept with F in
-   ``StratumSpace.outer_table``) and applies the same two bit tests as
-   ``classify_candidate``.  Non-atoms and candidates that are not
-   product-one are only counted; an atom is built and confirmed by the
-   engine, in rank order.
+   target bits from the row for its ΣY value and applies the same two bit
+   tests as ``classify_candidate``.  ``StratumSpace.outer_table`` builds
+   the row for a ΣY value when the prefix walk (fact 8) first asks for it
+   and keeps it with F; the lemma of fact 9 asks for none.  Non-atoms and
+   candidates that are not product-one are only counted; an atom is built
+   and confirmed by the engine, in rank order.
 
 Two cuts settle whole rank ranges by arithmetic, with no per-candidate work;
 the prefix walk and a lemma carry the first across whole subtrees:
@@ -144,7 +146,8 @@ the prefix walk and a lemma carry the first across whole subtrees:
    so it is ``not_product_one``.  The bit is 0 exactly when d1 + d2 is
    nonzero mod p (fact 6), which the pair's degrees alone decide and ΣY
    does not, so ``StratumSpace.outer_table`` keeps zeros[i], the passing
-   pairs among the first i with a zero target.  Over the ranks below
+   pairs among the first i whose degrees do not cancel, read off the
+   degrees with no target computed.  Over the ranks below
    r = y.x_count + x, with i = #{F < x}, the passing pairs number
    y.|F| + i and those with a zero target y.zeros[|F|] + zeros[i], so two
    such counts settle any rank range whose every Y has a full R.
@@ -161,10 +164,10 @@ the prefix walk and a lemma carry the first across whole subtrees:
    its prefix's profile.  A child whose ranks miss the scanned range is
    skipped unbuilt; a child with a full R is settled by cut A over the part
    of its interval in the range, however little of it that is; a full-length
-   Y with R not full has its pairs settled as in 6; any other child is
-   walked.  At 3,7,2 the walk of the whole k = 2 stratum of length 13
-   builds 1,898 prefix profiles and reaches the pair loop with 12 of 4,368
-   <a>-parts.  It serves the strata where fact 9 does not hold.
+   Y with R not full has its pairs settled as in 6, from the target row of
+   its ΣY; any other child is walked.  At 3,7,2 the walk of the whole k = 2
+   stratum of length 13 builds 1,898 prefix profiles and reaches the pair
+   loop with 12 of 4,368 <a>-parts.  It serves the strata where fact 9 does not hold.
 9. The lemma (k = 2, no identity term, |Y| >= 2q - 2).  Let Y be a sequence
    over Z_q without 0, with |Y| >= 2q - 2.  Then R is all of Z_q unless Y
    is a constant y^(2q - 2).
@@ -179,9 +182,25 @@ the prefix walk and a lemma carry the first across whole subtrees:
    So when the identity is not in the ground set and |Y| >= 2q - 2, the
    scan cuts [lo, hi) at the blocks of the q - 1 constant parts y^(2q - 2)
    (none when |Y| > 2q - 2), whose y-ranks are one ``rank_multiset`` call
-   each.  Cut A's two prefix counts settle each gap between them, and the
-   pair loop of 6 each of their blocks.  At 3,7,2 the length-14 stratum
-   builds 72 profiles (6 parts of 12 terms); the walk would build 1,934.
+   each.  Cut A's two prefix counts settle each gap between them.  A
+   constant block's atoms are listed directly, with no profile and no
+   target row:
+   * For Y = y^(2q - 2), R = {0, y, .., (q - 2).y} misses exactly
+     (q - 1).y = -y, and P = {0, y, .., (2q - 2).y} is all of Z_q.  So a
+     passing pair is not product-one iff its degrees do not cancel, an atom
+     iff its target c is -y, and a non-atom otherwise.
+   * Let d1 + d2 = 0 mod p.  With ΣY = -2y, c = -y reads
+     j2 = y.(1 + s^d2) - j1.s^d2 mod q by 2, since the unit s^d2 - 1
+     cancels: one j2 for each x1 and d2.  An outer pair is sorted, x1 <= x2,
+     so d1 <= d2, and d1 + d2 = p with p odd gives d1 < p/2 < d2 = p - d1.
+     So the atoms are the pairs of x1 = (d1, j1), d1 = 1 .. (p - 1)/2 and
+     j1 in Z_q, with their one partner x2 = (p - d1, j2): q(p - 1)/2 atoms
+     per y, and q(q - 1)(p - 1)/2 = n_f in all.
+   The scan lists the partners whose outer rank lies in the range, in rank
+   order after a sort, and counts the block's other passing pairs with cut
+   A's prefix counts: those whose degrees do not cancel are not
+   product-one, the rest non-atoms.  At 3,7,2 the length-14 stratum builds
+   no profile and no target row; the walk would build 1,934 profiles.
    Below 2q - 2 terms many non-constant parts have R not full, and terms 0
    add no sums (0^(2q - 2) has R = {0}), so those strata are walked.
 10. Cut D, k = 0 and length above q.  A product-one S over the cyclic <a>
@@ -320,9 +339,9 @@ class Stratum:
         return stratum
 
 
-# (outer parts, ranks of the passing ones, k = 2 target rows, k = 2 zero-target prefix counts);
+# (F, its outer pairs, k = 2 zero-target prefix counts, k = 2 target rows by ΣY);
 # see ``StratumSpace.outer_table``
-_OuterTable = tuple[list[tuple[int, ...]], list[int], list[list[tuple[int, int]]], list[int]]
+_OuterTable = tuple[list[int], list[tuple[int, ...]], list[int], dict[int, list[int]]]
 
 
 class StratumSpace:
@@ -414,26 +433,26 @@ class StratumSpace:
 
     @property
     def outer_table(self) -> _OuterTable:
-        """(every outer pair of a k = 2 stratum in rank order, the ranks of the passing ones, targets, zeros).
+        """(F, the passing outer pairs, zeros, target rows) of a k = 2 stratum.
 
         Terms of <a> have t-degree 0, so with a fixed k the t-degree filter
-        reads the outer part alone (fact 5 of the module docstring).  Row ΣY
-        of the targets lists (outer rank, ``_pair_target`` bit) for each
-        passing pair in rank order (fact 6), and zeros[i] counts the pairs
-        among the first i passing ones whose target is 0 in every row
-        (fact 7).  The table has ``x_count`` entries and depends on the group
-        and the outer ground, size and residue alone, so it is built once per
-        such shape and kept in ``_OUTER_TABLES``.
+        reads the outer part alone (fact 5 of the module docstring).  F lists
+        the passing outer ranks in rank order; zeros[i] counts the pairs
+        among the first i passing ones whose degrees do not cancel, whose
+        target is 0 in every row (fact 7).  Row ΣY lists the ``_pair_target``
+        bit of each passing pair (fact 6); the prefix walk adds a row when it
+        first asks for it, and the lemma of fact 9 asks for none.  The table
+        depends on the group and the outer ground, size and residue alone, so
+        it is built once per such shape and kept in ``_OUTER_TABLES``.
         """
         key = (self.ctx.params, tuple(self.x_ground), self.x_size, self.stratum.tau_residue)
         table = _OUTER_TABLES.get(key)
         if table is None:
-            ctx = self.ctx
-            outer = list(combinations_with_replacement(self.x_ground, self.x_size))
-            passing = [x for x, part in enumerate(outer) if self.passes_filters(part)]
-            targets = [[(x, _pair_target(ctx, *outer[x], total)) for x in passing] for total in range(ctx.q)]
-            zeros = list(accumulate((not t for _, t in targets[0]), initial=0))
-            table = _OUTER_TABLES[key] = (outer, passing, targets, zeros)
+            p, q = self.ctx.p, self.ctx.q
+            outer = combinations_with_replacement(self.x_ground, self.x_size)
+            passing = [(x, part) for x, part in enumerate(outer) if self.passes_filters(part)]
+            zeros = list(accumulate((sum(i // q for i in part) % p != 0 for _, part in passing), initial=0))
+            table = _OUTER_TABLES[key] = ([x for x, _ in passing], [part for _, part in passing], zeros, {})
         return table
 
     def filtered_count(self, lo: int, hi: int) -> int:
@@ -668,11 +687,10 @@ def _inner_profile(q: int, inner: tuple[int, ...]) -> tuple[int, int, int]:
 
     Bit b of P is set when some sub-multiset B of Y has ΣB = b; bit b of R
     when some B is disjoint from a nonempty Z of Y with ΣZ = 0.  It folds
-    ``_profile_step`` over Y for ``classify_candidate`` and for the
-    constant parts of fact 9; the prefix walk of fact 8 builds its
-    profiles one step per prefix instead.  The one cached entry
-    serves a run of candidates with the same <a>-part, which a loop over
-    the ranks of a fixed-k stratum meets, since the outer part varies
+    ``_profile_step`` over Y for ``classify_candidate``; the prefix walk of
+    fact 8 builds its profiles one step per prefix instead.  The one cached
+    entry serves a run of candidates with the same <a>-part, which a loop
+    over the ranks of a fixed-k stratum meets, since the outer part varies
     fastest.
     """
     profile = _EMPTY_PROFILE
@@ -725,7 +743,7 @@ def _engine_verdict(ctx: GroupCtx, seq: Sequence) -> AtomVerdict | None:
 
 
 def _confirm_atom(
-    ctx: GroupCtx, content: tuple[int, ...], method: str, verdicts: dict | None = None
+    ctx: GroupCtx, seq: Sequence, method: str, verdicts: dict | None = None
 ) -> tuple[str, AtomVerdict | None]:
     """Confirm a closed-form atom with the engine, once per orbit of the extremal family.
 
@@ -736,9 +754,8 @@ def _confirm_atom(
     ("atom", verdict), or ("unverified", None) when the engine hits its state
     cap; raises when the engine finds no atom.
     """
-    seq = Sequence.from_indices(content)
     verdict = None
-    if method == "outer_pair" and len(content) == 2 * ctx.q:
+    if method == "outer_pair" and len(seq) == 2 * ctx.q:
         rep = _representative(ctx, seq)
         if rep is not None:
             verdicts = {} if verdicts is None else verdicts
@@ -751,7 +768,7 @@ def _confirm_atom(
             return "unverified", None
     if not verdict.atom:
         raise RuntimeError(
-            f"{method} verdict 'atom' contradicts the engine for {content} "
+            f"{method} verdict 'atom' contradicts the engine for {seq.indices()} "
             f"in group {ctx.params.descriptor()}"
         )
     return "atom", verdict
@@ -829,7 +846,7 @@ def classify_candidate(
             method, kind = "abelian", _abelian_verdict(ctx, content)
         if kind != "atom":
             return kind, method, None
-        kind, verdict = _confirm_atom(ctx, content, method, verdicts)
+        kind, verdict = _confirm_atom(ctx, Sequence.from_indices(content), method, verdicts)
         return kind, method, verdict
     if sum(idx // ctx.q for idx in outer) % ctx.p:
         return "not_product_one", "degree", None
@@ -858,14 +875,29 @@ def classify_candidate(
 
 @dataclass
 class SearchResult:
+    """What a scan found.  ``atom_texts`` and ``unverified_texts`` list its sequences as text, in rank order.
+
+    Reports and checkpoints carry the texts; ``atoms`` and ``unverified``
+    parse them on demand.
+    """
+
+    ctx: GroupCtx
     stratum: Stratum
     shard: Shard | None
     counters: SearchCounters
-    atoms: list[Sequence]
-    unverified: list[Sequence]
+    atom_texts: list[str]
+    unverified_texts: list[str]
     digest: int
     complete: bool
     last_rank: int
+
+    @property
+    def atoms(self) -> list[Sequence]:
+        return [Sequence.parse(self.ctx, text) for text in self.atom_texts]
+
+    @property
+    def unverified(self) -> list[Sequence]:
+        return [Sequence.parse(self.ctx, text) for text in self.unverified_texts]
 
     @property
     def digest_hex(self) -> str:
@@ -939,23 +971,25 @@ class _Scan:
 
     def classify(self, content: tuple[int, ...]) -> None:
         kind, method, _ = classify_candidate(self.space.ctx, content, self.verdicts)
-        self.add(content, kind, method)
+        listed = kind in ("atom", "unverified")
+        self.add(kind, method, Sequence.from_indices(content) if listed else None)
 
-    def add(self, content: tuple[int, ...], kind: str, method: str) -> None:
+    def add(self, kind: str, method: str, seq: Sequence | None = None) -> None:
+        """Count one verdict; an atom or an unverified candidate ``seq`` is listed as its text."""
         counters = self.counters
         counters.note_method(method)
-        if kind == "atom":
-            counters.atoms += 1
-            text = Sequence.from_indices(content).format(self.space.ctx)
-            self.atoms.append(text)
-            self.digest = digest_add(self.digest, text)
-        elif kind == "non_atom":
+        if kind == "non_atom":
             counters.non_atoms += 1
         elif kind == "not_product_one":
             counters.not_product_one += 1
+        elif kind == "atom":
+            counters.atoms += 1
+            text = seq.format(self.space.ctx)
+            self.atoms.append(text)
+            self.digest = digest_add(self.digest, text)
         else:
             counters.unverified += 1
-            self.unverified.append(Sequence.from_indices(content).format(self.space.ctx))
+            self.unverified.append(seq.format(self.space.ctx))
 
     def blocks(self, lo: int, hi: int) -> None:
         space, counters, k = self.space, self.counters, self.space.stratum.k
@@ -985,7 +1019,7 @@ class _Scan:
         """Settle ranks [lo, hi) of a k = 2 stratum: by the lemma of fact 9 where it holds, else by the prefix walk of fact 8."""
         space, ctx = self.space, self.space.ctx
         q, x_count, values, size = ctx.q, space.x_count, space.y_ground, space.y_size
-        outer, passing, targets, zeros = space.outer_table
+        passing, parts, zeros, rows = space.outer_table
         n_pass, full = len(passing), (1 << q) - 1
         not_product_one = non_atoms = 0
         prefix: list[int] = []
@@ -1003,6 +1037,11 @@ class _Scan:
             not_product_one += zero_b - zero_a
             non_atoms += pass_b - pass_a - zero_b + zero_a
 
+        def atom(content: tuple[int, ...]) -> None:
+            seq = Sequence.from_indices(content)
+            kind, _ = _confirm_atom(ctx, seq, "outer_pair", self.verdicts)
+            self.add(kind, "outer_pair", seq)
+
         def pairs(y_rank: int, inner: tuple[int, ...], profile: tuple[int, int, int]) -> None:
             """Fact 6: the passing pairs of the <a>-part ``inner``, of y-rank ``y_rank``, inside [lo, hi)."""
             nonlocal not_product_one, non_atoms
@@ -1010,15 +1049,26 @@ class _Scan:
             split &= full
             i = bisect_left(passing, lo - y_rank * x_count)
             j = bisect_left(passing, hi - y_rank * x_count)
-            for x, target in targets[total][i:j]:
+            row = rows.get(total)
+            if row is None:
+                row = rows[total] = [_pair_target(ctx, *part, total) for part in parts]
+            for n, target in enumerate(row[i:j], i):
                 if not sums & target:
                     not_product_one += 1
                 elif split & target:
                     non_atoms += 1
                 else:
-                    content = inner + outer[x]
-                    kind, _ = _confirm_atom(ctx, content, "outer_pair", self.verdicts)
-                    self.add(content, kind, "outer_pair")
+                    atom(inner + parts[n])
+
+        def constant(y_rank: int, y: int, a: int, b: int) -> None:
+            """Fact 9: ranks [a, b) inside the block of y^(2q - 2), of y-rank ``y_rank``, its atoms listed directly."""
+            nonlocal non_atoms
+            cut_a(a, b)
+            base = y_rank * x_count
+            atoms = [pair for x, pair in _constant_part_atoms(space, y) if a <= base + x < b]
+            non_atoms -= len(atoms)
+            for pair in atoms:
+                atom((y,) * size + pair)
 
         def visit(depth: int, first: int, y_rank: int, profile: tuple[int, int, int]) -> None:
             """The subtree of the ``depth``-term prefix ``prefix``, whose first y-rank is ``y_rank``."""
@@ -1051,15 +1101,34 @@ class _Scan:
                     break
                 if b > lo:
                     cut_a(start, max(a, lo))
-                    inner = (values[v],) * size
-                    pairs(y_rank, inner, _inner_profile(q, inner))
                     start = min(b, hi)
+                    constant(y_rank, values[v], max(a, lo), start)
             cut_a(start, hi)
         counters = self.counters
         counters.not_product_one += not_product_one
         counters.non_atoms += non_atoms
         if not_product_one + non_atoms:
             counters.note_method("outer_pair", not_product_one + non_atoms)
+
+
+def _constant_part_atoms(space: StratumSpace, y: int) -> list[tuple[int, tuple[int, int]]]:
+    """(outer rank, pair) for each passing pair x1.x2 that makes y^(2q - 2).x1.x2 an atom, in rank order.
+
+    The pairs of fact 9 of the module docstring.  Their degrees sum to p, so
+    they pass the filter iff its residue is 0 or None.  The outer ground of
+    a k = 2 stratum is the indices q .. n - 1.
+    """
+    if space.stratum.tau_residue not in (0, None):
+        return []
+    ctx = space.ctx
+    p, q, m = ctx.p, ctx.q, len(space.x_ground)
+    atoms = []
+    for d1 in range(1, (p + 1) // 2):
+        s2 = ctx.spow[p - d1]
+        for j1 in range(q):
+            pair = (d1 * q + j1, (p - d1) * q + (y * (1 + s2) - j1 * s2) % q)
+            atoms.append((rank_multiset((pair[0] - q, pair[1] - q), m), pair))
+    return sorted(atoms)
 
 
 # Ranks between the interval checkpoints that ``atom_search`` writes.
@@ -1128,11 +1197,12 @@ def atom_search(
     complete = stop >= hi
     persist(complete)
     return SearchResult(
+        ctx=ctx,
         stratum=stratum,
         shard=shard,
         counters=scan.counters,
-        atoms=[Sequence.parse(ctx, text) for text in scan.atoms],
-        unverified=[Sequence.parse(ctx, text) for text in scan.unverified],
+        atom_texts=scan.atoms,
+        unverified_texts=scan.unverified,
         digest=scan.digest,
         complete=complete,
         last_rank=last_rank,
@@ -1201,11 +1271,12 @@ def run_sharded(
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_shard_worker, jobs))
     merged = SearchResult(
+        ctx=ctx,
         stratum=stratum,
         shard=None,
         counters=SearchCounters(),
-        atoms=[],
-        unverified=[],
+        atom_texts=[],
+        unverified_texts=[],
         digest=digest_empty(),
         complete=True,
         last_rank=space.total - 1,
@@ -1213,7 +1284,7 @@ def run_sharded(
     for result in results:
         merged.counters.merge(result.counters)
         merged.digest = digest_merge(merged.digest, result.digest)
-        merged.atoms.extend(result.atoms)
-        merged.unverified.extend(result.unverified)
+        merged.atom_texts.extend(result.atom_texts)
+        merged.unverified_texts.extend(result.unverified_texts)
         merged.complete = merged.complete and result.complete
     return merged

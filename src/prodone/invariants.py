@@ -365,11 +365,12 @@ class ExtremalFamily:
     """The realized extremal atoms of one group, as orbits under Aut.
 
     ``forms`` are sorted by sequence; ``representative`` maps each member to
-    the representative of its orbit.
+    the representative of its orbit; ``texts`` holds the members' texts.
     """
 
     forms: tuple[ExtremalForm, ...]
     representative: dict[Sequence, Sequence]
+    texts: frozenset[str]
 
 
 def extremal_family(ctx: GroupCtx) -> ExtremalFamily:
@@ -403,7 +404,8 @@ def extremal_family(ctx: GroupCtx) -> ExtremalFamily:
             (y, _), *outer = seq.entries
             x = outer[0][0]
             forms.append(ExtremalForm(ctx.coords(x), ctx.coords(y), ctx.spow[x // ctx.q], seq))
-        family = ctx._extremal_family = ExtremalFamily(tuple(forms), representative)
+        family = ctx._extremal_family = ExtremalFamily(
+            tuple(forms), representative, frozenset(form.sequence.format(ctx) for form in forms))
     return family
 
 
@@ -505,7 +507,7 @@ def scope_ks(scope: str, length: int) -> list[int]:
 def inverse_report(ctx: GroupCtx, scope: str, strata: list[StratumReport]) -> InverseReport:
     """The report on the scanned ``strata`` of length 2q: their atoms matched against
     the realized extremal set, every other atom listed as an exception."""
-    forms = {form.sequence.format(ctx) for form in extremal_atoms_all(ctx)}
+    forms = extremal_family(ctx).texts
     matched = 0
     exceptions: list[str] = []
     for rep in strata:
@@ -559,8 +561,8 @@ def verify_inverse_theorem(
                 k=k,
                 total=StratumSpace(ctx, stratum).total,
                 counters=result.counters.to_dict(),
-                atoms=[seq.format(ctx) for seq in result.atoms],
-                unverified=[seq.format(ctx) for seq in result.unverified],
+                atoms=result.atom_texts,
+                unverified=result.unverified_texts,
                 digest=result.digest_hex,
             )
         )

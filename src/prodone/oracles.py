@@ -413,16 +413,33 @@ def _check_chain(ctx: GroupCtx, factors: list[Sequence]) -> dict | None:
 
 
 def shortest_product_one(ctx: GroupCtx, seq: Sequence) -> Sequence | None:
-    """A shortest nonempty product-one subsequence of ``seq``, or None if it is product-one free."""
-    lattice = _Lattice(ctx, seq, 1 << 22)
-    best_state, best_len = -1, None
-    for t in range(1, lattice.nstates):
-        if lattice.reach[t] & 1:
-            if best_len is None or lattice.lengths[t] < best_len:
-                best_state, best_len = t, lattice.lengths[t]
-    if best_state < 0:
-        return None
-    return lattice.seq_of(best_state)
+    """A shortest nonempty product-one subsequence of ``seq``, or None if it is product-one free.
+
+    The sub-multisets are reached one length at a time, each from those one
+    term shorter, as reach(T) = union over g in supp(T) of reach(T - g) * g.
+    The search stops at the first length that holds a product-one part, so
+    it fills only the lattice's levels up to that length; the short-window
+    lemma promises a part of at most q terms.  Of that length it returns the
+    part of least lattice state, the one a pass over the whole lattice in
+    state order would keep.
+    """
+    lattice = _Lattice(ctx, seq, 1 << 22, fill=False)
+    shift = ctx.shift_mask
+    steps = [(stride, mult + 1, ctx.right_shift_table(g), mult)
+             for stride, mult, g in zip(lattice.strides, lattice.mults, lattice.support)]
+    level = {0: 1}
+    while level:
+        grown: dict[int, int] = {}
+        for t, reach in level.items():
+            for stride, radix, table, mult in steps:
+                if t // stride % radix < mult:
+                    u = t + stride
+                    grown[u] = grown.get(u, 0) | shift(reach, table)
+        found = [t for t, reach in grown.items() if reach & 1]
+        if found:
+            return lattice.seq_of(min(found))
+        level = grown
+    return None
 
 
 def _propose_short_window(ctx: GroupCtx, rng: random.Random) -> Sequence:

@@ -224,9 +224,13 @@ class AtomVerdict:
 
 
 class _Lattice:
-    """Reach masks over the mixed-radix lattice of sub-multisets of a sequence."""
+    """Reach masks over the mixed-radix lattice of sub-multisets of a sequence.
 
-    def __init__(self, ctx: GroupCtx, seq: Sequence, cap: int):
+    With ``fill=False`` only the lattice's shape is set up, and no reach
+    mask is computed.
+    """
+
+    def __init__(self, ctx: GroupCtx, seq: Sequence, cap: int, fill: bool = True):
         self.ctx = ctx
         self.seq = seq
         self.support = [i for i, _ in seq.entries]
@@ -247,7 +251,8 @@ class _Lattice:
             strides.append(acc)
             acc *= m + 1
         self.strides = strides
-        self._fill()
+        if fill:
+            self._fill()
 
     def _fill(self) -> None:
         ctx = self.ctx

@@ -30,7 +30,7 @@ from prodone.enumeration import (
     unrank_multiset,
 )
 from prodone.group import automorphisms, make_group
-from prodone.invariants import extremal_atoms_all, extremal_family
+from prodone.invariants import extremal_atoms_all, extremal_family, verify_inverse_theorem
 from prodone.sequences import AtomVerdict, Sequence, is_atom
 
 EXTENDED = bool(os.environ.get("PRODONE_EXTENDED"))
@@ -824,14 +824,14 @@ def test_split_mask_only_grows_on_samples(descriptor, seed):
 
 
 def test_prefix_walk_builds_few_profiles(ctx372, monkeypatch):
-    # At length 14 = 2q the lemma (fact 9) leaves the pair loop the 6
-    # constant <a>-parts 1^12 .. 6^12, 72 profile steps in all; the walk
-    # would build 1,934 prefix profiles there.  At length 13 the walk (fact 8)
+    # At length 14 = 2q the lemma (fact 9) lists the atoms of the 6 constant
+    # <a>-parts 1^12 .. 6^12 directly and builds no profile; the walk would
+    # build 1,934 prefix profiles there.  At length 13 the walk (fact 8)
     # still runs: 1,898 prefix profiles against 4,368 <a>-parts of 11 terms.
     steps = []
     step = enumeration._profile_step
     monkeypatch.setattr(enumeration, "_profile_step", lambda *args: steps.append(1) or step(*args))
-    for length, built, atoms in ((14, 72, 42), (13, 1_898, 126)):
+    for length, built, atoms in ((14, 0, 42), (13, 1_898, 126)):
         steps.clear()
         result = atom_search(ctx372, Stratum(length=length, k=2))
         assert (len(steps), len(result.atoms)) == (built, atoms), length
@@ -848,6 +848,72 @@ def test_split_mask_is_full_unless_the_part_is_constant():
             assert (enumeration._inner_profile(q, inner)[2] == full) != constant, inner
             parts += 1
         assert parts == multiset_count(q - 1, size)
+
+
+def test_constant_part_misses_only_minus_y():
+    # Fact 9: y^(2q - 2) has P = Z_q and R = Z_q without -y.
+    for q in (5, 7, 11, 13):
+        full = (1 << q) - 1
+        for y in range(1, q):
+            total, sums, split = enumeration._inner_profile(q, (y,) * (2 * q - 2))
+            assert (total, sums, split) == (-2 * y % q, full, full & ~(1 << (-y % q))), (q, y)
+
+
+@pytest.mark.parametrize("descriptor", ["3,7,2", "3,7,4", "5,11,3", "3,13,3", "7,29,16"])
+def test_constant_part_atoms_are_the_pairs_hitting_minus_y(descriptor):
+    # The direct listing of fact 9 against the target of every passing pair:
+    # q(p - 1)/2 atoms per constant part, in outer-rank order, and none when
+    # the filter's residue is nonzero.
+    ctx = make_group(descriptor)
+    for residue in (0, None, 1):
+        space = StratumSpace(ctx, Stratum(length=2 * ctx.q, k=2, tau_residue=residue))
+        passing, parts, _, _ = space.outer_table
+        for y in range(1, ctx.q):
+            expected = [
+                (x, part) for x, part in zip(passing, parts)
+                if enumeration._pair_target(ctx, *part, -2 * y % ctx.q) == 1 << (-y % ctx.q)]
+            listed = enumeration._constant_part_atoms(space, y)
+            assert listed == expected, (residue, y)
+            assert len(listed) == (0 if residue == 1 else ctx.q * (ctx.p - 1) // 2)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def test_lemma_path_builds_no_target_row(ctx372, monkeypatch):
+    # A cold window of the length-22 k = 2 stratum at 5,11,3 that meets no
+    # constant block, and the whole length-14 k = 2 stratum at 3,7,2, settle
+    # with no call to _pair_target: only the prefix walk asks for rows.
+    monkeypatch.setattr(enumeration, "_OUTER_TABLES", {})
+    targets = _count_calls(monkeypatch, enumeration, "_pair_target")
+    ctx = make_group("5,11,3")
+    stratum = Stratum(length=22, k=2)
+    space = StratumSpace(ctx, stratum)
+    m, x_count = len(space.y_ground), space.x_count
+    blocks = [rank_multiset((v,) * space.y_size, m) * x_count for v in range(m)]
+    lo = 4_000_000_000
+    assert not any(lo - x_count < first < lo + 3_000 for first in blocks)
+    window = atom_search(ctx, stratum, shard=Shard(0, 1, lo, lo + 3_000))
+    assert window.counters.checked > 0 and targets == []
+    whole = atom_search(ctx372, Stratum(length=14, k=2))
+    assert len(whole.atom_texts) == 42 and targets == []
+    atom_search(ctx372, Stratum(length=13, k=2), shard=Shard(0, 1, 0, 50_000))
+    assert targets
+
+
+def test_k_le_2_claim_builds_one_sequence_per_atom(ctx372, monkeypatch):
+    # With the family built, the k <= 2 claim at 3,7,2 builds each of its
+    # n_f = 42 atoms once, to confirm it and to format it, and never parses
+    # one back.
+    family = extremal_family(ctx372)
+    built = _count_calls(monkeypatch, Sequence, "__init__")
+    report = verify_inverse_theorem(ctx372, "k_le_2")
+    assert report.verified and report.n_f == len(family.forms) == 42
+    assert len(built) <= report.n_f
 
 
 @pytest.mark.parametrize("length,exclude_identity", [(13, True), (14, True), (15, True), (14, False)])

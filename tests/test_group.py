@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from conftest import generator_pairs
 
 from prodone.group import (
     GroupParamError,
@@ -9,7 +10,6 @@ from prodone.group import (
     automorphisms,
     extends_to_automorphism,
     format_element,
-    generator_pairs,
     make_group,
     parse_element,
 )

@@ -2,9 +2,10 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from conftest import generator_pairs
 
 from prodone import invariants, sequences
-from prodone.group import generator_pairs, make_group
+from prodone.group import make_group
 
 from prodone.invariants import (
     atoms_ladder,

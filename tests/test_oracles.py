@@ -10,8 +10,10 @@ from prodone.oracles import (
     naive_pi_set,
     naive_subproducts_set,
     run_lemma,
+    shortest_product_one,
 )
-from prodone.sequences import Sequence, is_atom, pi_set, subproducts_set
+from prodone import make_group
+from prodone.sequences import Sequence, _Lattice, is_atom, pi_set, subproducts_set
 
 
 def test_naive_pi_matches_engine_on_randoms(ctx372):
@@ -116,6 +118,37 @@ def test_short_window_self_witness(ctx372):
     from prodone.sequences import subproducts_set
 
     assert 0 in subproducts_set(ctx372, seq)  # index 0 is the identity
+
+
+def _shortest_by_full_lattice(ctx, seq):
+    """The product-one state of least length, and of least index among those, over the filled lattice."""
+    lattice = _Lattice(ctx, seq, 1 << 22)
+    states = [t for t in range(1, lattice.nstates) if lattice.reach[t] & 1]
+    if not states:
+        return None
+    return lattice.seq_of(min(states, key=lambda t: (lattice.lengths[t], t)))
+
+
+@pytest.mark.parametrize("descriptor", ["3,7,2", "5,11,3"])
+def test_shortest_product_one_matches_the_full_lattice(descriptor, monkeypatch):
+    # The search by length returns the part a pass over the whole lattice
+    # keeps, product-one free sequences included, and on a sequence with a
+    # two-term product-one part it reaches no state of three terms.
+    ctx = make_group(descriptor)
+    rng = random.Random(11)
+    cases = [Sequence.from_indices(rng.choices(range(rng.randrange(2), ctx.n), k=rng.randrange(1, 13)))
+             for _ in range(150)]
+    cases += [Sequence([(1, a), (3, b), (ctx.q + 1, c)]) for a in range(8) for b in range(4) for c in range(3)
+              if a + b + c]
+    for seq in cases:
+        assert shortest_product_one(ctx, seq) == _shortest_by_full_lattice(ctx, seq), seq.format(ctx)
+    g = ctx.q + 2
+    seq = Sequence([(1, 3), (5, 2), (g, 1), (ctx.inv_table[g], 1), (ctx.n - 1, 4)])
+    shifts = []
+    shift = ctx.shift_mask
+    monkeypatch.setattr(ctx, "shift_mask", lambda mask, table: shifts.append(1) or shift(mask, table))
+    assert len(shortest_product_one(ctx, seq)) == 2
+    assert len(shifts) <= 5 + 5 * 5
 
 
 def test_run_lemma_rejects_unknown_id(ctx372):
