@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .enumeration import (
-    SearchCounters, Shard, Stratum, StratumSpace, atom_search, checkpoint_record, digest_add,
-    digest_empty, digest_hex,
+    COUNTER_NAMES, SearchCounters, Shard, Stratum, StratumSpace, atom_search, checkpoint_record,
+    digest_add, digest_empty, digest_hex,
 )
 from .group import GroupParamError, make_group
 from .invariants import (
@@ -144,11 +144,6 @@ class CheckResult:
     caveats: list[str] = field(default_factory=list)
 
 
-_COUNTER_NAMES = (
-    "visited", "filtered_out", "checked", "atoms", "non_atoms", "not_product_one", "unverified",
-)
-
-
 def atom_payload(ctx, seq: Sequence) -> dict:
     """The payload of ``seq``'s atom or non-atom certificate: the engine's verdict, and
     for a non-atom its split into two product-one parts."""
@@ -204,7 +199,7 @@ def _check_scan(space, lo: int, last_rank: int, record: dict, where: str, fail):
         return rescan.counters, rescan.digest, rescan.atom_texts, rescan.unverified_texts
     counters = record["counters"]
     methods = counters["by_method"]
-    values = [counters[name] for name in _COUNTER_NAMES] + list(methods.values())
+    values = [counters[name] for name in COUNTER_NAMES] + list(methods.values())
     if any(type(value) is not int or value < 0 for value in values):
         fail(f"{where}counters are not all non-negative ints")
     else:
@@ -329,7 +324,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
         elif cert.kind == "lemma_report":
             # Every suite is seeded or exhaustive, so running it again is the check.
             # Imported here, as only this kind runs a suite.
-            from .oracles import LEMMA_IDS, run_lemma
+            from .oracles import LEMMA_IDS, MAX_TRIALS, run_lemma
 
             lemma, trials, seed = payload["lemma"], payload["trials"], payload["seed"]
             if lemma not in LEMMA_IDS:
@@ -345,6 +340,8 @@ def check_certificate(cert: Certificate) -> CheckResult:
                 if match is None:
                     raise ValueError(f"payload group {payload['group']!r} is not C_n:mode")
                 cyclic = {"n": int(match[1]), "mode": match[2]}
+            elif trials > MAX_TRIALS:  # the exhaustive scan's count is not capped
+                raise ValueError(f"trials {trials} exceeds the cap of {MAX_TRIALS}")
             expected = run_lemma(ctx, lemma, trials, seed, **cyclic).to_payload()
         elif cert.kind == "checkpoint":
             stratum = Stratum.from_dict(payload["stratum"])

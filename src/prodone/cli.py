@@ -14,8 +14,8 @@ plan.  ``search`` lists every atom of its rank range; its certificate's atom
 list, counters and digest describe the same scan.  ``search --length`` and
 ``--max-candidates``, and ``elasticity --k`` and ``--uk-max-products``, must
 be at least 1; ``search --k`` must lie in [0, length].  Only ``lemmas
---seed`` seeds randomized trials, and ``lemmas --trials`` must be
-non-negative; its certificate records the report's seed (0 for the
+--seed`` seeds randomized trials, and ``lemmas --trials`` must lie in
+[0, ``oracles.MAX_TRIALS``]; its certificate records the report's seed (0 for the
 exhaustive ``cyclic-extremal``).  ``elasticity --uk`` factors each product
 through the one-pass length-set DP of ``sequences.length_set_bounded``.
 """
@@ -54,7 +54,7 @@ from .invariants import (
     uk_bounded,
     verify_inverse_theorem,
 )
-from .oracles import LEMMA_IDS, run_lemma
+from .oracles import LEMMA_IDS, MAX_TRIALS, run_lemma
 from .sequences import ResourceCapError, Sequence, classify, pi_set, subproducts_set
 
 
@@ -323,8 +323,8 @@ def _cmd_elasticity(args) -> int:
 
 def _cmd_lemmas(args) -> int:
     ctx = make_group(args.group)
-    if args.trials < 0:
-        raise ValueError(f"--trials must be non-negative, got {args.trials}")
+    if not 0 <= args.trials <= MAX_TRIALS:
+        raise ValueError(f"--trials must lie in [0, {MAX_TRIALS}], got {args.trials}")
     started = time.perf_counter()
     report = run_lemma(ctx, args.lemma, args.trials, args.seed, n=args.n, mode=args.mode)
     cert = make_certificate(

@@ -43,17 +43,18 @@ engine rejects raises instead of being returned.  The atoms of the extremal
 family, of length 2q with two outer terms, are confirmed once per orbit:
 
 * the family is the union of (p - 1)/2 orbits under Aut, each expanded from
-  a representative R (``invariants.extremal_family``);
-* each map of ``group.automorphisms`` passes a generator check that makes
-  it an automorphism phi;
+  a representative R, term by term (``invariants.extremal_family``, a map
+  from each member's text to its R);
+* each pair (u, v) of ``group.automorphisms`` passes a generator check that
+  makes the closed form ``group.apply_automorphism`` an automorphism phi;
 * phi maps the product-one orderings of a sequence, and its splits into two
   product-one parts, to those of the image, and phi^-1 maps them back, so
   phi(R) is an atom iff R is.
 
-So a member of R's orbit takes the engine's verdict on R, and a scan runs
-the engine once per orbit it meets (``_confirm_atom``).  A representative
-that the engine rejects, or caps, confirms nothing: its orbit's members go
-to the engine one by one.
+So a member of R's orbit, found by its text, takes the engine's verdict on
+R, and a scan runs the engine once per orbit it meets (``_confirm_atom``).
+A representative that the engine rejects, or caps, confirms nothing: its
+orbit's members go to the engine one by one.
 
 The outer-pair closed form.  Elements are (i, j) = t^i a^j with
 (i1, j1)(i2, j2) = (i1 + i2, j1 s^i2 + j2).  Write a candidate as
@@ -233,7 +234,7 @@ import hashlib
 import json
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 from math import comb
@@ -592,35 +593,24 @@ class SearchCounters:
         self.by_method[method] = self.by_method.get(method, 0) + count
 
     def merge(self, other: "SearchCounters") -> None:
-        self.visited += other.visited
-        self.filtered_out += other.filtered_out
-        self.checked += other.checked
-        self.atoms += other.atoms
-        self.non_atoms += other.non_atoms
-        self.not_product_one += other.not_product_one
-        self.unverified += other.unverified
+        for name in COUNTER_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for key, val in other.by_method.items():
             self.by_method[key] = self.by_method.get(key, 0) + val
 
     def to_dict(self) -> dict:
-        return {
-            "visited": self.visited,
-            "filtered_out": self.filtered_out,
-            "checked": self.checked,
-            "atoms": self.atoms,
-            "non_atoms": self.non_atoms,
-            "not_product_one": self.not_product_one,
-            "unverified": self.unverified,
-            "by_method": dict(sorted(self.by_method.items())),
-        }
+        out = {name: getattr(self, name) for name in COUNTER_NAMES}
+        out["by_method"] = dict(sorted(self.by_method.items()))
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchCounters":
-        out = cls(**{k: data[k] for k in (
-            "visited", "filtered_out", "checked", "atoms",
-            "non_atoms", "not_product_one", "unverified")})
-        out.by_method = dict(data.get("by_method", {}))
-        return out
+        return cls(**{name: data[name] for name in COUNTER_NAMES},
+                   by_method=dict(data.get("by_method", {})))
+
+
+#: The verdict counters of ``SearchCounters``, in field order: every field but ``by_method``.
+COUNTER_NAMES = tuple(f.name for f in fields(SearchCounters) if f.name != "by_method")
 
 
 def _abelian_verdict(ctx: GroupCtx, content: tuple[int, ...]) -> str:
@@ -724,16 +714,6 @@ def _outer_pair_verdict(ctx: GroupCtx, inner: list[int], x1: int, x2: int) -> st
     return "non_atom" if split & target else "atom"
 
 
-def _representative(ctx: GroupCtx, seq: Sequence) -> Sequence | None:
-    """The Aut-orbit representative of ``seq`` in the extremal family, built on first use; None outside it."""
-    family = ctx._extremal_family
-    if family is None:
-        from .invariants import extremal_family  # invariants imports this module
-
-        family = extremal_family(ctx)
-    return family.representative.get(seq)
-
-
 def _engine_verdict(ctx: GroupCtx, seq: Sequence) -> AtomVerdict | None:
     """``is_atom``, or None when the engine hits its state cap."""
     try:
@@ -743,20 +723,25 @@ def _engine_verdict(ctx: GroupCtx, seq: Sequence) -> AtomVerdict | None:
 
 
 def _confirm_atom(
-    ctx: GroupCtx, seq: Sequence, method: str, verdicts: dict | None = None
+    ctx: GroupCtx, seq: Sequence, text: str, method: str, verdicts: dict | None = None
 ) -> tuple[str, AtomVerdict | None]:
-    """Confirm a closed-form atom with the engine, once per orbit of the extremal family.
+    """Confirm a closed-form atom ``seq``, whose text is ``text``, with the engine, once per orbit of the extremal family.
 
-    A length-2q ``outer_pair`` atom in the extremal family takes the verdict
-    on its orbit's representative, which ``verdicts`` (a scan's memo, keyed
-    by representative) keeps; a representative that the engine rejects, or
-    caps, confirms nothing.  Every other atom goes to the engine.  Returns
-    ("atom", verdict), or ("unverified", None) when the engine hits its state
-    cap; raises when the engine finds no atom.
+    A length-2q ``outer_pair`` atom in the extremal family (built on first
+    use) takes the verdict on its orbit's representative, which ``verdicts``
+    (a scan's memo, keyed by representative) keeps; a representative that
+    the engine rejects, or caps, confirms nothing.  Every other atom goes to
+    the engine.  Returns ("atom", verdict), or ("unverified", None) when the
+    engine hits its state cap; raises when the engine finds no atom.
     """
     verdict = None
     if method == "outer_pair" and len(seq) == 2 * ctx.q:
-        rep = _representative(ctx, seq)
+        family = ctx._extremal_family
+        if family is None:
+            from .invariants import extremal_family  # invariants imports this module
+
+            family = extremal_family(ctx)
+        rep = family.get(text)
         if rep is not None:
             verdicts = {} if verdicts is None else verdicts
             if rep not in verdicts:
@@ -846,7 +831,8 @@ def classify_candidate(
             method, kind = "abelian", _abelian_verdict(ctx, content)
         if kind != "atom":
             return kind, method, None
-        kind, verdict = _confirm_atom(ctx, Sequence.from_indices(content), method, verdicts)
+        seq = Sequence.from_indices(content)
+        kind, verdict = _confirm_atom(ctx, seq, seq.format(ctx), method, verdicts)
         return kind, method, verdict
     if sum(idx // ctx.q for idx in outer) % ctx.p:
         return "not_product_one", "degree", None
@@ -972,10 +958,10 @@ class _Scan:
     def classify(self, content: tuple[int, ...]) -> None:
         kind, method, _ = classify_candidate(self.space.ctx, content, self.verdicts)
         listed = kind in ("atom", "unverified")
-        self.add(kind, method, Sequence.from_indices(content) if listed else None)
+        self.add(kind, method, Sequence.from_indices(content).format(self.space.ctx) if listed else None)
 
-    def add(self, kind: str, method: str, seq: Sequence | None = None) -> None:
-        """Count one verdict; an atom or an unverified candidate ``seq`` is listed as its text."""
+    def add(self, kind: str, method: str, text: str | None = None) -> None:
+        """Count one verdict; an atom or an unverified candidate is listed as its ``text``."""
         counters = self.counters
         counters.note_method(method)
         if kind == "non_atom":
@@ -984,12 +970,11 @@ class _Scan:
             counters.not_product_one += 1
         elif kind == "atom":
             counters.atoms += 1
-            text = seq.format(self.space.ctx)
             self.atoms.append(text)
             self.digest = digest_add(self.digest, text)
         else:
             counters.unverified += 1
-            self.unverified.append(seq.format(self.space.ctx))
+            self.unverified.append(text)
 
     def blocks(self, lo: int, hi: int) -> None:
         space, counters, k = self.space, self.counters, self.space.stratum.k
@@ -1039,8 +1024,9 @@ class _Scan:
 
         def atom(content: tuple[int, ...]) -> None:
             seq = Sequence.from_indices(content)
-            kind, _ = _confirm_atom(ctx, seq, "outer_pair", self.verdicts)
-            self.add(kind, "outer_pair", seq)
+            text = seq.format(ctx)
+            kind, _ = _confirm_atom(ctx, seq, text, "outer_pair", self.verdicts)
+            self.add(kind, "outer_pair", text)
 
         def pairs(y_rank: int, inner: tuple[int, ...], profile: tuple[int, int, int]) -> None:
             """Fact 6: the passing pairs of the <a>-part ``inner``, of y-rank ``y_rank``, inside [lo, hi)."""

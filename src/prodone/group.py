@@ -91,6 +91,7 @@ class GroupCtx:
         self.s = s % q
         self.n = p * q
         self.spow = [pow(self.s, i, q) for i in range(p)]
+        self.sigma = list(accumulate(self.spow[:-1], initial=0))  # sigma_d = 1 + s + ... + s^(d-1)
         self.inv_table = [0] * self.n
         for i in range(self.n):
             a, b = divmod(i, q)
@@ -100,7 +101,6 @@ class GroupCtx:
         self.order_table = [self._order_by_iteration(i) for i in range(self.n)]
         self._cayley: list[int] | None = None
         self._shift_tables: dict[int, list[int]] = {}
-        self._automorphisms: list[tuple[int, ...]] | None = None
         self._conjugacy_classes: list[frozenset[int]] | None = None
         self._extremal_family = None  # built by ``invariants.extremal_family``
 
@@ -331,34 +331,28 @@ def extends_to_automorphism(ctx: GroupCtx, t_image: Element, a_image: Element) -
     )
 
 
-def automorphisms(ctx: GroupCtx) -> list[tuple[int, ...]]:
-    """The automorphism group as index permutations, the identity first.
+def automorphisms(ctx: GroupCtx) -> list[tuple[int, int]]:
+    """The automorphism group as the pairs (u, v) of ``apply_automorphism``, the identity (1, 0) first.
 
     Every element outside <a> has order p, so an automorphism sends a to some
     (0, u), u != 0, and t to some (e, v); the relation reads
     (e, u*s^e + v) = (e, v + u*s), so s^(e-1) = 1 and e = 1.  The q(q-1)
     pairs t -> (1, v), a -> (0, u) are kept when they pass
-    ``extends_to_automorphism``.  As (1, v)^d = (d, v*sigma_d) with
-    sigma_d = 1 + s + ... + s^(d-1), the map is the closed form
-    (d, j) -> (d, u*j + v*sigma_d): its row d is that of v = 0 rotated by
-    v*sigma_d/u, one slice of the doubled row.
+    ``extends_to_automorphism``.
     """
-    if ctx._automorphisms is None:
-        p, q = ctx.p, ctx.q
-        sigma = list(accumulate(ctx.spow[:-1], initial=0))
-        result = []
-        for u in range(1, q):
-            u_inv = pow(u, -1, q)
-            rows = [[d * q + u * j % q for j in range(q)] * 2 for d in range(p)]
-            for v in range(q):
-                if extends_to_automorphism(ctx, (1, v), (0, u)):
-                    table: list[int] = []
-                    for d in range(p):
-                        k = v * sigma[d] * u_inv % q
-                        table += rows[d][k:k + q]
-                    result.append(tuple(table))
-        ctx._automorphisms = result
-    return ctx._automorphisms
+    return [(u, v) for u in range(1, ctx.q) for v in range(ctx.q)
+            if extends_to_automorphism(ctx, (1, v), (0, u))]
+
+
+def apply_automorphism(ctx: GroupCtx, u: int, v: int, idx: int) -> int:
+    """The image of the element of index ``idx`` under t -> (1, v), a -> (0, u).
+
+    As (1, v)^d = (d, v*sigma_d) with sigma_d = 1 + s + ... + s^(d-1), and
+    (0, u)^j = (0, u*j), the map is the closed form
+    (d, j) -> (d, u*j + v*sigma_d).
+    """
+    d, j = divmod(idx, ctx.q)
+    return d * ctx.q + (u * j + v * ctx.sigma[d]) % ctx.q
 
 
 # -- text forms --------------------------------------------------------

@@ -38,7 +38,7 @@ import os
 from dataclasses import dataclass
 
 from .enumeration import Stratum, StratumSpace, run_sharded
-from .group import Element, GroupCtx, automorphisms
+from .group import Element, GroupCtx, apply_automorphism, automorphisms
 from .sequences import (
     ResourceCapError,
     Sequence,
@@ -360,63 +360,51 @@ def extremal_atom(ctx: GroupCtx, x: Element, y: Element) -> ExtremalForm:
     return ExtremalForm(x=x, y=y, s_eff=s_eff, sequence=seq)
 
 
-@dataclass(frozen=True)
-class ExtremalFamily:
-    """The realized extremal atoms of one group, as orbits under Aut.
-
-    ``forms`` are sorted by sequence; ``representative`` maps each member to
-    the representative of its orbit; ``texts`` holds the members' texts.
-    """
-
-    forms: tuple[ExtremalForm, ...]
-    representative: dict[Sequence, Sequence]
-    texts: frozenset[str]
-
-
-def extremal_family(ctx: GroupCtx) -> ExtremalFamily:
-    """The extremal family of ``ctx``, built once per context; the engine does not run here.
+def extremal_family(ctx: GroupCtx) -> dict[str, Sequence]:
+    """The extremal family of ``ctx`` as member text -> orbit representative, built once per context.
 
     An automorphism maps the form of a pair (x, y) to that of its image.  The
-    maps of ``automorphisms`` take ((d, 0), (0, 1)) to ((d, v*sigma_d), (0, u)),
-    and sigma_d is a unit mod q, so ``extremal_atom(ctx, (d, 0), (0, 1))``,
-    d = 1 .. p-1, reach every form.  The closer of degree p - d forms the
-    same sequence with y, so d and p - d share an orbit: the first of each
-    is kept and expanded by Aut, and an orbit with fewer than |Aut| members
-    raises.  A member's form takes its lower outer term as x, as the first
-    of its two generator pairs does, and s_eff = s^d for x of degree d.
+    pairs (u, v) of ``automorphisms`` take ((d, 0), (0, 1)) to
+    ((d, v*sigma_d), (0, u)), and sigma_d is a unit mod q, so
+    ``extremal_atom(ctx, (d, 0), (0, 1))``, d = 1 .. p-1, reach every form.
+    The closer of degree p - d forms the same sequence with y, so d and p - d
+    share an orbit: the first of each is kept.  Its three distinct terms are
+    mapped by ``apply_automorphism`` under every pair, and an orbit with
+    fewer than |Aut| members raises.  The engine does not run here.
     """
     family = ctx._extremal_family
     if family is None:
         auts = automorphisms(ctx)
-        representative: dict[Sequence, Sequence] = {}
+        family = {}
         for d in range(1, ctx.p):
             rep = extremal_atom(ctx, (d, 0), (0, 1)).sequence
-            if rep in representative:
+            if rep.format(ctx) in family:
                 continue
-            orbit = {rep.map_indices(table) for table in auts}
+            orbit = {Sequence((apply_automorphism(ctx, u, v, idx), mult) for idx, mult in rep.entries)
+                     .format(ctx) for u, v in auts}
             if len(orbit) != len(auts):
                 raise AssertionError(
                     f"the orbit of {rep.format(ctx)} has {len(orbit)} members, not |Aut| = {len(auts)}"
                 )
-            representative.update(dict.fromkeys(orbit, rep))
-        forms = []
-        for seq in sorted(representative):
-            (y, _), *outer = seq.entries
-            x = outer[0][0]
-            forms.append(ExtremalForm(ctx.coords(x), ctx.coords(y), ctx.spow[x // ctx.q], seq))
-        family = ctx._extremal_family = ExtremalFamily(
-            tuple(forms), representative, frozenset(form.sequence.format(ctx) for form in forms))
+            family.update(dict.fromkeys(orbit, rep))
+        ctx._extremal_family = family
     return family
 
 
 def extremal_atoms_all(ctx: GroupCtx) -> list[ExtremalForm]:
     """The distinct realized forms of all generator pairs, sorted by sequence.
 
+    A form takes the lower outer term of its sequence as x, as the first of
+    its two generator pairs does, and s_eff = s^d for x of degree d.
     ``verify_inverse_theorem`` is verified only when its scan lists every
     form, and the scan confirms each atom it lists, so a form that is not an
     atom makes the verdict false.
     """
-    return list(extremal_family(ctx).forms)
+    forms = []
+    for seq in sorted(Sequence.parse(ctx, text) for text in extremal_family(ctx)):
+        (y, _), (x, _), _ = seq.entries
+        forms.append(ExtremalForm(ctx.coords(x), ctx.coords(y), ctx.spow[x // ctx.q], seq))
+    return forms
 
 
 # -- stratified scans -----------------------------------------------------------
@@ -507,12 +495,12 @@ def scope_ks(scope: str, length: int) -> list[int]:
 def inverse_report(ctx: GroupCtx, scope: str, strata: list[StratumReport]) -> InverseReport:
     """The report on the scanned ``strata`` of length 2q: their atoms matched against
     the realized extremal set, every other atom listed as an exception."""
-    forms = extremal_family(ctx).texts
+    family = extremal_family(ctx)
     matched = 0
     exceptions: list[str] = []
     for rep in strata:
         for text in rep.atoms:
-            if text in forms and rep.k == 2:
+            if text in family and rep.k == 2:
                 matched += 1
             else:
                 exceptions.append(text)
@@ -520,7 +508,7 @@ def inverse_report(ctx: GroupCtx, scope: str, strata: list[StratumReport]) -> In
         group=ctx.params.descriptor(),
         length=2 * ctx.q,
         scope=scope,
-        n_f=len(forms),
+        n_f=len(family),
         strata=strata,
         matched=matched,
         exceptions=exceptions,

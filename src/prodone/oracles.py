@@ -44,6 +44,13 @@ from .sequences import AtomVerdict, ProductSet, Sequence, _Lattice, classify, pi
 
 NAIVE_MAX_LEN = 8
 
+#: Most trials of a randomized suite: ``lemmas --trials`` and the
+#: ``lemma_report`` checker reject more, so re-checking a report is bounded.
+#: The slowest suite, ``outer-term-spread``, runs 10^4 trials in about 1 s
+#: at 3,7,2 and 10 s at 3,13,3 (2-vCPU Xeon).  The exhaustive
+#: ``cyclic-extremal`` counts the sequences it scans as trials; n bounds it.
+MAX_TRIALS = 10_000
+
 LEMMA_IDS = (
     "cauchy-davenport",
     "cyclic-extremal",

@@ -1,6 +1,7 @@
 import pytest
 
 from prodone import make_group
+from prodone.group import apply_automorphism, automorphisms
 
 
 def generator_pairs(ctx):
@@ -20,6 +21,12 @@ def generator_pairs(ctx):
             t = z[1] * pow(y[1], -1, ctx.q) % ctx.q
             pairs.append((x, y, t))
     return pairs
+
+
+def automorphism_tables(ctx):
+    """Each automorphism of ``group.automorphisms`` as the tuple of its images of the indices 0 .. n-1."""
+    return [tuple(apply_automorphism(ctx, u, v, idx) for idx in range(ctx.n))
+            for u, v in automorphisms(ctx)]
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -32,7 +33,7 @@ from prodone.invariants import (
     small_davenport,
     verify_inverse_theorem,
 )
-from prodone.oracles import run_lemma
+from prodone.oracles import MAX_TRIALS, run_lemma
 from prodone.sequences import Sequence, is_atom
 
 
@@ -268,6 +269,27 @@ def test_lemma_certificate(ctx372):
     outcome = check_certificate(cert)
     assert outcome.ok
     assert outcome.caveats == []  # the checker runs the seeded trials again
+
+
+def test_lemma_report_claiming_more_trials_than_the_cap_fails_without_running_them(ctx372):
+    payload = run_lemma(ctx372, "outer-term-spread", trials=5, seed=1).to_payload()
+    payload["trials"] = 10**9
+    started = time.perf_counter()
+    outcome = check_certificate(make_certificate("lemma_report", "3,7,2", payload, seed=1))
+    assert time.perf_counter() - started < 1.0
+    assert not outcome.ok
+    assert outcome.messages == [f"malformed payload: trials 1000000000 exceeds the cap of {MAX_TRIALS}"]
+
+
+def test_lemma_reports_at_the_cap_pass(ctx372):
+    # A randomized suite at exactly MAX_TRIALS trials, and the exhaustive
+    # cyclic-extremal scan, whose count of scanned sequences is not capped
+    # (13,296 at n = 17).
+    report = run_lemma(ctx372, "cauchy-davenport", trials=MAX_TRIALS, seed=1)
+    assert check_certificate(make_certificate("lemma_report", "3,7,2", report.to_payload(), seed=1)).ok
+    report = run_lemma(ctx372, "cyclic-extremal", trials=0, n=17)
+    assert report.trials > MAX_TRIALS
+    assert check_certificate(make_certificate("lemma_report", "3,7,2", report.to_payload(), seed=0)).ok
 
 
 def _cauchy_davenport_payload(ctx372):
@@ -556,6 +578,25 @@ def test_inverse_report_forged_filter_count_is_rejected(ctx372):
         outcome = _check_inverse(payload)
         assert not outcome.ok
         assert any("filtered_out" in m for m in outcome.messages)
+
+
+@pytest.fixture(scope="module")
+def inverse_payload_11232():
+    ctx = make_group("11,23,2")
+    return verify_inverse_theorem(ctx, "k_le_2").to_payload()
+
+
+@pytest.mark.parametrize("counter", ["atoms", "non_atoms", "not_product_one"])
+def test_inverse_report_forged_k2_counter_at_11_23_2_is_rejected(inverse_payload_11232, counter):
+    # A genuine report at a pair with p = 11, one k = 2 counter raised by one
+    # and the certificate digested again: only the checker's re-scan can
+    # catch it.
+    payload = json.loads(json.dumps(inverse_payload_11232))
+    assert check_certificate(make_certificate("inverse_report", "11,23,2", payload, seed=0)).ok
+    payload["strata"][2]["counters"][counter] += 1
+    outcome = check_certificate(make_certificate("inverse_report", "11,23,2", payload, seed=0))
+    assert not outcome.ok
+    assert any(m.startswith(f"strata[2].counters.{counter}: ") for m in outcome.messages)
 
 
 def _checkpoint_payload(ctx, max_candidates=None, k=2):
@@ -1168,6 +1209,15 @@ def test_cli_lemmas_rejects_negative_trials(capsys):
     )
     assert code == 2
     assert out == "" and "--trials" in err
+
+
+def test_cli_lemmas_rejects_trials_above_the_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "lemmas", "--group", "3,7,2", "--lemma", "cauchy-davenport",
+        "--trials", str(MAX_TRIALS + 1),
+    )
+    assert code == 2
+    assert out == "" and "--trials" in err and str(MAX_TRIALS) in err
 
 
 def test_cli_elasticity(capsys, tmp_path):

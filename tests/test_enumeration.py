@@ -6,6 +6,7 @@ import os
 import random
 
 import pytest
+from conftest import automorphism_tables
 
 from prodone import enumeration, sequences
 from prodone.certificates import check_certificate, make_certificate
@@ -29,7 +30,7 @@ from prodone.enumeration import (
     run_sharded,
     unrank_multiset,
 )
-from prodone.group import automorphisms, make_group
+from prodone.group import make_group
 from prodone.invariants import extremal_atoms_all, extremal_family, verify_inverse_theorem
 from prodone.sequences import AtomVerdict, Sequence, is_atom
 
@@ -912,7 +913,7 @@ def test_k_le_2_claim_builds_one_sequence_per_atom(ctx372, monkeypatch):
     family = extremal_family(ctx372)
     built = _count_calls(monkeypatch, Sequence, "__init__")
     report = verify_inverse_theorem(ctx372, "k_le_2")
-    assert report.verified and report.n_f == len(family.forms) == 42
+    assert report.verified and report.n_f == len(family) == 42
     assert len(built) <= report.n_f
 
 
@@ -1016,7 +1017,7 @@ def test_digest_is_order_independent():
 
 
 def test_extremal_orbit_size_divides_aut_order(ctx372):
-    auts = automorphisms(ctx372)
+    auts = automorphism_tables(ctx372)
     seq = Sequence.parse(ctx372, "(0,1)^12,(1,0),(2,5)")
     size = len({seq.map_indices(table) for table in auts})
     assert len(auts) % size == 0
@@ -1036,8 +1037,8 @@ def test_orbit_members_take_their_representatives_verdict(monkeypatch):
 
     monkeypatch.setattr(enumeration, "is_atom", counted)
     family = extremal_family(ctx)
-    member = family.forms[5].sequence
-    rep = family.representative[member]
+    member = extremal_atoms_all(ctx)[5].sequence
+    rep = family[member.format(ctx)]
     assert member != rep
     content, verdicts = member.indices(), {}
     assert classify_candidate(ctx, content, verdicts) == ("atom", "outer_pair", AtomVerdict(True, True))

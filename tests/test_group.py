@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from conftest import generator_pairs
+from conftest import automorphism_tables, generator_pairs
 
 from prodone.group import (
     GroupParamError,
@@ -182,7 +182,8 @@ def test_subgroup_generated(ctx372):
 
 
 def test_automorphisms(ctx372):
-    auts = automorphisms(ctx372)
+    assert automorphisms(ctx372)[0] == (1, 0)
+    auts = automorphism_tables(ctx372)
     assert tuple(range(ctx372.n)) in auts
     assert len(auts) == AUT_COUNT_372
     # Multiplicative on all pq^2 pairs, order-preserving, commutator-preserving.
@@ -223,13 +224,16 @@ def _brute_force_automorphisms(ctx):
 
 @pytest.mark.parametrize("descriptor", ["3,7,2", "3,7,4", "5,11,3", "3,13,3"])
 def test_closed_form_automorphisms_match_the_brute_force_oracle(descriptor):
+    # The closed form on every element against the brute-force maps.
     ctx = make_group(descriptor)
-    auts = automorphisms(ctx)
-    assert auts[0] == tuple(range(ctx.n))
+    pairs = automorphisms(ctx)
+    auts = automorphism_tables(ctx)
+    assert pairs[0] == (1, 0) and auts[0] == tuple(range(ctx.n))
     assert len(auts) == len(set(auts)) == ctx.q * (ctx.q - 1)
     assert set(auts) == set(_brute_force_automorphisms(ctx))
     # Each map is the one its generator images determine, and they pass the check.
-    for table in auts:
+    for (u, v), table in zip(pairs, auts):
+        assert (ctx.coords(table[ctx.q]), ctx.coords(table[1])) == ((1, v), (0, u))
         assert extends_to_automorphism(ctx, ctx.coords(table[ctx.q]), ctx.coords(table[1]))
 
 

@@ -261,17 +261,17 @@ def test_extremal_family_equals_the_generator_pair_construction(descriptor):
         seen.setdefault(form.sequence, form)
     assert extremal_atoms_all(ctx) == sorted(seen.values(), key=lambda f: f.sequence)
     family = extremal_family(ctx)
-    assert len(family.forms) == ctx.q * (ctx.q - 1) * (ctx.p - 1) // 2
+    assert len(family) == ctx.q * (ctx.q - 1) * (ctx.p - 1) // 2
+    assert set(family) == {form.sequence.format(ctx) for form in seen.values()}
     # The representatives of d and p - d share an orbit; the first is kept.
-    assert set(family.representative.values()) == {
+    assert set(family.values()) == {
         extremal_atom(ctx, (d, 0), (0, 1)).sequence for d in range(1, (ctx.p + 1) // 2)}
     assert extremal_family(ctx) is family
 
 
 def test_extremal_family_rejects_an_orbit_smaller_than_aut(monkeypatch):
     ctx = make_group("3,7,2")
-    identity = tuple(range(ctx.n))
-    monkeypatch.setattr(invariants, "automorphisms", lambda ctx: [identity, identity])
+    monkeypatch.setattr(invariants, "automorphisms", lambda ctx: [(1, 0), (1, 0)])
     with pytest.raises(AssertionError, match="1 members, not"):
         extremal_family(ctx)
 
