@@ -12,7 +12,9 @@ extremal matches, the seeded or exhaustive lemma suites, the small Davenport
 DFS) plus the claimed fields it cannot re-derive, after the checks those
 fields admit.  The certificate's own ``seed`` must be its payload's for the
 kinds that record one, and null otherwise.  One claim stays a caveat in the
-verdict: the exhaustiveness of a k >= 3 scan.
+verdict: the exhaustiveness of a k >= 3 scan.  A checkpoint whose shard label
+(index of n_shards) is not ``shard_at``'s interval gets a caveat too: the
+check covers the recorded rank interval, not the label.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .enumeration import (
     COUNTER_NAMES, SearchCounters, Shard, Stratum, StratumSpace, atom_search, checkpoint_record,
-    digest_add, digest_empty, digest_hex,
+    digest_add, digest_empty, digest_hex, shard_at,
 )
 from .group import GroupParamError, make_group
 from .invariants import (
@@ -324,7 +326,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
         elif cert.kind == "lemma_report":
             # Every suite is seeded or exhaustive, so running it again is the check.
             # Imported here, as only this kind runs a suite.
-            from .oracles import LEMMA_IDS, MAX_TRIALS, run_lemma
+            from .oracles import LEMMA_IDS, MAX_CYCLIC_N, MAX_TRIALS, run_lemma
 
             lemma, trials, seed = payload["lemma"], payload["trials"], payload["seed"]
             if lemma not in LEMMA_IDS:
@@ -340,6 +342,8 @@ def check_certificate(cert: Certificate) -> CheckResult:
                 if match is None:
                     raise ValueError(f"payload group {payload['group']!r} is not C_n:mode")
                 cyclic = {"n": int(match[1]), "mode": match[2]}
+                if cyclic["n"] > MAX_CYCLIC_N:
+                    raise ValueError(f"n {cyclic['n']} exceeds the cap of {MAX_CYCLIC_N}")
             elif trials > MAX_TRIALS:  # the exhaustive scan's count is not capped
                 raise ValueError(f"trials {trials} exceeds the cap of {MAX_TRIALS}")
             expected = run_lemma(ctx, lemma, trials, seed, **cyclic).to_payload()
@@ -365,6 +369,11 @@ def check_certificate(cert: Certificate) -> CheckResult:
             )
             if last_rank != hi - 1:
                 result.caveats.append("checkpoint covers a partial scan")
+            if shard is not None and shard != shard_at(space.total, shard.n_shards, shard.index):
+                result.caveats.append(
+                    f"shard label {shard.index} of {shard.n_shards} does not name the rank "
+                    f"interval [{lo}, {hi}); only the interval was checked"
+                )
             if stratum.k is None or stratum.k > 2:
                 result.caveats.append(
                     "coverage of the rank interval requires re-running the shard"

@@ -16,7 +16,8 @@ list, counters and digest describe the same scan.  ``search --length`` and
 be at least 1; ``search --k`` must lie in [0, length].  Only ``lemmas
 --seed`` seeds randomized trials, and ``lemmas --trials`` must lie in
 [0, ``oracles.MAX_TRIALS``]; its certificate records the report's seed (0 for the
-exhaustive ``cyclic-extremal``).  ``elasticity --uk`` factors each product
+exhaustive ``cyclic-extremal``, whose ``--n``, q by default, may not exceed
+``oracles.MAX_CYCLIC_N``).  ``elasticity --uk`` factors each product
 through the one-pass length-set DP of ``sequences.length_set_bounded``.
 """
 
@@ -54,7 +55,7 @@ from .invariants import (
     uk_bounded,
     verify_inverse_theorem,
 )
-from .oracles import LEMMA_IDS, MAX_TRIALS, run_lemma
+from .oracles import LEMMA_IDS, MAX_CYCLIC_N, MAX_TRIALS, run_lemma
 from .sequences import ResourceCapError, Sequence, classify, pi_set, subproducts_set
 
 
@@ -134,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lem.add_argument("--lemma", required=True, choices=LEMMA_IDS)
     p_lem.add_argument("--trials", type=int, default=1000)
     p_lem.add_argument("--seed", type=int, default=0)
-    p_lem.add_argument("--n", type=int, default=None, help="cyclic order for cyclic-extremal")
+    p_lem.add_argument("--n", type=int, default=None,
+                       help=f"cyclic order for cyclic-extremal (default q, at most {MAX_CYCLIC_N})")
     p_lem.add_argument("--mode", choices=("multiplicity", "extremal"), default="extremal")
     p_lem.add_argument("--emit-cert", metavar="FILE")
 
@@ -325,8 +327,11 @@ def _cmd_lemmas(args) -> int:
     ctx = make_group(args.group)
     if not 0 <= args.trials <= MAX_TRIALS:
         raise ValueError(f"--trials must lie in [0, {MAX_TRIALS}], got {args.trials}")
+    n = ctx.q if args.n is None else args.n
+    if args.lemma == "cyclic-extremal" and n > MAX_CYCLIC_N:
+        raise ValueError(f"--n must be at most {MAX_CYCLIC_N} (default q), got {n}")
     started = time.perf_counter()
-    report = run_lemma(ctx, args.lemma, args.trials, args.seed, n=args.n, mode=args.mode)
+    report = run_lemma(ctx, args.lemma, args.trials, args.seed, n=n, mode=args.mode)
     cert = make_certificate(
         "lemma_report", ctx.params.descriptor(), report.to_payload(),
         seed=report.seed, wall_s=time.perf_counter() - started,

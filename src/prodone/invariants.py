@@ -12,9 +12,9 @@ over <a> and R over the other cosets, and A.R is sorted-free iff A is
 zero-sum-free, R is sorted-free and no subset sum of A cancels the
 <a>-coordinate of a sorted product of R that lies in <a> (the split lemma,
 proved at ``small_davenport``).  ``CosetTails`` walks every such R once
-and tallies it by row 0 of its forbidden set, those coordinates negated; the
-walk takes the count of a prefix A's tails from the tally whenever no record
-check could run among them.
+and tallies it by row 0 of its forbidden set with e, those coordinates
+negated, and 0; the walk takes the count of a prefix A's tails from the
+tally whenever no record check could run among them.
 ``extremal_atom`` realizes the long-atom shape
 
     y^[q-1] . x . y^[q-1] . x^(p-1) y^(s_eff^(p-1)+1)
@@ -80,55 +80,72 @@ def _child_moves(ctx: GroupCtx):
 
     ``heads[g]`` moves into g's row and the later rows, which a child's live
     set reads; ``tails[g]`` are the other moves, which complete D'.  For g in
-    the last row, ``turns[g]`` is the rotation of its one head move.
+    the last row, ``steps[g - (p-1)q]`` holds the rotations of its moves into
+    rows 0, p-1 and p-2, then its moves into rows 1 to p-3 (``CosetTails``).
     """
     q, last = ctx.q, (ctx.p - 1) * ctx.q
-    heads, tails, turns = [], [], [0] * ctx.n
+    heads, tails, steps = [], [], []
     for g in range(ctx.n):
         plan = ctx.left_shift_plan(ctx.inv_table[g])
         start = g - g % q
         heads.append(tuple(move for move in plan if move[1] >= start))
         tails.append(tuple(move for move in plan if move[1] < start))
         if g >= last:
-            ((_, _, turns[g]),) = heads[g]
-    return heads, tails, turns
+            back = {dst: back for _, dst, back in plan}
+            steps.append((back[0], back[last], back[last - q],
+                          tuple(move for move in plan if 0 < move[1] < last - q)))
+    return heads, tails, steps
 
 
 class CosetTails:
     """The sorted-free R over the cosets t^i<a>, i >= 1, tallied once per group.
 
     The walk is ``small_davenport``'s without record checks.  Each R counts
-    under row 0 of its forbidden set D_R, the negated <a>-coordinates of its
-    sorted products in <a>, as (number of such R, greatest length); the
-    empty R counts under 0.  A leaf needs only that row: one rotation.
-    ``entries`` holds the tally as (C_R, number, greatest length), the
-    row negated back once per key, so R extends A iff C_R misses -Sigma*(A),
-    row 0 of D_A + {e}.
+    under row 0 of D_R + {e}, its forbidden set's row with e: the negated
+    <a>-coordinates of its sorted products in <a>, and 0.  The count is
+    (number of such R, greatest length); the empty R counts under {0}.  A
+    leaf needs only that row: one rotation.  ``entries`` holds the tally as
+    (C_R, number, greatest length), the row negated back without 0 once per
+    key, so R extends A iff C_R misses -Sigma*(A), row 0 of D_A + {e}.
+
+    Nearly every node lies in the last row t^(p-1)<a>: once the walk meets a
+    last-row child, the node's later children and all their subtrees lie in
+    that row.  From there ``walk_last`` keeps the rows apart: the live set
+    shifted down to q bits, rows 0 to p-3 of D + {e} still packed, and rows
+    p-2 and p-1 as q-bit ints.  A last-row g has g^-1 of t-degree 1, so
+    g^-1 * (D + {e}) moves row r to row r + 1 mod p, rotated
+    (``GroupCtx.left_shift_plan``).  A child reads two rows of that image:
+    its last row, row p-2 rotated, which its live set misses, and its row 0,
+    row p-1 rotated, which joins row 0 of D + {e} as the child's key.  Only
+    a child with live children of its own moves the other rows: row p-2
+    into row p-1, row p-3 into row p-2 and rows 0 to p-4 into rows 1 to
+    p-3, a loop that is empty at p = 3.
     """
 
     def __init__(self, ctx: GroupCtx):
         n, p, q = ctx.n, ctx.p, ctx.q
-        heads, tails, turns = _child_moves(ctx)
+        heads, tails, steps = _child_moves(ctx)
         last = (p - 1) * q
         penult = last - q
+        third = penult - q
         row = (1 << q) - 1
         double = 1 | 1 << q
         into_row0 = {g: move for g in range(q, n) for move in tails[g] if move[1] == 0}
-        found = {0: [1, 0]}  # row 0 of D_R -> [count, greatest length]
+        found = {1: [1, 0]}  # row 0 of D_R + {e} -> [count, greatest length]
 
         def walk(live: int, forbidden: int, depth: int) -> None:
             closed = forbidden | 1
-            doubled = (closed >> penult & row) * double
             depth += 1
             while live:
                 low = live & -live
                 g = low.bit_length() - 1
-                if g >= last:
-                    image = (doubled >> turns[g] & row) << last
-                else:
-                    image = 0
-                    for src, dst, back in heads[g]:
-                        image |= ((closed >> src & row) * double >> back & row) << dst
+                if g >= last:  # and so are the later children and their subtrees
+                    walk_last(live >> last, closed & (1 << penult) - 1, closed >> penult & row,
+                              forbidden >> last, depth)
+                    return
+                image = 0
+                for src, dst, back in heads[g]:
+                    image |= ((closed >> src & row) * double >> back & row) << dst
                 kids = live & ~image
                 if kids:
                     for src, dst, back in tails[g]:
@@ -137,9 +154,34 @@ class CosetTails:
                 else:
                     src, _, back = into_row0[g]
                     image = (closed >> src & row) * double >> back
-                entry = found.get((forbidden | image) & row)
+                entry = found.get((closed | image) & row)
                 if entry is None:
-                    found[(forbidden | image) & row] = [1, depth]
+                    found[(closed | image) & row] = [1, depth]
+                else:
+                    entry[0] += 1
+                    if entry[1] < depth:
+                        entry[1] = depth
+                live ^= low
+
+        def walk_last(live: int, packed: int, penult_row: int, last_row: int, depth: int) -> None:
+            doubled_third = (packed >> third & row) * double
+            doubled_penult = penult_row * double
+            doubled_last = last_row * double
+            while live:
+                low = live & -live
+                to_zero, to_last, to_penult, middle = steps[low.bit_length() - 1]
+                child = packed | (doubled_last >> to_zero & row)
+                up = doubled_penult >> to_last & row
+                kids = live & ~up
+                if kids:
+                    for src, dst, back in middle:
+                        child |= ((packed >> src & row) * double >> back & row) << dst
+                    walk_last(kids, child,
+                              penult_row | (doubled_third >> to_penult & row),
+                              last_row | up, depth + 1)
+                entry = found.get(child & row)
+                if entry is None:
+                    found[child & row] = [1, depth]
                 else:
                     entry[0] += 1
                     if entry[1] < depth:
@@ -147,11 +189,11 @@ class CosetTails:
                 live ^= low
 
         walk(((1 << n) - 1) >> q << q, 0, 0)
-        del walk  # the closure refers to itself: let ``found`` go with the tally
+        del walk, walk_last  # the closures refer to themselves: let ``found`` go with the tally
         self.entries = []
         while found:  # popped as the entries grow, so the tally is never held twice
             mask, (count, longest) = found.popitem()
-            self.entries.append((sum(1 << -c % q for c in range(q) if mask >> c & 1), count, longest))
+            self.entries.append((sum(1 << -c % q for c in range(1, q) if mask >> c & 1), count, longest))
 
     @staticmethod
     def narrow(entries: list, zero_row: int) -> list:
@@ -230,13 +272,14 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
     So the sorted-free R that extend a zero-sum-free A, and with them their
     number and greatest length, depend on A only through Sigma*(A).
     ``CosetTails`` walks every sorted-free R once and tallies it by row 0 of
-    D_R, which is -C_R, so R extends A iff that row misses Sigma*(A).  D_A
-    holds the inverses (0, -u) of A's products, so Sigma*(A) is the negated
-    row 0 of D_A + {e}; equally, R extends A iff C_R misses that row.  The
-    number of extensions of A, the empty R included, and their greatest
-    length h are a sum and a maximum over the tally entries whose C_R
-    misses it.  Sigma*(A) only grows along a path of prefixes, so each
-    prefix filters its parent's entries (``CosetTails.narrow``).
+    D_R + {e}, which is -C_R and 0, so R extends A iff -C_R misses
+    Sigma*(A).  D_A holds the inverses (0, -u) of A's products, so
+    Sigma*(A) is the negated row 0 of D_A + {e}; equally, R extends A iff
+    C_R misses that row.  The number of extensions of A, the empty R
+    included, and their greatest length h are a sum and a maximum over the
+    tally entries whose C_R misses it.  Sigma*(A) only grows along a path of
+    prefixes, so each prefix filters its parent's entries
+    (``CosetTails.narrow``).
 
     The walk runs the prefixes A with their record checks.  The children of
     A run in index order, so its children in <a> and their subtrees come
@@ -251,8 +294,9 @@ def small_davenport(ctx: GroupCtx) -> SmallDavenportResult:
     with one right shift of P + {e} per child.
     """
     n, p, q = ctx.n, ctx.p, ctx.q
-    heads, tails, turns = _child_moves(ctx)
+    heads, tails, steps = _child_moves(ctx)
     last = (p - 1) * q
+    turns = [0] * last + [step[1] for step in steps]
     penult = last - q
     row = (1 << q) - 1
     double = 1 | 1 << q

@@ -48,8 +48,16 @@ NAIVE_MAX_LEN = 8
 #: ``lemma_report`` checker reject more, so re-checking a report is bounded.
 #: The slowest suite, ``outer-term-spread``, runs 10^4 trials in about 1 s
 #: at 3,7,2 and 10 s at 3,13,3 (2-vCPU Xeon).  The exhaustive
-#: ``cyclic-extremal`` counts the sequences it scans as trials; n bounds it.
+#: ``cyclic-extremal`` counts the sequences it scans as trials; ``MAX_CYCLIC_N``
+#: bounds it instead.
 MAX_TRIALS = 10_000
+
+#: Largest n of the ``cyclic-extremal`` scan over C_n: ``lemmas --n`` and the
+#: ``lemma_report`` checker reject more.  The scan grows about x1.9 per step
+#: of 2 in n: 0.10 s at n = 19, 1.0-1.1 s at 27 and 4.4-4.9 s at 31 (1,301,610
+#: sequences; 2-vCPU Xeon), so a report at the cap re-checks within the time
+#: ``MAX_TRIALS`` allows a randomized suite.  The default n = q passes for q <= 31.
+MAX_CYCLIC_N = 31
 
 LEMMA_IDS = (
     "cauchy-davenport",

@@ -33,7 +33,7 @@ from prodone.invariants import (
     small_davenport,
     verify_inverse_theorem,
 )
-from prodone.oracles import MAX_TRIALS, run_lemma
+from prodone.oracles import MAX_CYCLIC_N, MAX_TRIALS, run_lemma
 from prodone.sequences import Sequence, is_atom
 
 
@@ -279,6 +279,16 @@ def test_lemma_report_claiming_more_trials_than_the_cap_fails_without_running_th
     assert time.perf_counter() - started < 1.0
     assert not outcome.ok
     assert outcome.messages == [f"malformed payload: trials 1000000000 exceeds the cap of {MAX_TRIALS}"]
+
+
+def test_cyclic_extremal_report_above_the_n_cap_fails_without_scanning(ctx372):
+    payload = run_lemma(ctx372, "cyclic-extremal", trials=0).to_payload()
+    payload["group"] = "C_1000001:extremal"
+    started = time.perf_counter()
+    outcome = check_certificate(make_certificate("lemma_report", "3,7,2", payload, seed=0))
+    assert time.perf_counter() - started < 1.0
+    assert not outcome.ok
+    assert outcome.messages == [f"malformed payload: n 1000001 exceeds the cap of {MAX_CYCLIC_N}"]
 
 
 def test_lemma_reports_at_the_cap_pass(ctx372):
@@ -599,10 +609,11 @@ def test_inverse_report_forged_k2_counter_at_11_23_2_is_rejected(inverse_payload
     assert any(m.startswith(f"strata[2].counters.{counter}: ") for m in outcome.messages)
 
 
-def _checkpoint_payload(ctx, max_candidates=None, k=2):
-    """A scan of ranks [1000, 4000) of the stratum with ``k`` outer terms at length 2q, as atom_search records it."""
+def _checkpoint_payload(ctx, max_candidates=None, k=2, shard=None):
+    """A scan of ``shard``, else of ranks [1000, 4000) labelled shard 1 of 3, of the stratum
+    with ``k`` outer terms at length 2q, as atom_search records it."""
     stratum = Stratum(length=2 * ctx.q, k=k)
-    shard = Shard(index=1, n_shards=3, start_rank=1_000, end_rank=4_000)
+    shard = shard or Shard(index=1, n_shards=3, start_rank=1_000, end_rank=4_000)
     result = atom_search(ctx, stratum, shard=shard, max_candidates=max_candidates)
     return checkpoint_record(
         ctx, stratum, shard, 0, result.counters, result.digest,
@@ -623,6 +634,18 @@ def test_checkpoint_checker_accepts_genuine_records(ctx372):
     assert any("partial" in c for c in partial.caveats)
     k0 = _check_checkpoint(_checkpoint_payload(ctx372, k=0))
     assert k0.ok, k0.messages
+
+
+def test_checkpoint_shard_label_off_shard_at_is_a_caveat(ctx372):
+    # Ranks [1000, 4000) are not shard 1 of 3 as shard_at cuts the stratum:
+    # the record passes with a caveat, and shard_at's own shard 1 without it.
+    outcome = _check_checkpoint(_checkpoint_payload(ctx372))
+    assert outcome.ok, outcome.messages
+    assert any("only the interval was checked" in c for c in outcome.caveats), outcome.caveats
+    total = StratumSpace(ctx372, Stratum(length=2 * ctx372.q, k=2)).total
+    outcome = _check_checkpoint(_checkpoint_payload(ctx372, shard=make_shards(total, 3)[1]))
+    assert outcome.ok, outcome.messages
+    assert outcome.caveats == []
 
 
 def _raise_visits(payload, delta):
@@ -1218,6 +1241,14 @@ def test_cli_lemmas_rejects_trials_above_the_cap(capsys):
     )
     assert code == 2
     assert out == "" and "--trials" in err and str(MAX_TRIALS) in err
+
+
+@pytest.mark.parametrize("argv", [("--group", "3,97,35"), ("--group", "3,7,2", "--n", "33")],
+                         ids=["default-n-is-q", "explicit-n"])
+def test_cli_lemmas_rejects_cyclic_n_above_the_cap(capsys, argv):
+    code, out, err = run_cli(capsys, "lemmas", "--lemma", "cyclic-extremal", *argv)
+    assert code == 2
+    assert out == "" and "--n" in err and str(MAX_CYCLIC_N) in err
 
 
 def test_cli_elasticity(capsys, tmp_path):

@@ -218,6 +218,46 @@ def test_child_live_set_is_one_mask(ctx_name, request):
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
+@pytest.mark.parametrize("desc", ["5,11,3", "7,29,16"])
+def test_last_row_step_moves_rows_up(desc):
+    """``CosetTails``'s step for a last-row child g, from the rotations of
+    ``_child_moves``, gives the key, live set and rows of the child's
+    D' + {e} that g^-1 * (D + {e}) gives.  At p >= 5 the rows 1 to p-3
+    move too."""
+    ctx = make_group(desc)
+    n, p, q = ctx.n, ctx.p, ctx.q
+    last, penult, third = (p - 1) * q, (p - 2) * q, (p - 3) * q
+    row = (1 << q) - 1
+
+    def rot(bits, back):
+        return bits * (1 | 1 << q) >> back & row
+
+    steps = invariants._child_moves(ctx)[2]
+    rng = random.Random(n)
+    for density in (0.2, 0.5, 0.8):
+        for _ in range(4):
+            forbidden = sum(1 << x for x in range(1, n) if rng.random() < density)
+            closed = forbidden | 1
+            packed = closed & (1 << penult) - 1
+            penult_row, last_row = closed >> penult & row, forbidden >> last
+            live = rng.getrandbits(q)
+            for g in range(last, n):
+                to_zero, to_last, to_penult, middle = steps[g - last]
+                assert len(middle) == p - 3
+                image = ctx.left_shift(closed, ctx.left_shift_plan(ctx.inv_table[g]))
+                child = closed | image
+                up = rot(penult_row, to_last)
+                assert up == image >> last
+                assert live & ~up == (live << last & ~image) >> last
+                moved = packed | rot(last_row, to_zero)
+                assert moved & row == child & row  # the child's key
+                for src, dst, back in middle:
+                    moved |= rot(packed >> src & row, back) << dst
+                assert moved == child & (1 << penult) - 1
+                assert penult_row | rot(packed >> third & row, to_penult) == child >> penult & row
+                assert last_row | up == child >> last
+
+
 def test_alpha_tau_extremal_example(ctx372):
     seq = Sequence.parse(ctx372, "(0,1)^6,(1,0)^2")
     assert classify(ctx372, seq).product_one_free
